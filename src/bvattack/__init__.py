@@ -36,7 +36,7 @@ from .lsfind import (
 )
 from .rng import seeded_rng
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AffineSolutionSet",

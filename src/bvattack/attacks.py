@@ -25,12 +25,11 @@ from .ciphers import (
     feistel_branch_oracle,
     toy_reduced_family,
 )
-from .gf2 import LinearSystem, solve
 from .lsfind import (
-    _unique_ints,
     default_sample_count,
     find_common_zero_structure,
     find_vector_structures,
+    solve_zero_one,
 )
 from .rng import seeded_rng, flat_key
 
@@ -175,21 +174,28 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     return rng.integers(0, 1 << n, size=pairs, dtype=np.int64)
 
 
+def _guess_differences(oracle: OracleFunction, inv_last: np.ndarray, a: int, pairs: int,
+                       rng: np.random.Generator):
+    """Query `pairs` plaintext pairs with difference a, then yield, for each
+    final-round key guess s in turn, the pairs' one-round partial decryption
+    differences under s."""
+    n = oracle.fn.n
+    xs = _pair_plaintexts(n, a, pairs, rng)
+    c1 = oracle.classical_batch(xs)
+    c2 = oracle.classical_batch(xs ^ a)
+    for s in range(1 << n):
+        yield inv_last[c1 ^ s] ^ inv_last[c2 ^ s]
+
+
 def rank_last_round_keys(oracle: OracleFunction, inv_last: np.ndarray, a: int, alpha: int,
                          pairs: int, rng: np.random.Generator) -> KeyCounterTable:
     """Whole-word key counting: for each final-round key guess s, count the
     pairs whose one-round partial decryption difference equals alpha."""
     if pairs <= 0:
         raise InsufficientDataError("key counting needs at least one plaintext pair")
-    n = oracle.fn.n
-    xs = _pair_plaintexts(n, a, pairs, rng)
-    c1 = oracle.classical_batch(xs)
-    c2 = oracle.classical_batch(xs ^ a)
-    counts = []
-    for s in range(1 << n):
-        dy = inv_last[c1 ^ s] ^ inv_last[c2 ^ s]
-        counts.append(int(np.count_nonzero(dy == alpha)))
-    return KeyCounterTable(tuple(counts), pairs, 1)
+    counts = tuple(int(np.count_nonzero(dy == alpha))
+                   for dy in _guess_differences(oracle, inv_last, a, pairs, rng))
+    return KeyCounterTable(counts, pairs, 1)
 
 
 @dataclass(frozen=True)
@@ -303,15 +309,9 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
                                       ledger.snapshot())
     b = res.alpha ^ ((1 << n) - 1)
 
-    oracle = OracleFunction(etable, ledger)
-    xs = _pair_plaintexts(n, res.a, pairs, seeded_rng(*flat_key(seed, 0)))
-    c1 = oracle.classical_batch(xs)
-    c2 = oracle.classical_batch(xs ^ res.a)
-    inv = public.inverse_last()
-    counts = []
-    for s in range(1 << n):
-        dy = inv[c1 ^ s] ^ inv[c2 ^ s]
-        counts.append(int((n - np.bitwise_count(dy ^ b)).sum()))
+    guesses = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), res.a,
+                                 pairs, seeded_rng(*flat_key(seed, 0)))
+    counts = [int((n - np.bitwise_count(dy ^ b)).sum()) for dy in guesses]
     counter = KeyCounterTable(tuple(counts), pairs, n)
     return SmallProbabilityReport(True, res.a, b, counter.argmin(), counter,
                                   p, l, q, pairs, ledger.snapshot())
@@ -360,9 +360,7 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
     for j in range(1, G.n + 1):
         ws = BvSampler(G.component(j), (seed, j), ledger).draw(p)
         queries += p
-        uniq = _unique_ints(ws >> shift)
-        never_one = solve(LinearSystem(x_bits, tuple((w, 0) for w in uniq)))
-        never_zero = solve(LinearSystem(x_bits, tuple((w, 1) for w in uniq)))
+        never_one, never_zero = solve_zero_one(x_bits, ws >> shift)
         cands = []
         for forbidden, sol in ((1, never_one), (0, never_zero)):
             a = sol.smallest_nonzero()
@@ -426,16 +424,8 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
         return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, res.p,
                                      ledger.snapshot())
 
-    oracle = OracleFunction(etable, ledger)
-    xs = _pair_plaintexts(n, cert.a, pairs, seeded_rng(*flat_key(seed, 0)))
-    c1 = oracle.classical_batch(xs)
-    c2 = oracle.classical_batch(xs ^ cert.a)
-    inv = public.inverse_last()
-    alive = []
-    for s in range(1 << n):
-        dy = inv[c1 ^ s] ^ inv[c2 ^ s]
-        bit = (dy >> (n - cert.j)) & 1
-        if not np.any(bit == cert.forbidden):
-            alive.append(s)
-    return ImpossibleSieveReport(True, cert, True, tuple(alive), pairs, res.p,
-                                 ledger.snapshot())
+    guesses = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), cert.a,
+                                 pairs, seeded_rng(*flat_key(seed, 0)))
+    alive = tuple(s for s, dy in enumerate(guesses)
+                  if not np.any(((dy >> (n - cert.j)) & 1) == cert.forbidden))
+    return ImpossibleSieveReport(True, cert, True, alive, pairs, res.p, ledger.snapshot())

@@ -18,7 +18,6 @@ Widths are capped at 24 bits; every table here is dense.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -30,8 +29,8 @@ __all__ = [
     "BooleanFunction",
     "VectorFunction",
     "WalshSpectrum",
-    "DifferentialCount",
     "walsh_spectrum",
+    "autocorrelation",
     "dot_array",
     "derivative_table",
     "derivative_count",
@@ -166,18 +165,33 @@ class WalshSpectrum:
         return f"WalshSpectrum(n={self.n})"
 
 
-def walsh_spectrum(f: BooleanFunction) -> WalshSpectrum:
-    """Integer Walsh transform in O(n 2^n) via the in-place butterfly."""
-    b = (1 - 2 * f.table.astype(np.int64)).reshape(1, -1)
+def _wht(b: np.ndarray) -> np.ndarray:
+    """Integer Walsh-Hadamard butterfly in O(n 2^n), in place on the
+    caller's fresh int64 array of length 2^n, which it returns."""
     h = 1
-    size = b.shape[1]
-    while h < size:
-        b = b.reshape(-1, 2 * h)
-        left = b[:, :h].copy()
-        b[:, :h] += b[:, h:]
-        b[:, h:] = left - b[:, h:]
+    while h < len(b):
+        v = b.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        v[:, :h] += v[:, h:]
+        v[:, h:] = left - v[:, h:]
         h *= 2
-    return WalshSpectrum(f.n, b.reshape(-1))
+    return b
+
+
+def walsh_spectrum(f: BooleanFunction) -> WalshSpectrum:
+    """Integer Walsh transform of f."""
+    return WalshSpectrum(f.n, _wht(1 - 2 * f.table.astype(np.int64)))
+
+
+def autocorrelation(spec: WalshSpectrum) -> np.ndarray:
+    """C(a) = sum_x (-1)^(f(x) + f(x ^ a)) for every direction a, exact.
+
+    C = WHT(W^2) / 2^n (Wiener-Khinchin), so one more butterfly yields every
+    derivative count: f(x ^ a) ^ f(x) is 1 on (2^n - C(a)) / 2 inputs.
+    """
+    c = _wht(spec.coeffs * spec.coeffs)
+    c >>= spec.n
+    return c
 
 
 def dot_array(ws: np.ndarray, a: int) -> np.ndarray:
@@ -201,24 +215,6 @@ def derivative_count(f: BooleanFunction, a: int, i: int) -> int:
     return int(np.count_nonzero(d == i))
 
 
-@dataclass(frozen=True)
-class DifferentialCount:
-    """One measured derivative count for a boolean function."""
-
-    a: int
-    i: int
-    count: int
-    domain_size: int
-
-    @classmethod
-    def measure(cls, f: BooleanFunction, a: int, i: int) -> "DifferentialCount":
-        return cls(a, i, derivative_count(f, a, i), 1 << f.n)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.count, self.domain_size)
-
-
 def structure_defect(f: BooleanFunction, a: int, i: int) -> Fraction:
     """Fraction of inputs where the derivative in direction a is not i.
 
@@ -230,51 +226,40 @@ def structure_defect(f: BooleanFunction, a: int, i: int) -> Fraction:
 def differential_uniformity(f: BooleanFunction) -> Fraction:
     """Largest derivative bias: max over a != 0 and i of Pr_x[derivative = i]."""
     size = 1 << f.n
-    best = 0
-    for a in range(1, size):
-        ones = int(derivative_table(f, a).sum())
-        best = max(best, ones, size - ones)
-    return Fraction(best, size)
+    c = autocorrelation(walsh_spectrum(f))[1:]
+    return Fraction((size + int(np.abs(c).max())) // 2, size)
 
 
 def structure_free_uniformity(f: BooleanFunction) -> Fraction | None:
     """Same maximum, restricted to directions that are not exact structures.
 
     Returns None when every nonzero direction is a structure (affine f).
-    Exhaustive over all 2^n directions, so only meant for small n.
     """
     size = 1 << f.n
-    best = None
-    for a in range(1, size):
-        ones = int(derivative_table(f, a).sum())
-        if ones in (0, size):
-            continue
-        top = max(ones, size - ones)
-        best = top if best is None or top > best else best
-    return None if best is None else Fraction(best, size)
+    c = np.abs(autocorrelation(walsh_spectrum(f))[1:])
+    c = c[c != size]
+    return None if c.size == 0 else Fraction((size + int(c.max())) // 2, size)
 
 
 def linear_structures_exhaustive(f: BooleanFunction) -> tuple[list[int], list[int]]:
     """(U^0, U^1): all directions with constant derivative 0 or 1; 0 is in U^0."""
-    u0, u1 = [], []
-    for a in range(1 << f.n):
-        d = derivative_table(f, a)
-        if not d.any():
-            u0.append(a)
-        elif d.all():
-            u1.append(a)
-    return u0, u1
+    return linear_structures_via_spectrum(walsh_spectrum(f))
 
 
 def vector_structures_exhaustive(F: VectorFunction) -> list[tuple[int, int]]:
-    """All (a, alpha) with F(x ^ a) = F(x) ^ alpha for every x; includes (0, 0)."""
-    out = []
-    xs = np.arange(1 << F.m)
-    for a in range(1 << F.m):
-        d = F.table[xs ^ a] ^ F.table
-        if bool((d == d[0]).all()):
-            out.append((a, int(d[0])))
-    return out
+    """All (a, alpha) with F(x ^ a) = F(x) ^ alpha for every x; includes (0, 0).
+
+    a qualifies iff every component j has |C_j(a)| = 2^m, and the sign of
+    C_j(a) gives bit j of alpha.
+    """
+    size = 1 << F.m
+    joint = np.ones(size, dtype=bool)
+    alpha = np.zeros(size, dtype=np.int64)
+    for j in range(1, F.n + 1):
+        c = autocorrelation(walsh_spectrum(F.component(j)))
+        joint &= np.abs(c) == size
+        alpha |= (c < 0).astype(np.int64) << (F.n - j)
+    return [(a, int(alpha[a])) for a in np.flatnonzero(joint).tolist()]
 
 
 def restricted_spectral_mass(spec: WalshSpectrum, a: int, i: int) -> int:
@@ -298,16 +283,10 @@ def derivative_count_via_spectrum(spec: WalshSpectrum, a: int, i: int) -> Fracti
 
 def linear_structures_via_spectrum(spec: WalshSpectrum) -> tuple[list[int], list[int]]:
     """Structure sets read off the spectrum: a is in U^i iff the whole
-    squared mass sits on {w : w . a = i}."""
-    total = 1 << (2 * spec.n)
-    u0, u1 = [], []
-    for a in range(1 << spec.n):
-        m1 = restricted_spectral_mass(spec, a, 1)
-        if m1 == 0:
-            u0.append(a)
-        elif m1 == total:
-            u1.append(a)
-    return u0, u1
+    squared mass sits on {w : w . a = i}, i.e. C(a) = +-2^n."""
+    c = autocorrelation(spec)
+    size = 1 << spec.n
+    return np.flatnonzero(c == size).tolist(), np.flatnonzero(c == -size).tolist()
 
 
 def random_boolean_function(n: int, rng: np.random.Generator) -> BooleanFunction:

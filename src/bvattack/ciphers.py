@@ -243,9 +243,12 @@ def _round_keys(master: int, n: int, rounds: int) -> list[int]:
     return [(master >> (kb - i * n)) & ((1 << n) - 1) for i in range(1, rounds)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToyCipherPublic:
-    """Attacker's view of the toy cipher: the algorithm without its keys."""
+    """Attacker's view of the toy cipher: the algorithm without its keys.
+
+    Compared and hashed by identity: its fields are arrays.
+    """
 
     n: int
     rounds: int

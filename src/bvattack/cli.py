@@ -107,8 +107,8 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
     if fn.n <= 8:
         result["coefficients"] = [int(c) for c in coeffs]
     if fn.n <= 12:
-        # full quadratic-cost profile: worst and structure-skipping derivative
-        # biases plus every exact linear structure, found by direct scan
+        # derivative profile: worst and structure-skipping derivative biases
+        # plus every exact linear structure, read off the autocorrelation
         delta_prime = structure_free_uniformity(fn)
         zero, one = linear_structures_exhaustive(fn)
         result["differential_uniformity"] = str(differential_uniformity(fn))
@@ -316,9 +316,9 @@ def _cmd_gen_cipher(args) -> tuple[dict, int]:
             raise ValueError(f"n = {n} is too wide to tabulate")
         cipher = EvenMansour.random(n, seed=args.seed)
     else:
-        cipher = ToyCipher.generate(n, args.preset, seed=args.seed, rounds=args.rounds)
         if n * args.rounds > 24:
             raise ValueError("n * rounds beyond 24 cannot be attacked in memory")
+        cipher = ToyCipher.generate(n, args.preset, seed=args.seed, rounds=args.rounds)
     out = args.out
     if out is None:
         suffix = "-challenge" if args.challenge else ""

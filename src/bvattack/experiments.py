@@ -37,8 +37,9 @@ from .attacks import (
 from .boolfn import (
     BooleanFunction,
     VectorFunction,
+    WalshSpectrum,
+    autocorrelation,
     derivative_count,
-    dot_array,
     linear_structures_exhaustive,
     random_boolean_function,
     structure_free_uniformity,
@@ -237,16 +238,24 @@ def _joint_defect(F: VectorFunction, a: int, alpha: int) -> float:
     return 1.0 - match / (1 << F.m)
 
 
-def _false_positive_union(masses: np.ndarray, sel_cache: list[np.ndarray], p: int) -> float:
-    """Sum over nonzero directions of the exact survival probability
-    q0^p + q1^p, from one component's squared spectral masses."""
-    total = float(masses.sum())
-    out = 0.0
-    for sel in sel_cache:
-        q1 = float(masses[sel].sum()) / total
-        q0 = 1.0 - q1
-        out += q0 ** p + q1 ** p
-    return out
+def _survival_union(spectra: list[WalshSpectrum], width: int, p: int) -> float:
+    """Sum over nonzero directions a of the leading `width` input bits of
+    the exact chance that a survives p samples of every component, the
+    product of q0^p + q1^p.  q1(a) is the squared mass on {w : w . a = 1},
+    the exact integer (4^m - 2^m C(a)) / 2, over the total mass 4^m."""
+    m = spectra[0].n
+    shift = m - width
+    mass = 1 << (2 * m)
+    total = float(mass)
+    autos = [autocorrelation(spec) for spec in spectra]
+    union = 0.0
+    for a in range(1, 1 << width):
+        prod = 1.0
+        for c in autos:
+            q1 = ((mass - (int(c[a << shift]) << m)) // 2) / total
+            prod *= (1.0 - q1) ** p + q1 ** p
+        union += prod
+    return union
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +322,6 @@ def _run_t2(cfg: ExperimentConfig) -> ExperimentResult:
     if variant == "strong-toy":
         return _run_t2_strong_toy(cfg)
 
-    ws = np.arange(1 << n)
-    sels = [dot_array(ws, a) == 1 for a in range(1, 1 << n)]
     no_count = 0
     cache: dict[int, tuple[BooleanFunction, float, float]] = {}
     for t in range(cfg.trials):
@@ -322,7 +329,7 @@ def _run_t2(cfg: ExperimentConfig) -> ExperimentResult:
         if fi not in cache:
             f = (inner_product_function(n) if variant == "bent"
                  else _structure_free_function(n, seeded_rng(cfg.seed, 120, fi)))
-            union = _false_positive_union(walsh_spectrum(f).squared_masses(), sels, p)
+            union = _survival_union([walsh_spectrum(f)], n, p)
             dp = structure_free_uniformity(f)
             cache[fi] = (f, union, float(dp) if dp is not None else 0.0)
         f = cache[fi][0]
@@ -372,18 +379,8 @@ def _run_t2_strong_toy(cfg: ExperimentConfig) -> ExperimentResult:
                     rejected += 1
                     bump += 1
             G = toy_reduced_family(inst.public)
-            trunc = np.arange(1 << G.m) >> (G.m - n)
-            sels = [dot_array(trunc, a) == 1 for a in range(1, 1 << n)]
-            union = 0.0
-            per_comp = [walsh_spectrum(G.component(j)).squared_masses()
-                        for j in range(1, n + 1)]
-            for sel in sels:
-                prod = 1.0
-                for masses in per_comp:
-                    total = float(masses.sum())
-                    q1 = float(masses[sel].sum()) / total
-                    prod *= (1.0 - q1) ** p + q1 ** p
-                union += prod
+            union = _survival_union([walsh_spectrum(G.component(j)) for j in range(1, n + 1)],
+                                    n, p)
             cache[ci] = (G, union)
         G, union = cache[ci]
         worst_union = max(worst_union, union)

@@ -21,6 +21,7 @@ __all__ = [
     "dot",
     "LinearSystem",
     "AffineSolutionSet",
+    "Eliminator",
     "solve",
     "constraints_of",
     "intersect",
@@ -72,25 +73,6 @@ def _reduce(v: int, basis: Sequence[int]) -> int:
         if (v >> (b.bit_length() - 1)) & 1:
             v ^= b
     return v
-
-
-def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Canonical RREF basis (pivot = leading bit) of the span of the inputs."""
-    rows: dict[int, int] = {}
-    for v in vectors:
-        v = int(v)
-        while v:
-            p = v.bit_length() - 1
-            if p not in rows:
-                rows[p] = v
-                break
-            v ^= rows[p]
-    # clear each pivot from the rows above it, lowest pivot first
-    for p in sorted(rows):
-        for q in rows:
-            if q > p and (rows[q] >> p) & 1:
-                rows[q] ^= rows[p]
-    return tuple(sorted(rows.values(), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -184,44 +166,79 @@ class AffineSolutionSet:
         return out
 
 
+class Eliminator:
+    """Incremental Gaussian elimination over GF(2).
+
+    Constraints x . w = c are absorbed one at a time and kept as one row per
+    pivot, the row's lowest set bit; a row that reduces to (0, 1) makes the
+    system inconsistent.  A homogeneous system is down to {0} once
+    rank == width.
+    """
+
+    __slots__ = ("width", "rows", "consistent")
+
+    def __init__(self, width: int) -> None:
+        if not 1 <= width <= MAX_SYSTEM_WIDTH:
+            raise ValueError(f"width must be in [1, {MAX_SYSTEM_WIDTH}], got {width}")
+        self.width = width
+        self.rows: dict[int, tuple[int, int]] = {}
+        self.consistent = True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def absorb(self, w: int, c: int = 0) -> None:
+        """Add the constraint x . w = c."""
+        rows = self.rows
+        while w:
+            p = (w & -w).bit_length() - 1
+            row = rows.get(p)
+            if row is None:
+                rows[p] = (w, c)
+                return
+            w ^= row[0]
+            c ^= row[1]
+        if c:
+            self.consistent = False
+
+    def solution(self) -> AffineSolutionSet:
+        """The solution set of the rows absorbed so far, in canonical form.
+
+        Free coordinates are zero in the offset and one at a time in the
+        generators; a pivot sits below every other bit of its row, so each
+        generator's leading bit is its own free coordinate.
+        """
+        width = self.width
+        if not self.consistent:
+            return AffineSolutionSet.empty(width)
+        rows = dict(self.rows)
+        # clear each pivot from the rows below it, highest pivot first
+        for p in sorted(rows, reverse=True):
+            wp, cp = rows[p]
+            for q, (wq, cq) in rows.items():
+                if q < p and (wq >> p) & 1:
+                    rows[q] = (wq ^ wp, cq ^ cp)
+        offset = 0
+        for p, (_, c) in rows.items():
+            offset |= c << p
+        basis = []
+        for f in reversed(range(width)):
+            if f not in rows:
+                v = 1 << f
+                for p, (w, _) in rows.items():
+                    if (w >> f) & 1:
+                        v |= 1 << p
+                basis.append(v)
+        return AffineSolutionSet(width, False, offset, tuple(basis))
+
+
 def solve(system: LinearSystem) -> AffineSolutionSet:
     """Gaussian elimination; returns the full solution set in canonical form."""
-    width = system.width
-    rows: dict[int, tuple[int, int]] = {}
+    e = Eliminator(system.width)
     for w, c in system.constraints:
-        w, c = int(w), int(c)
-        while w:
-            p = w.bit_length() - 1
-            if p not in rows:
-                rows[p] = (w, c)
-                break
-            w ^= rows[p][0]
-            c ^= rows[p][1]
-        if w == 0 and c == 1:
-            return AffineSolutionSet.empty(width)
-
-    # Particular solution with every free coordinate forced to zero.  Rows are
-    # substituted lowest pivot first, so each row only sees already-decided bits.
-    offset = 0
-    for p in sorted(rows):
-        w, c = rows[p]
-        if dot(w ^ (1 << p), offset) ^ c:
-            offset |= 1 << p
-
-    # One homogeneous generator per free coordinate.
-    pivots = set(rows)
-    raw = []
-    for fbit in range(width):
-        if fbit in pivots:
-            continue
-        v = 1 << fbit
-        for p in sorted(rows):
-            if dot(rows[p][0] ^ (1 << p), v):
-                v |= 1 << p
-        raw.append(v)
-
-    basis = _rref(raw)
-    return AffineSolutionSet(width, False, _reduce(offset, basis), basis)
+        e.absorb(w, c)
+    return e.solution()
 
 
 def constraints_of(s: AffineSolutionSet) -> LinearSystem:

@@ -19,15 +19,11 @@ import numpy as np
 
 from .boolfn import BooleanFunction, VectorFunction
 from .bv import BvSampler, QueryLedger
-from .gf2 import AffineSolutionSet, LinearSystem, constancy_set, dot, intersect, solve
-
-
-def _unique_ints(ws: np.ndarray) -> list[int]:
-    # duplicate constraints are harmless but p can be huge; solve on uniques
-    return [int(w) for w in np.unique(ws)]
+from .gf2 import AffineSolutionSet, Eliminator, dot
 
 __all__ = [
     "default_sample_count",
+    "solve_zero_one",
     "BooleanStructureResult",
     "ComponentEvidence",
     "VectorStructureResult",
@@ -45,6 +41,20 @@ def default_sample_count(width: int) -> int:
     outlives all draws with probability well under 2^-width.
     """
     return 4 * width
+
+
+def _absorb_samples(e: Eliminator, ws: np.ndarray, c: int = 0) -> Eliminator:
+    """Absorb a row (w, c) per distinct sample w; p can be huge, the
+    distinct samples are few."""
+    for w in np.unique(ws).tolist():
+        e.absorb(w, c)
+    return e
+
+
+def solve_zero_one(width: int, samples: np.ndarray) -> tuple[AffineSolutionSet, AffineSolutionSet]:
+    """The solution sets of {a . w = 0} and of {a . w = 1} over every sample w."""
+    zero, one = (_absorb_samples(Eliminator(width), samples, c).solution() for c in (0, 1))
+    return zero, one
 
 
 @dataclass(frozen=True)
@@ -120,9 +130,7 @@ def find_boolean_structures(
         raise ValueError(f"sample count must be positive, got {p}")
     ws = BvSampler(f, (seed,), ledger).draw(p)
     samples = tuple(int(w) for w in ws)
-    uniq = _unique_ints(ws)
-    zero_set = solve(LinearSystem(f.n, tuple((w, 0) for w in uniq)))
-    one_set = solve(LinearSystem(f.n, tuple((w, 1) for w in uniq)))
+    zero_set, one_set = solve_zero_one(f.n, ws)
     found = not (zero_set.is_trivial and one_set.is_trivial)
     return BooleanStructureResult(found, zero_set, one_set, samples, p, p)
 
@@ -155,23 +163,26 @@ def find_vector_structures(
     shift = F.m - width
 
     comps: list[ComponentEvidence] = []
-    inter = AffineSolutionSet.full(width)
+    elim = Eliminator(width)
     queries = 0
     found = True
     for j in range(1, F.n + 1):
         ws = BvSampler(F.component(j), (seed, j), ledger).draw(p)
         queries += p
         trunc = ws >> shift
-        cset, pivot = constancy_set(width, [int(trunc[0]), *_unique_ints(trunc)])
-        comps.append(ComponentEvidence(j, pivot, cset.size, cset.is_trivial))
-        if cset.is_trivial:
+        pivot = int(trunc[0])
+        cset = _absorb_samples(Eliminator(width), trunc ^ pivot)
+        comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
+        if comps[-1].trivial:
             found = False
             break
-        inter = intersect(inter, cset)
-        if inter.is_trivial:
+        for row in cset.rows.values():
+            elim.absorb(*row)
+        if elim.rank == width:
             found = False
             break
 
+    inter = elim.solution()
     a = alpha = None
     if found:
         a = inter.smallest_nonzero()
@@ -197,7 +208,7 @@ def find_common_zero_structure(
     if p < 1:
         raise ValueError(f"sample count must be positive, got {p}")
 
-    inter = AffineSolutionSet.full(F.m)
+    elim = Eliminator(F.m)
     queries = 0
     done = 0
     found = True
@@ -205,11 +216,11 @@ def find_common_zero_structure(
         ws = BvSampler(F.component(j), (seed, j), ledger).draw(p)
         queries += p
         done = j
-        cset = solve(LinearSystem(F.m, tuple((w, 0) for w in _unique_ints(ws))))
-        inter = intersect(inter, cset)
-        if inter.is_trivial:
+        _absorb_samples(elim, ws)
+        if elim.rank == F.m:
             found = False
             break
 
+    inter = elim.solution()
     a = inter.smallest_nonzero() if found else None
     return ZeroStructureResult(found, a, inter, done, p, queries)

@@ -4,9 +4,18 @@ Everything here is written the slow, obvious way on purpose: plain Python
 loops, direct definitional sums, exhaustive scans.  No fast transforms, no
 packed elimination, no shared code with the package under test.  Frozen
 expected values in the tests were computed with these.
+
+The exception is the chained searches at the end: they replay the package's
+own sampler streams through per-component solution sets and pairwise
+`intersect`, as the reference that the running-eliminator searches must
+equal field for field.
 """
 
 from fractions import Fraction
+
+from bvattack.bv import BvSampler
+from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
+from bvattack.lsfind import ComponentEvidence, VectorStructureResult, ZeroStructureResult
 
 
 def parity(x: int) -> int:
@@ -128,3 +137,45 @@ def chi_square_statistic(observed, expected) -> float:
         if e > 0:
             stat += (o - e) ** 2 / e
     return stat
+
+
+def chained_vector_search(F, p: int, seed, solve_width=None) -> VectorStructureResult:
+    """find_vector_structures as a chain: each output bit's constancy set,
+    intersected pairwise; stops at the first trivial set, before a trivial
+    component enters the intersection."""
+    width = F.m if solve_width is None else solve_width
+    comps = []
+    inter = AffineSolutionSet.full(width)
+    found = True
+    for j in range(1, F.n + 1):
+        ws = BvSampler(F.component(j), (seed, j)).draw(p) >> (F.m - width)
+        cset, pivot = constancy_set(width, [int(w) for w in ws])
+        comps.append(ComponentEvidence(j, pivot, cset.size, cset.is_trivial))
+        if cset.is_trivial:
+            found = False
+            break
+        inter = intersect(inter, cset)
+        if inter.is_trivial:
+            found = False
+            break
+    a = alpha = None
+    if found:
+        a = inter.smallest_nonzero()
+        alpha = 0
+        for ev in comps:
+            alpha |= parity(a & ev.pivot) << (F.n - ev.j)
+    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p, p * len(comps))
+
+
+def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
+    """find_common_zero_structure as a chain of per-bit solves and pairwise
+    intersects, stopping once only 0 survives."""
+    inter = AffineSolutionSet.full(F.m)
+    done = 0
+    for j in range(1, F.n + 1):
+        ws = BvSampler(F.component(j), (seed, j)).draw(p)
+        done = j
+        inter = intersect(inter, solve(LinearSystem(F.m, tuple((int(w), 0) for w in ws))))
+        if inter.is_trivial:
+            return ZeroStructureResult(False, None, inter, done, p, p * done)
+    return ZeroStructureResult(True, inter.smallest_nonzero(), inter, done, p, p * done)

@@ -11,6 +11,7 @@ from bvattack.boolfn import (
     MAX_WIDTH,
     BooleanFunction,
     VectorFunction,
+    autocorrelation,
     derivative_count,
     derivative_count_via_spectrum,
     differential_uniformity,
@@ -127,6 +128,15 @@ def test_derivative_count_matches_oracle(n, key, data):
     assert derivative_count(f, a, 0) == zeros
     assert derivative_count(f, a, 1) == ones
     assert structure_defect(f, a, 0) == Fraction((1 << n) - zeros, 1 << n)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**30))
+def test_autocorrelation_matches_derivative_counts(n, key):
+    f = random_boolean_function(n, seeded_rng(key, 8))
+    c = autocorrelation(walsh_spectrum(f))
+    for a in range(1 << n):
+        zeros, ones = derivative_value_counts(f.table, n, a)
+        assert c[a] == zeros - ones
 
 
 @given(st.integers(1, 8), st.integers(0, 2**30), st.data())

@@ -254,6 +254,13 @@ def test_toy_validation():
         ToyCipher.generate(4, "odd-preset", seed=0)
 
 
+def test_toy_public_compares_and_hashes_by_identity():
+    a = ToyCipher.generate(4, "weak", seed=3).public
+    b = ToyCipher.generate(4, "weak", seed=3).public
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 # --- cipher files -------------------------------------------------------------------
 
 

@@ -249,6 +249,18 @@ def test_gen_cipher_guards(capsys, tmp_path):
                  "--rounds", "1", "--out", out]) == 2
 
 
+def test_gen_cipher_checks_toy_width_before_building_tables(capsys, tmp_path, monkeypatch):
+    from bvattack.ciphers import ToyCipher
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("toy tables built before the width check")
+
+    monkeypatch.setattr(ToyCipher, "generate", unreachable)
+    assert main(["gen-cipher", "--kind", "toy", "--n", "9", "--seed", "1",
+                 "--rounds", "3", "--out", str(tmp_path / "x.txt")]) == 2
+    assert "n * rounds" in capsys.readouterr().err
+
+
 def test_gen_cipher_report(capsys, tmp_path):
     out = tmp_path / "t.txt"
     code, rep = run(capsys, "gen-cipher", "--kind", "toy", "--n", "4",

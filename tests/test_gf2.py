@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bvattack.gf2 import (
     MAX_SYSTEM_WIDTH,
     AffineSolutionSet,
+    Eliminator,
     EnumerationCapError,
     LinearSystem,
     constancy_set,
@@ -159,6 +160,22 @@ def test_intersect_associative(c1, c2, c3):
     w = max(c1[0], c2[0], c3[0])
     s1, s2, s3 = (solve(LinearSystem(w, tuple(c[1]))) for c in (c1, c2, c3))
     assert intersect(intersect(s1, s2), s3) == intersect(s1, intersect(s2, s3))
+
+
+@given(systems)
+def test_eliminator_row_by_row_matches_solve(case):
+    """After every absorbed row the running solution is that of the prefix."""
+    width, rows = case
+    e = Eliminator(width)
+    for k, (w, c) in enumerate(rows, 1):
+        e.absorb(w, c)
+        s = e.solution()
+        assert s == solve(LinearSystem(width, tuple(rows[:k])))
+        expect = brute_members(width, rows[:k])
+        assert e.consistent == bool(expect)
+        if expect:
+            assert s.members(cap=1 << width) == expect
+            assert e.rank + len(s.basis) == width
 
 
 @given(systems)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bvattack.boolfn import BooleanFunction, VectorFunction, random_boolean_function
+from bvattack.boolfn import (
+    BooleanFunction,
+    VectorFunction,
+    random_boolean_function,
+    random_vector_function,
+)
 from bvattack.bv import QueryLedger
 from bvattack.ciphers import random_permutation
 from bvattack.experiments import example_quadratic, inner_product_function, planted_boolean, planted_vector
@@ -15,7 +20,10 @@ from bvattack.lsfind import (
     find_common_zero_structure,
     find_vector_structures,
 )
+from bvattack.gf2 import AffineSolutionSet
 from bvattack.rng import seeded_rng
+
+from oracles import chained_vector_search, chained_zero_search
 
 
 def test_default_sample_count():
@@ -151,3 +159,33 @@ def test_common_zero_rejects_bad_p():
     F = VectorFunction(2, 2, np.arange(4))
     with pytest.raises(ValueError):
         find_common_zero_structure(F, p=0, seed=1)
+
+
+# --- the running eliminator against the chained reference -------------------
+
+
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**30), st.data())
+def test_searches_equal_chained_reference(m, n, key, data):
+    rng = seeded_rng(key, 44)
+    planted = data.draw(st.booleans())
+    F = planted_vector(m, n, rng)[0] if planted else random_vector_function(m, n, rng)
+    p = data.draw(st.integers(1, 4 * m))
+    width = data.draw(st.none() | st.integers(1, m))
+    got = find_vector_structures(F, p=p, seed=(key, 45), solve_width=width)
+    assert got == chained_vector_search(F, p, (key, 45), width)
+    got = find_common_zero_structure(F, p=p, seed=(key, 46))
+    assert got == chained_zero_search(F, p, (key, 46))
+
+
+def test_trivial_component_stays_out_of_the_intersection():
+    """Component 1 (x1 x2) leaves {a : a1 = a2 = 0}; component 2 (bent) is
+    trivial, and the reported intersection is that of component 1 alone."""
+    x = np.arange(16)
+    c1 = (x >> 3) & (x >> 2) & 1
+    c2 = c1 ^ ((x >> 1) & x & 1)
+    F = VectorFunction(4, 2, (c1 << 1) | c2)
+    res = find_vector_structures(F, p=32, seed=(3, 47))
+    assert [ev.trivial for ev in res.components] == [False, True]
+    assert not res.found and res.queries == 64
+    assert res.intersection == AffineSolutionSet(4, False, 0, (0b0010, 0b0001))
+    assert res == chained_vector_search(F, 32, (3, 47))

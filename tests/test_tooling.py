@@ -1,0 +1,35 @@
+"""The benchmark tracer (perfbench/tracing.py) patches package names given
+as strings; a rename or deletion in the package would silently break a
+traced run, so every name it lists must still resolve."""
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing_module():
+    # executed from its source text so nothing is written next to it
+    mod = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), mod.__dict__)
+    return mod
+
+
+def test_traced_names_resolve():
+    tracing = _tracing_module()
+    for mod_name, attr, *_ in tracing.FUNCTIONS:
+        mod = importlib.import_module(f"bvattack.{mod_name}")
+        assert callable(getattr(mod, attr, None)), f"bvattack.{mod_name}.{attr}"
+    for mod_name, cls_name, attr, *_ in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"bvattack.{mod_name}"), cls_name)
+        assert attr in cls.__dict__, f"bvattack.{mod_name}.{cls_name}.{attr}"
+
+
+def test_key_ranking_signature_matches_its_count_hook():
+    # the hook reads the oracle and the pair count by position
+    from bvattack.attacks import rank_last_round_keys
+
+    params = list(inspect.signature(rank_last_round_keys).parameters)
+    assert params[0] == "oracle" and params[4] == "pairs"
