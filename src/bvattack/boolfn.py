@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Union
 
@@ -44,8 +45,8 @@ __all__ = [
     "linear_structures_via_spectrum",
     "random_boolean_function",
     "random_vector_function",
-    "format_hex_table",
-    "parse_hex_tokens",
+    "format_word_block",
+    "parse_word_block",
     "save_function",
     "load_function",
 ]
@@ -298,71 +299,73 @@ def random_vector_function(m: int, n: int, rng: np.random.Generator) -> VectorFu
 
 
 # ---------------------------------------------------------------------------
-# table files: a one-line header, then the entries as fixed-width hex words,
-# 16 per line, in index order.  Round-trips bit-exactly.
+# table files: a one-line header, then a word block: the table in index order
+# as fixed-width hex words, 16 per line, each line ending in a newline.  Cipher
+# files hold one block per table.  Round-trips bit-exactly.
 
 _HEADER_BOOL = re.compile(r"^boolfn n=(\d+)$")
 _HEADER_VEC = re.compile(r"^vecfn m=(\d+) n=(\d+)$")
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def format_hex_table(words, bits: int) -> list[str]:
-    """Hex lines for a word sequence, zero-padded to ceil(bits/4) digits."""
+def format_word_block(words, bits: int) -> bytes:
+    """The word block of a table, each word zero-padded to ceil(bits/4) digits."""
+    words = np.asarray(words)
     digits = max(1, (bits + 3) // 4)
-    toks = [format(int(w), f"0{digits}x") for w in words]
-    return [" ".join(toks[i : i + 16]) for i in range(0, len(toks), 16)]
+    out = np.empty((len(words), digits + 1), dtype=np.uint8)
+    for k in range(digits):
+        out[:, k] = _HEX_DIGITS[(words >> (4 * (digits - 1 - k))) & 15]
+    out[:, digits] = ord(" ")
+    out[15::16, digits] = ord("\n")
+    out[-1, digits] = ord("\n")
+    return out.tobytes()
 
 
-def parse_hex_tokens(lines, count: int, bits: int, what: str) -> list[int]:
-    """Parse hex word tokens from lines; enforces count and bit width."""
-    toks: list[str] = []
-    for line in lines:
-        toks.extend(line.split())
+def parse_word_block(lines, m: int, bits: int, what: str) -> np.ndarray:
+    """The 2^m words of a block's lines as int64, each parsed by int(t, 16)
+    and checked to fit in `bits`; both widths are checked first."""
+    _check_width(m, f"{what}: input width")
+    _check_width(bits, f"{what}: output width")
+    count = 1 << m
+    toks = " ".join(lines).split()
     if len(toks) != count:
         raise ValueError(f"{what}: expected {count} entries, got {len(toks)}")
-    out = []
-    for t in toks:
-        try:
-            v = int(t, 16)
-        except ValueError as exc:
-            raise ValueError(f"{what}: bad hex token {t!r}") from exc
-        if not 0 <= v < (1 << bits):
-            raise ValueError(f"{what}: entry {t} does not fit in {bits} bits")
-        out.append(v)
-    return out
+    try:
+        vals = np.fromiter(map(int, toks, repeat(16)), dtype=np.int64, count=count)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    except OverflowError:
+        vals = None  # an entry beyond int64 fits no table width
+    if vals is None or vals.min() < 0 or vals.max() >= (1 << bits):
+        raise ValueError(f"{what}: an entry does not fit in {bits} bits")
+    return vals
 
 
 def save_function(path, fn: Union[BooleanFunction, VectorFunction]) -> None:
-    """Write a function table file (header line plus hex entries)."""
-    p = Path(path)
+    """Write a function table file (header line plus word block)."""
     if isinstance(fn, BooleanFunction):
-        header = f"boolfn n={fn.n}"
-        lines = format_hex_table(fn.table, 1)
+        header, bits = f"boolfn n={fn.n}", 1
     elif isinstance(fn, VectorFunction):
-        header = f"vecfn m={fn.m} n={fn.n}"
-        lines = format_hex_table(fn.table, fn.n)
+        header, bits = f"vecfn m={fn.m} n={fn.n}", fn.n
     else:
         raise TypeError(f"cannot save object of type {type(fn).__name__}")
-    p.write_text("\n".join([header, *lines]) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        fh.write(format_word_block(fn.table, bits))
 
 
 def load_function(path) -> Union[BooleanFunction, VectorFunction]:
     """Read a table file written by save_function."""
-    lines = Path(path).read_text().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty function file")
     head = lines[0].strip()
     m = _HEADER_BOOL.match(head)
     if m:
         n = int(m.group(1))
-        _check_width(n, "n")
-        vals = parse_hex_tokens(lines[1:], 1 << n, 1, str(path))
-        return BooleanFunction(n, np.array(vals, dtype=np.uint8))
+        return BooleanFunction(n, parse_word_block(lines[1:], n, 1, str(path)))
     m = _HEADER_VEC.match(head)
     if m:
         mm, n = int(m.group(1)), int(m.group(2))
-        _check_width(mm, "m")
-        _check_width(n, "n")
-        vals = parse_hex_tokens(lines[1:], 1 << mm, n, str(path))
-        return VectorFunction(mm, n, np.array(vals, dtype=np.int64))
+        return VectorFunction(mm, n, parse_word_block(lines[1:], mm, n, str(path)))
     raise ValueError(f"{path}: unrecognized header {head!r}")

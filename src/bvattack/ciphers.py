@@ -16,8 +16,8 @@ the OracleFunction wrapper charges the query ledger on every classical read.
 
 Cipher files are plain text: a `cipher <kind> key=value...` header line, an
 optional `keys ...` line (omitted in challenge files), then one
-`table <name> m=.. n=..` section per table with fixed-width hex entries,
-16 per line.  They round-trip bit-exactly.
+`table <name> m=.. n=..` line per table followed by the table's entries as a
+boolfn word block.  They round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boolfn import VectorFunction, format_hex_table, parse_hex_tokens
+from .boolfn import VectorFunction, format_word_block, parse_word_block
 from .bv import QueryLedger
 from .rng import flat_key, seeded_rng
 
@@ -325,6 +325,8 @@ class ToyCipher:
 
     @classmethod
     def generate(cls, n: int, preset: str = "weak", seed=0, rounds: int = 3) -> "ToyCipher":
+        if rounds < 2:  # checked before any table is built
+            raise ValueError("need at least one keyed round plus the final round")
         if preset == "weak":
             sbox = weak_sbox(n, seed)
         elif preset == "strong":
@@ -397,15 +399,14 @@ class CipherFile:
     def toy_public(self) -> ToyCipherPublic:
         if self.kind != "toy":
             raise ValueError(f"not a toy cipher file (kind={self.kind!r})")
+        if "r" not in self.params:
+            raise ValueError("toy cipher file header must carry r=<rounds>")
         return ToyCipherPublic(self.n, self.params["r"],
                                self.table("sbox").table, self.table("last_sbox").table)
 
 
-_KIND_TABLES = {
-    "feistel3": ("p1", "p2", "p3"),
-    "even-mansour": ("perm",),
-    "toy": ("sbox", "last_sbox"),
-}
+_KINDS = ("feistel3", "even-mansour", "toy")
+_FEISTEL_SECRETS = ("p1", "p2", "p3")  # round functions, left out of challenge files
 
 
 def _header_params(cipher) -> tuple[str, dict, dict, dict]:
@@ -413,7 +414,7 @@ def _header_params(cipher) -> tuple[str, dict, dict, dict]:
     if isinstance(cipher, Feistel3):
         n = cipher.n
         tabs = {name: VectorFunction(n, n, t)
-                for name, t in zip(("p1", "p2", "p3"), (cipher.p1, cipher.p2, cipher.p3))}
+                for name, t in zip(_FEISTEL_SECRETS, (cipher.p1, cipher.p2, cipher.p3))}
         tabs["etable"] = cipher.encrypt_table()
         return "feistel3", {"n": n}, {}, tabs
     if isinstance(cipher, EvenMansour):
@@ -440,19 +441,17 @@ def save_cipher(path, cipher, seed: int | None = None, include_secrets: bool = T
     if seed is not None:
         params["seed"] = seed
     head = " ".join([f"cipher {kind}"] + [f"{k}={v}" for k, v in params.items()])
-    lines = [head]
     if include_secrets and keys:
-        lines.append("keys " + " ".join(f"{k}={v:#x}" for k, v in keys.items()))
-    secret_tables = set(_KIND_TABLES["feistel3"]) if kind == "feistel3" else set()
-    for name, fn in tabs.items():
-        if not include_secrets and name in secret_tables:
-            continue
-        lines.append(f"table {name} m={fn.m} n={fn.n}")
-        lines.extend(format_hex_table(fn.table, fn.n))
-    Path(path).write_text("\n".join(lines) + "\n")
+        head += "\nkeys " + " ".join(f"{k}={v:#x}" for k, v in keys.items())
+    with open(path, "wb") as fh:
+        fh.write(f"{head}\n".encode())
+        for name, fn in tabs.items():
+            if include_secrets or name not in _FEISTEL_SECRETS:
+                fh.write(f"table {name} m={fn.m} n={fn.n}\n".encode())
+                fh.write(format_word_block(fn.table, fn.n))
 
 
-def _parse_kv(tokens, what: str, want_ints) -> dict:
+def _parse_kv(tokens, what: str, want_ints, required=()) -> dict:
     out = {}
     for tok in tokens:
         if "=" not in tok:
@@ -462,49 +461,37 @@ def _parse_kv(tokens, what: str, want_ints) -> dict:
             out[k] = int(v, 0)
         else:
             out[k] = v
+    for k in required:
+        if k not in out:
+            raise ValueError(f"{what}: missing {k}=")
     return out
 
 
 def load_cipher(path) -> CipherFile:
-    """Read a cipher file written by save_cipher."""
-    raw = Path(path).read_text().splitlines()
-    lines = [ln.rstrip() for ln in raw if ln.strip()]
+    """Read a cipher file written by save_cipher.  A `table` line owns the
+    lines after it, up to the next `keys` or `table` line, as its word block."""
+    lines = [ln.rstrip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("cipher "):
         raise ValueError(f"{path}: expected a 'cipher ...' header line")
-    head = lines[0].split()
-    kind = head[1]
-    if kind not in _KIND_TABLES:
+    _, kind, *head = lines[0].split()
+    if kind not in _KINDS:
         raise ValueError(f"{path}: unknown cipher kind {kind!r}")
-    params = _parse_kv(head[2:], f"{path} header", {"n", "r", "seed"})
-    if "n" not in params:
-        raise ValueError(f"{path}: header must carry n=<bits>")
+    params = _parse_kv(head, f"{path} header", {"n", "r", "seed"}, ("n",))
 
     keys: dict = {}
     tables: dict = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("keys "):
-            keys = _parse_kv(line.split()[1:], f"{path} keys", {"k1", "k2", "k", "s"})
-            i += 1
-        elif line.startswith("table "):
-            toks = line.split()
-            name = toks[1]
-            shape = _parse_kv(toks[2:], f"{path} table {name}", {"m", "n"})
+    marks = [i for i, ln in enumerate(lines) if ln.startswith(("keys ", "table "))]
+    for i, end in zip([0, *marks], [*marks, len(lines)]):
+        word, *toks = lines[i].split()
+        if word == "table":
+            what = f"{path} table {toks[0]}"
+            shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
             m, n = shape["m"], shape["n"]
-            body = []
-            i += 1
-            need = 1 << m
-            got = 0
-            while i < len(lines) and got < need:
-                body.append(lines[i])
-                got += len(lines[i].split())
-                i += 1
-            vals = parse_hex_tokens(body, need, n, f"{path} table {name}")
-            tables[name] = VectorFunction(m, n, np.array(vals, dtype=np.int64))
-        else:
-            raise ValueError(f"{path}: unexpected line {line!r}")
-
+            tables[toks[0]] = VectorFunction(m, n, parse_word_block(lines[i + 1:end], m, n, what))
+        elif end > i + 1:  # the header and the keys line own no lines
+            raise ValueError(f"{path}: unexpected line {lines[i + 1]!r}")
+        elif word == "keys":
+            keys = _parse_kv(toks, f"{path} keys", {"k1", "k2", "k", "s"})
     if "etable" not in tables:
         raise ValueError(f"{path}: cipher file must carry the encryption table")
     return CipherFile(kind, params, keys, tables)

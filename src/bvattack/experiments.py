@@ -35,6 +35,7 @@ from .attacks import (
     small_probability_attack,
 )
 from .boolfn import (
+    MAX_WIDTH,
     BooleanFunction,
     VectorFunction,
     WalshSpectrum,
@@ -79,6 +80,11 @@ _DEFAULT_SHAPE = {
     "T7": (6, 100),
     "T8": (4, 1000),
 }
+
+# widest table built, in multiples of n: 2n-bit Feistel blocks, n + 2n-bit keyed
+# toy families; T1's corpus stays at most 8 bits wide whatever n is
+_WIDTH_FACTOR = {"T1": 0, "T2": 1, ("T2", "strong-toy"): 3, "T3": 1, "T4": 2, "T5": 1,
+                 "T6": 3, "T7": 3, "T8": 3}
 
 
 def default_shape(which: str) -> tuple[int, int]:
@@ -144,6 +150,9 @@ class ExperimentConfig:
             raise ValueError(f"need at least 30 trials for rate estimates, got {self.trials}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        bits = self.n * _WIDTH_FACTOR.get((self.which, self.variant), _WIDTH_FACTOR[self.which])
+        if bits > MAX_WIDTH:
+            raise ValueError(f"{self.which} at n = {self.n} needs {bits}-bit tables, over {MAX_WIDTH}")
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,14 @@ def key_match_counts_direct(n: int, etable, inv_last, a: int, alpha: int,
     return counts
 
 
+def hex_lines_direct(words, bits: int) -> list:
+    """Word-block lines one word at a time: ceil(bits/4) hex digits per word,
+    16 words per line (without the line ends)."""
+    digits = max(1, (bits + 3) // 4)
+    toks = [format(int(w), f"0{digits}x") for w in words]
+    return [" ".join(toks[i:i + 16]) for i in range(0, len(toks), 16)]
+
+
 def chi_square_statistic(observed, expected) -> float:
     """Plain chi-square over cells with nonzero expectation."""
     stat = 0.0

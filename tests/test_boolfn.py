@@ -15,9 +15,11 @@ from bvattack.boolfn import (
     derivative_count,
     derivative_count_via_spectrum,
     differential_uniformity,
+    format_word_block,
     linear_structures_exhaustive,
     linear_structures_via_spectrum,
     load_function,
+    parse_word_block,
     random_boolean_function,
     random_vector_function,
     restricted_spectral_mass,
@@ -32,6 +34,7 @@ from bvattack.rng import seeded_rng
 from oracles import (
     boolean_structures_direct,
     derivative_value_counts,
+    hex_lines_direct,
     restricted_mass_direct,
     vector_structures_direct,
     walsh_spectrum_direct,
@@ -230,6 +233,9 @@ def test_load_rejects_bad_files(tmp_path):
         "badvalue.txt": "boolfn n=1\n0 5\n",
         "badhex.txt": "vecfn m=1 n=4\nq 3\n",
         "overflow.txt": "vecfn m=1 n=2\nf 3\n",
+        "negative.txt": "vecfn m=1 n=2\n-1 3\n",
+        "beyond_int64.txt": "vecfn m=1 n=2\n" + "f" * 17 + " 3\n",
+        "zero_width.txt": "boolfn n=0\n0\n",
     }
     for name, text in cases.items():
         p = tmp_path / name
@@ -247,3 +253,22 @@ def test_file_format_shape(tmp_path):
     assert lines[0] == "vecfn m=5 n=8"
     assert len(lines) == 3
     assert lines[1].split() == [f"{v:02x}" for v in range(16)]
+    small = tmp_path / "g.txt"
+    save_function(small, VectorFunction(2, 5, np.array([0, 1, 30, 17])))
+    assert small.read_text() == "vecfn m=2 n=5\n00 01 1e 11\n"
+    save_function(small, BooleanFunction(2, [0, 1, 1, 0]))
+    assert small.read_text() == "boolfn n=2\n0 1 1 0\n"
+
+
+def test_load_accepts_every_int_base16_token(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("vecfn m=2 n=8\n0xF +1 1_0 \u0663\n")
+    assert load_function(path).table.tolist() == [15, 1, 16, 3]
+
+
+@given(st.integers(1, 6), st.integers(1, 24), st.integers(0, 2**30))
+def test_word_block_matches_per_word_formatting(m, bits, key):
+    words = random_vector_function(m, bits, seeded_rng(key, 10)).table
+    block = format_word_block(words, bits).decode()
+    assert block == "".join(f"{line}\n" for line in hex_lines_direct(words, bits))
+    assert parse_word_block(block.splitlines(), m, bits, "block").tolist() == words.tolist()

@@ -344,12 +344,32 @@ def test_load_cipher_errors(tmp_path):
         "notable.txt": "cipher even-mansour n=2\nkeys k1=0x1 k2=0x0\n",
         "short.txt": "cipher even-mansour n=2\ntable etable m=2 n=2\n0 1 2\n",
         "junk.txt": "cipher even-mansour n=2\nwhat is this\ntable etable m=2 n=2\n0 1 2 3\n",
+        "no_shape.txt": "cipher even-mansour n=2\ntable etable n=2\n0 1 2 3\n",
+        "long.txt": "cipher even-mansour n=2\ntable etable m=2 n=2\n0 1 2 3\n0\n",
     }
     for name, text in cases.items():
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(ValueError):
             load_cipher(p)
+    no_r = tmp_path / "no_r.txt"
+    no_r.write_text("cipher toy n=2\n" + "".join(
+        f"table {name} m=2 n=2\n0 1 2 3\n" for name in ("sbox", "last_sbox", "etable")))
+    with pytest.raises(ValueError):
+        load_cipher(no_r).toy_public()
+    wide = tmp_path / "wide.txt"
+    wide.write_text("cipher even-mansour n=2\ntable etable m=99 n=2\n0 1 2 3\n")
+    with pytest.raises(ValueError, match="input width"):  # before 2^m entries are counted
+        load_cipher(wide)
+
+
+def test_em_file_text(tmp_path):
+    """Header, keys line, then the perm and etable sections as word blocks."""
+    path = tmp_path / "em.txt"
+    save_cipher(path, EvenMansour(2, [2, 0, 3, 1], k1=1, k2=3), seed=5)
+    assert path.read_text() == ("cipher even-mansour n=2 seed=5\nkeys k1=0x1 k2=0x3\n"
+                                "table perm m=2 n=2\n2 0 3 1\n"
+                                "table etable m=2 n=2\n3 1 2 0\n")
 
 
 def test_cipher_file_accessors(tmp_path):

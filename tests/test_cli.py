@@ -119,6 +119,17 @@ def test_attack_em_rejects_other_kinds(capsys, toy_file):
     assert main(["attack-em", toy_file, "--seed", "1"]) == 2
 
 
+def test_malformed_cipher_files_exit_two(capsys, tmp_path):
+    no_shape = tmp_path / "em.txt"
+    no_shape.write_text("cipher even-mansour n=2\ntable etable n=2\n0 1 2 3\n")
+    assert main(["attack-em", str(no_shape), "--seed", "1"]) == 2
+    no_r = tmp_path / "toy.txt"
+    no_r.write_text("cipher toy n=2\n" + "".join(
+        f"table {name} m=2 n=2\n0 1 2 3\n" for name in ("sbox", "last_sbox", "etable")))
+    assert main(["attack-impossible", str(no_r), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
 def test_diff_attack_flow(capsys, toy_file):
     code, rep = run(capsys, "attack-diff", toy_file, "--seed", "53", "--q", "4")
     assert code == 0
@@ -250,15 +261,19 @@ def test_gen_cipher_guards(capsys, tmp_path):
 
 
 def test_gen_cipher_checks_toy_width_before_building_tables(capsys, tmp_path, monkeypatch):
-    from bvattack.ciphers import ToyCipher
+    from bvattack import ciphers
 
     def unreachable(*args, **kwargs):
         raise AssertionError("toy tables built before the width check")
 
-    monkeypatch.setattr(ToyCipher, "generate", unreachable)
+    for builder in ("weak_sbox", "random_permutation"):
+        monkeypatch.setattr(ciphers, builder, unreachable)
     assert main(["gen-cipher", "--kind", "toy", "--n", "9", "--seed", "1",
                  "--rounds", "3", "--out", str(tmp_path / "x.txt")]) == 2
     assert "n * rounds" in capsys.readouterr().err
+    assert main(["gen-cipher", "--kind", "toy", "--n", "22", "--seed", "1",
+                 "--rounds", "1", "--out", str(tmp_path / "x.txt")]) == 2
+    assert "keyed round" in capsys.readouterr().err
 
 
 def test_gen_cipher_report(capsys, tmp_path):

@@ -63,6 +63,31 @@ def test_config_validation():
         ExperimentConfig(which="T1", n=0, trials=100, seed=1)
 
 
+def test_config_rejects_widths_beyond_the_table_cap(monkeypatch):
+    import bvattack.experiments as ex
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tables built before the width check")
+
+    for name in ("seeded_rng", "inner_product_function", "random_permutation"):
+        monkeypatch.setattr(ex, name, unreachable)
+    for cls, name in ((ex.Feistel3, "random"), (ex.EvenMansour, "random"),
+                      (ex.ToyCipher, "generate")):
+        monkeypatch.setattr(cls, name, unreachable)
+    # T4 tabulates 2n-bit blocks; T6-T8 and T2 strong-toy the n + 2n-bit keyed family
+    over = [("T2", 25, "default"), ("T2", 9, "strong-toy"), ("T3", 25, "default"),
+            ("T4", 13, "default"), ("T5", 25, "default"), ("T5", 30, "default"),
+            ("T6", 9, "default"), ("T7", 9, "default"), ("T8", 9, "default")]
+    for which, n, variant in over:
+        with pytest.raises(ValueError, match="bit tables"):
+            run_experiment(ExperimentConfig(which, n, trials=30, seed=1, variant=variant))
+    edge = [("T1", 40, "default"), ("T2", 24, "bent"), ("T2", 8, "strong-toy"),
+            ("T3", 24, "default"), ("T4", 12, "default"), ("T5", 24, "default"),
+            ("T6", 8, "default"), ("T7", 8, "default"), ("T8", 8, "default")]
+    for which, n, variant in edge:
+        ExperimentConfig(which, n, trials=30, seed=1, variant=variant)
+
+
 def test_default_shape():
     assert default_shape("T5") == (8, 500)
     assert default_shape("T8") == (4, 1000)

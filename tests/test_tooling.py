@@ -33,3 +33,12 @@ def test_key_ranking_signature_matches_its_count_hook():
 
     params = list(inspect.signature(rank_last_round_keys).parameters)
     assert params[0] == "oracle" and params[4] == "pairs"
+
+
+def test_table_file_signatures_match_their_byte_hooks():
+    # the hooks stat the file named by the first positional argument
+    from bvattack.boolfn import load_function, save_function
+    from bvattack.ciphers import load_cipher, save_cipher
+
+    for fn in (save_function, load_function, save_cipher, load_cipher):
+        assert list(inspect.signature(fn).parameters)[0] == "path", fn.__name__
