@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boolfn import VectorFunction, format_word_block, parse_word_block
+from .boolfn import MAX_WIDTH, VectorFunction, format_word_block, parse_word_block
 from .bv import QueryLedger
 from .rng import flat_key, seeded_rng
 
@@ -243,6 +243,15 @@ def _round_keys(master: int, n: int, rounds: int) -> list[int]:
     return [(master >> (kb - i * n)) & ((1 << n) - 1) for i in range(1, rounds)]
 
 
+def _check_toy_shape(n: int, rounds: int) -> None:
+    """At least one keyed round, and the n * rounds-bit keyed family that the
+    attacks tabulate within the table cap."""
+    if rounds < 2:
+        raise ValueError("need at least one keyed round plus the final round")
+    if n * rounds > MAX_WIDTH:
+        raise ValueError(f"n * rounds = {n * rounds} is beyond the {MAX_WIDTH}-bit table cap")
+
+
 @dataclass(frozen=True, eq=False)
 class ToyCipherPublic:
     """Attacker's view of the toy cipher: the algorithm without its keys.
@@ -256,14 +265,13 @@ class ToyCipherPublic:
     last_sbox: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_toy_shape(self.n, self.rounds)
         for name, t in (("sbox", self.sbox), ("last_sbox", self.last_sbox)):
             arr = np.ascontiguousarray(t, dtype=np.int64)
             if arr.shape != (1 << self.n,) or len(np.unique(arr)) != (1 << self.n):
                 raise ValueError(f"{name} must be a bijection on n-bit words")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.rounds < 2:
-            raise ValueError("need at least one keyed round plus the final round")
 
     @property
     def key_bits(self) -> int:
@@ -325,8 +333,7 @@ class ToyCipher:
 
     @classmethod
     def generate(cls, n: int, preset: str = "weak", seed=0, rounds: int = 3) -> "ToyCipher":
-        if rounds < 2:  # checked before any table is built
-            raise ValueError("need at least one keyed round plus the final round")
+        _check_toy_shape(n, rounds)  # before any table is built
         if preset == "weak":
             sbox = weak_sbox(n, seed)
         elif preset == "strong":

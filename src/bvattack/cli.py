@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -45,7 +44,6 @@ from .ciphers import EvenMansour, Feistel3, ToyCipher, load_cipher, random_permu
 from .experiments import (
     ALL_EXPERIMENTS,
     ExperimentConfig,
-    default_shape,
     load_experiment_config,
     run_experiment,
 )
@@ -54,17 +52,6 @@ from .lsfind import find_boolean_structures, find_vector_structures
 from .rng import seeded_rng
 
 REPORT_SCHEMA = "bvattack/1"
-
-
-def _threads(args) -> int:
-    # 0 means auto; the flag wins over $BVATTACK_THREADS.  The engine runs
-    # sequentially regardless, so auto resolves to 1 worker deterministically.
-    t = args.threads
-    if t is None:
-        t = int(os.environ.get("BVATTACK_THREADS", "0"))
-    if t < 0:
-        raise ValueError(f"--threads must be non-negative, got {t}")
-    return t if t > 0 else 1
 
 
 def _set_json(s) -> dict:
@@ -164,7 +151,7 @@ def _cmd_distinguish_feistel(args) -> tuple[dict, int]:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     params = {"n": n, "target": args.target, "seed": args.seed, "p": args.p,
-              "trials": args.trials, "threads": _threads(args)}
+              "trials": args.trials}
     quantum = classical = 0
     if args.trials == 1:
         rep = distinguish_feistel(_trial_oracle(args.target, n, args.seed, 0),
@@ -207,8 +194,7 @@ def _cmd_attack_em(args) -> tuple[dict, int]:
         # one classical query pins the post-whitening key: k2 = E(0) ^ P(k1)
         k2 = int(etable.table[0]) ^ int(perm.table[rep.k1])
         queries["classical"] += 1
-    params = {"cipher": args.cipher, "seed": args.seed, "p": rep.p,
-              "threads": _threads(args)}
+    params = {"cipher": args.cipher, "seed": args.seed, "p": rep.p}
     result = {"found": rep.found, "k1": rep.k1, "k2": k2,
               "candidates": rep.candidates}
     return _report("attack-em", params, result, queries), 0 if rep.found else 1
@@ -220,7 +206,7 @@ def _cmd_attack_diff(args) -> tuple[dict, int]:
     rep = differential_attack(public, cf.table("etable"), seed=args.seed,
                               q=args.q, p=args.p, pairs=args.pairs)
     params = {"cipher": args.cipher, "seed": args.seed, "q": rep.q, "p": rep.p,
-              "pairs": rep.pairs, "threads": _threads(args)}
+              "pairs": rep.pairs}
     result = {
         "found": rep.found,
         "a": rep.a,
@@ -237,7 +223,7 @@ def _cmd_attack_smallprob(args) -> tuple[dict, int]:
     rep = small_probability_attack(public, cf.table("etable"), seed=args.seed,
                                    q=args.q, l=args.l, p=args.p)
     params = {"cipher": args.cipher, "seed": args.seed, "q": rep.q, "l": rep.l,
-              "p": rep.p, "pairs": rep.pairs, "threads": _threads(args)}
+              "p": rep.p, "pairs": rep.pairs}
     result = {
         "found": rep.found,
         "a": rep.a,
@@ -256,7 +242,7 @@ def _cmd_attack_impossible(args) -> tuple[dict, int]:
     rep = impossible_attack(public, cf.table("etable"), seed=args.seed,
                             pairs=args.pairs, p=args.p)
     params = {"cipher": args.cipher, "seed": args.seed, "p": rep.p,
-              "pairs": rep.pairs, "threads": _threads(args)}
+              "pairs": rep.pairs}
     cert = None
     if rep.certificate is not None:
         cert = {"component": rep.certificate.j, "a": rep.certificate.a,
@@ -282,20 +268,11 @@ def _cmd_verify_theorems(args) -> tuple[dict, int]:
         names = list(ALL_EXPERIMENTS) if which == "all" else [which]
         if which == "all" and (args.n is not None or args.trials is not None):
             raise ValueError("--n/--trials apply to a single experiment, not --which all")
-        configs = []
-        for name in names:
-            dn, dt = default_shape(name)
-            configs.append(ExperimentConfig(
-                which=name,
-                n=args.n if args.n is not None else dn,
-                trials=args.trials if args.trials is not None else dt,
-                seed=args.seed,
-                z=args.z,
-                variant=args.variant,
-            ))
+        configs = [ExperimentConfig.with_defaults(name, args.seed, args.n, args.trials,
+                                                  args.z, args.variant) for name in names]
     results = [run_experiment(cfg) for cfg in configs]
     params = {"which": [c.which for c in configs], "seed": args.seed, "z": args.z,
-              "variant": args.variant, "threads": _threads(args)}
+              "variant": args.variant}
     result = {
         "passed": all(r.passed for r in results),
         "experiments": [r.to_dict() for r in results],
@@ -316,8 +293,6 @@ def _cmd_gen_cipher(args) -> tuple[dict, int]:
             raise ValueError(f"n = {n} is too wide to tabulate")
         cipher = EvenMansour.random(n, seed=args.seed)
     else:
-        if n * args.rounds > 24:
-            raise ValueError("n * rounds beyond 24 cannot be attacked in memory")
         cipher = ToyCipher.generate(n, args.preset, seed=args.seed, rounds=args.rounds)
     out = args.out
     if out is None:
@@ -345,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count, 0 = auto (default $BVATTACK_THREADS, "
-                            "else auto); recorded in the report, execution is "
-                            "sequential either way")
-
     p = sub.add_parser("spectrum", help="exact spectral profile of a function file")
     p.add_argument("fn", help="path to a function table file")
     p.set_defaults(handler=_cmd_spectrum)
@@ -369,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--trials", type=int, default=1)
-    add_threads(p)
     p.set_defaults(handler=_cmd_distinguish_feistel)
 
     p = sub.add_parser("attack-em", help="recover Even-Mansour whitening keys")
     p.add_argument("cipher", help="path to a cipher file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_attack_em)
 
     p = sub.add_parser("attack-diff", help="differential last-round key recovery")
@@ -386,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key-coverage target parameter (coverage 1 - 1/q)")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--pairs", type=int, default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_attack_diff)
 
     p = sub.add_parser("attack-smallprob",
@@ -397,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True,
                    help="rate separation parameter; right key scores below 1/l")
     p.add_argument("--p", type=int, default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_attack_smallprob)
 
     p = sub.add_parser("attack-impossible",
@@ -406,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
-    add_threads(p)
     p.set_defaults(handler=_cmd_attack_impossible)
 
     p = sub.add_parser("verify-theorems", help="run the bound-validation experiments")
@@ -417,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, default=3.0)
     p.add_argument("--variant", default="default")
     p.add_argument("--config", default=None, help="JSON experiment config file")
-    add_threads(p)
     p.set_defaults(handler=_cmd_verify_theorems)
 
     p = sub.add_parser("gen-cipher", help="generate a cipher instance file")

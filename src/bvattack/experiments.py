@@ -21,7 +21,7 @@ carry margin 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,31 +66,15 @@ __all__ = [
     "inner_product_function",
 ]
 
-ALL_EXPERIMENTS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
-
-# per-experiment default (n, trials); n means function width for T1-T3,
-# half-block for T4, block width for T5, and the toy cipher width for T6-T8
-_DEFAULT_SHAPE = {
-    "T1": (6, 400),
-    "T2": (6, 500),
-    "T3": (4, 300),
-    "T4": (6, 200),
-    "T5": (8, 500),
-    "T6": (4, 100),
-    "T7": (6, 100),
-    "T8": (4, 1000),
-}
-
-# widest table built, in multiples of n: 2n-bit Feistel blocks, n + 2n-bit keyed
-# toy families; T1's corpus stays at most 8 bits wide whatever n is
-_WIDTH_FACTOR = {"T1": 0, "T2": 1, ("T2", "strong-toy"): 3, "T3": 1, "T4": 2, "T5": 1,
-                 "T6": 3, "T7": 3, "T8": 3}
+# width factor of a variant whose widest table differs from its experiment's
+_VARIANT_WIDTH = {("T2", "strong-toy"): 3}
+_VARIANTS = ("default", "random", "bent", "strong-toy")
 
 
 def default_shape(which: str) -> tuple[int, int]:
-    if which not in _DEFAULT_SHAPE:
+    if which not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {which!r}")
-    return _DEFAULT_SHAPE[which]
+    return _EXPERIMENTS[which][1]
 
 
 def binomial_margin(rate: float, trials: int, z: float = 3.0) -> float:
@@ -134,6 +118,16 @@ class BoundCheck:
                    observed <= bound + margin)
 
 
+def _check(label: str, hits: int, trials: int, bound: float, z: float = 0.0,
+           at_most: bool = False) -> BoundCheck:
+    """The rate hits / trials (0 without trials) against bound, with a margin
+    of z binomial standard errors; z = 0 for a fixed contract threshold."""
+    rate = hits / trials if trials else 0.0
+    margin = binomial_margin(rate, trials, z) if z else 0.0
+    return (BoundCheck.at_most if at_most else BoundCheck.at_least)(
+        label, rate, bound, margin, trials)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     which: str
@@ -144,15 +138,26 @@ class ExperimentConfig:
     variant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.which not in _DEFAULT_SHAPE:
+        if self.which not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.which!r}")
+        if self.variant not in _VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {', '.join(_VARIANTS)}")
         if self.trials < 30:
             raise ValueError(f"need at least 30 trials for rate estimates, got {self.trials}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        bits = self.n * _WIDTH_FACTOR.get((self.which, self.variant), _WIDTH_FACTOR[self.which])
+        bits = self.n * _VARIANT_WIDTH.get((self.which, self.variant), _EXPERIMENTS[self.which][2])
         if bits > MAX_WIDTH:
             raise ValueError(f"{self.which} at n = {self.n} needs {bits}-bit tables, over {MAX_WIDTH}")
+
+    @classmethod
+    def with_defaults(cls, which: str, seed: int, n: int | None = None,
+                      trials: int | None = None, z: float = 3.0,
+                      variant: str = "default") -> "ExperimentConfig":
+        """The config with n and trials, where None, taken from default_shape."""
+        dn, dt = default_shape(which)
+        return cls(which, dn if n is None else n, dt if trials is None else trials,
+                   seed, z, variant)
 
 
 @dataclass(frozen=True)
@@ -288,36 +293,39 @@ def _t1_corpus(n_max: int, seed: int) -> list[BooleanFunction]:
     return fns
 
 
-def _run_t1(cfg: ExperimentConfig) -> ExperimentResult:
-    corpus = _t1_corpus(max(cfg.n, 4), cfg.seed)
+def _quality_grid(cfg: ExperimentConfig, corpus: list, tag: int, search, good,
+                  bound, prefix: str) -> ExperimentResult:
+    """Candidate quality over _QUALITY_GRID: of the trials whose search found
+    a candidate, the share that good(f, res, eps) accepts, against
+    bound(p, eps).  Trial t searches corpus[t % len] with seed (seed, tag, gi, t)."""
     checks = []
     details: dict = {"corpus_size": len(corpus), "grid": []}
     for gi, (p, eps) in enumerate(_QUALITY_GRID):
-        good = 0
-        found = 0
+        hits = found = 0
         for t in range(cfg.trials):
             f = corpus[t % len(corpus)]
-            res = find_boolean_structures(f, p=p, seed=(cfg.seed, 111, gi, t))
-            if not res.found:
-                continue
-            found += 1
-            cand = res.smallest_candidate()
-            if cand is None:
-                continue
-            a, i = cand
-            defect = 1.0 - derivative_count(f, a, i) / (1 << f.n)
-            if eps >= 1.0 or defect < eps:
-                good += 1
-        denom = max(found, 1)
-        rate = good / denom
-        bound = hoeffding_success_bound(p, eps)
-        checks.append(BoundCheck.at_least(
-            f"quality-rate-p{p}-eps{eps}", rate, bound,
-            binomial_margin(rate, denom, cfg.z), denom))
-        details["grid"].append({"p": p, "eps": eps, "bound": bound,
-                                "found": found, "good": good,
+            res = search(f, p=p, seed=(cfg.seed, tag, gi, t))
+            if res.found:
+                found += 1
+                hits += good(f, res, eps)
+        b = bound(p, eps)
+        checks.append(_check(f"{prefix}-p{p}-eps{eps}", hits, max(found, 1), b, cfg.z))
+        details["grid"].append({"p": p, "eps": eps, "bound": b,
+                                "found": found, "good": hits,
                                 "found_rate": found / cfg.trials})
     return ExperimentResult(cfg, tuple(checks), details)
+
+
+def _eps_good_candidate(f: BooleanFunction, res, eps: float) -> bool:
+    """The smallest candidate (a, i) holds on all but an eps share of inputs."""
+    cand = res.smallest_candidate()
+    return cand is not None and 1.0 - derivative_count(f, *cand) / (1 << f.n) < eps
+
+
+def _run_t1(cfg: ExperimentConfig) -> ExperimentResult:
+    return _quality_grid(cfg, _t1_corpus(max(cfg.n, 4), cfg.seed), 111,
+                         find_boolean_structures, _eps_good_candidate,
+                         hoeffding_success_bound, "quality-rate")
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +354,10 @@ def _run_t2(cfg: ExperimentConfig) -> ExperimentResult:
         if not res.found:
             no_count += 1
 
-    rate = no_count / cfg.trials
     worst_union = max(u for _, u, _ in cache.values())
     p0 = max(d for _, _, d in cache.values())
     union_bound = 1.0 - min(1.0, worst_union)
-    checks = [
-        BoundCheck.at_least("no-rate", rate, union_bound,
-                            binomial_margin(rate, cfg.trials, cfg.z), cfg.trials),
-    ]
+    checks = [_check("no-rate", no_count, cfg.trials, union_bound, cfg.z)]
     details = {
         "variant": variant,
         "p": p,
@@ -396,10 +400,8 @@ def _run_t2_strong_toy(cfg: ExperimentConfig) -> ExperimentResult:
         res = find_vector_structures(G, p=p, seed=(cfg.seed, 131, t), solve_width=n)
         if not res.found:
             no_count += 1
-    rate = no_count / cfg.trials
     bound = 1.0 - min(1.0, worst_union)
-    checks = [BoundCheck.at_least("no-rate", rate, bound,
-                                  binomial_margin(rate, cfg.trials, cfg.z), cfg.trials)]
+    checks = [_check("no-rate", no_count, cfg.trials, bound, cfg.z)]
     details = {"variant": "strong-toy", "p": p, "exact_union_bound": bound,
                "rejected_sboxes": rejected}
     return ExperimentResult(cfg, tuple(checks), details)
@@ -416,29 +418,10 @@ def _run_t3(cfg: ExperimentConfig) -> ExperimentResult:
         rng = seeded_rng(cfg.seed, 140, idx)
         flips = max(1, (1 << n) // 32) if idx % 2 else 0
         corpus.append(planted_vector(n, n, rng, flips=flips)[0])
-    checks = []
-    details: dict = {"corpus_size": len(corpus), "grid": []}
-    for gi, (p, eps) in enumerate(_QUALITY_GRID):
-        good = 0
-        found = 0
-        for t in range(cfg.trials):
-            F = corpus[t % len(corpus)]
-            res = find_vector_structures(F, p=p, seed=(cfg.seed, 141, gi, t))
-            if not res.found:
-                continue
-            found += 1
-            if _joint_defect(F, res.a, res.alpha) < n * eps:
-                good += 1
-        denom = max(found, 1)
-        rate = good / denom
-        bound = hoeffding_success_bound(p, eps) ** n
-        checks.append(BoundCheck.at_least(
-            f"joint-quality-rate-p{p}-eps{eps}", rate, bound,
-            binomial_margin(rate, denom, cfg.z), denom))
-        details["grid"].append({"p": p, "eps": eps, "bound": bound,
-                                "found": found, "good": good,
-                                "found_rate": found / cfg.trials})
-    return ExperimentResult(cfg, tuple(checks), details)
+    return _quality_grid(
+        cfg, corpus, 141, find_vector_structures,
+        lambda F, res, eps: _joint_defect(F, res.a, res.alpha) < n * eps,
+        lambda p, eps: hoeffding_success_bound(p, eps) ** n, "joint-quality-rate")
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +450,11 @@ def _run_t4(cfg: ExperimentConfig) -> ExperimentResult:
         if exact and rc_ok:
             accounting_ok += 1
 
-    fy = yes["feistel"] / cfg.trials
-    ry = yes["random"] / cfg.trials
-    acc = accounting_ok / cfg.trials
-    bound = 1.0 - (2.0 / 3.0) ** (n + 1)
     checks = [
-        BoundCheck.at_least("feistel-yes-rate", fy, bound,
-                            binomial_margin(fy, cfg.trials, cfg.z), cfg.trials),
-        BoundCheck.at_most("random-yes-rate", ry, 0.05, 0.0, cfg.trials),
-        BoundCheck.at_least("query-accounting", acc, 1.0, 0.0, cfg.trials),
+        _check("feistel-yes-rate", yes["feistel"], cfg.trials,
+               1.0 - (2.0 / 3.0) ** (n + 1), cfg.z),
+        _check("random-yes-rate", yes["random"], cfg.trials, 0.05, at_most=True),
+        _check("query-accounting", accounting_ok, cfg.trials, 1.0),
     ]
     details = {"p": p, "yes": yes, "expected_quantum_per_run": n * p}
     return ExperimentResult(cfg, tuple(checks), details)
@@ -497,71 +476,57 @@ def _run_t5(cfg: ExperimentConfig) -> ExperimentResult:
             ok += 1
         if rep.queries["quantum"] == n * n and rep.queries["classical"] == 0:
             accounting_ok += 1
-    rate = ok / cfg.trials
-    acc = accounting_ok / cfg.trials
-    bound = 1.0 - (2.0 / 3.0) ** n
     checks = [
-        BoundCheck.at_least("recovery-rate", rate, bound,
-                            binomial_margin(rate, cfg.trials, cfg.z), cfg.trials),
-        BoundCheck.at_least("query-accounting", acc, 1.0, 0.0, cfg.trials),
+        _check("recovery-rate", ok, cfg.trials, 1.0 - (2.0 / 3.0) ** n, cfg.z),
+        _check("query-accounting", accounting_ok, cfg.trials, 1.0),
     ]
     return ExperimentResult(cfg, tuple(checks), {"expected_quantum": n * n})
 
 
 # ---------------------------------------------------------------------------
-# T6: differential attack
+# T6-T8: attacks on weak toy ciphers
+
+
+def _weak_toy_runs(cfg: ExperimentConfig, tag: int, attack, **kw):
+    """(cipher, report) for each trial whose attack found something: trial t
+    generates a weak toy cipher from (seed, tag, t) and attacks its encryption
+    table with seed (seed, tag + 1, t)."""
+    for t in range(cfg.trials):
+        cipher = ToyCipher.generate(cfg.n, "weak", seed=(cfg.seed, tag, t))
+        rep = attack(cipher.public, cipher.encrypt_table(), seed=(cfg.seed, tag + 1, t), **kw)
+        if rep.found:
+            yield cipher, rep
 
 
 def _run_t6(cfg: ExperimentConfig) -> ExperimentResult:
+    """Differential attack: planted differential, key coverage, recovery."""
     n = cfg.n
     q = max(2, n)
     threshold = Fraction(1) - Fraction(1, q)
-    planted = 0
-    coverage_ok = 0
-    recovered = 0
-    for t in range(cfg.trials):
-        cipher = ToyCipher.generate(n, "weak", seed=(cfg.seed, 170, t))
-        rep = differential_attack(cipher.public, cipher.encrypt_table(),
-                                  seed=(cfg.seed, 171, t), q=q)
-        if not rep.found:
-            continue
+    planted = coverage_ok = recovered = 0
+    for cipher, rep in _weak_toy_runs(cfg, 170, differential_attack, q=q):
         if rep.a == 3 and rep.alpha == 3:
             planted += 1
         if key_fraction_meeting(cipher.public, rep.a, rep.alpha, threshold) >= threshold:
             coverage_ok += 1
         if rep.recovered_last_key == cipher.last_key:
             recovered += 1
-    pr = planted / cfg.trials
-    cr = coverage_ok / cfg.trials
-    rr = recovered / cfg.trials
     checks = [
-        BoundCheck.at_least("planted-differential-rate", pr, 0.99,
-                            binomial_margin(pr, cfg.trials, cfg.z), cfg.trials),
-        BoundCheck.at_least("key-coverage-rate", cr, 1.0, 0.0, cfg.trials),
-        BoundCheck.at_least("recovery-rate", rr, 0.95, 0.0, cfg.trials),
+        _check("planted-differential-rate", planted, cfg.trials, 0.99, cfg.z),
+        _check("key-coverage-rate", coverage_ok, cfg.trials, 1.0),
+        _check("recovery-rate", recovered, cfg.trials, 0.95),
     ]
     details = {"q": q, "threshold": str(threshold), "key_bits": 2 * n}
     return ExperimentResult(cfg, tuple(checks), details)
 
 
-# ---------------------------------------------------------------------------
-# T7: small-probability attack
-
-
 def _run_t7(cfg: ExperimentConfig) -> ExperimentResult:
+    """Small-probability attack: right-key rate and wrong-key contrast."""
     n = cfg.n
     l = q = n
-    exceed = 0
+    exceed = wrong_cnt = recovered = found = 0
     wrong_sum = 0.0
-    wrong_cnt = 0
-    recovered = 0
-    found = 0
-    for t in range(cfg.trials):
-        cipher = ToyCipher.generate(n, "weak", seed=(cfg.seed, 180, t))
-        rep = small_probability_attack(cipher.public, cipher.encrypt_table(),
-                                       seed=(cfg.seed, 181, t), q=q, l=l)
-        if not rep.found:
-            continue
+    for cipher, rep in _weak_toy_runs(cfg, 180, small_probability_attack, q=q, l=l):
         found += 1
         lam_right = rep.counter.rate(cipher.last_key)
         if lam_right >= Fraction(1, l):
@@ -572,12 +537,10 @@ def _run_t7(cfg: ExperimentConfig) -> ExperimentResult:
                 wrong_cnt += 1
         if rep.recovered_last_key == cipher.last_key:
             recovered += 1
-    er = exceed / cfg.trials
     wrong_mean = wrong_sum / wrong_cnt if wrong_cnt else 0.0
-    bound = 3.0 * math.exp(-n / 2.0)
     checks = [
-        BoundCheck.at_most("right-key-exceed-rate", er, bound,
-                           binomial_margin(er, cfg.trials, cfg.z), cfg.trials),
+        _check("right-key-exceed-rate", exceed, cfg.trials, 3.0 * math.exp(-n / 2.0),
+               cfg.z, at_most=True),
         BoundCheck.at_least("wrong-key-mean-rate-lower", wrong_mean, 0.45, 0.0, cfg.trials),
         BoundCheck.at_most("wrong-key-mean-rate-upper", wrong_mean, 0.55, 0.0, cfg.trials),
     ]
@@ -586,57 +549,51 @@ def _run_t7(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, tuple(checks), details)
 
 
-# ---------------------------------------------------------------------------
-# T8: impossible differential
-
-
 def _run_t8(cfg: ExperimentConfig) -> ExperimentResult:
-    n = cfg.n
-    found = 0
-    valid = 0
-    true_alive = 0
-    alive_total = 0
-    for t in range(cfg.trials):
-        cipher = ToyCipher.generate(n, "weak", seed=(cfg.seed, 190, t))
-        rep = impossible_attack(cipher.public, cipher.encrypt_table(),
-                                seed=(cfg.seed, 191, t))
-        if not rep.found:
-            continue
+    """Impossible differential: certificate validity and sieve safety."""
+    found = valid = true_alive = alive_total = 0
+    for cipher, rep in _weak_toy_runs(cfg, 190, impossible_attack):
         found += 1
         if rep.certificate_valid:
             valid += 1
         if cipher.last_key in rep.alive:
             true_alive += 1
         alive_total += len(rep.alive)
-    vr = valid / found if found else 0.0
-    ta = true_alive / found if found else 0.0
     checks = [
-        BoundCheck.at_least("certificate-found-rate", found / cfg.trials, 0.99,
-                            binomial_margin(found / cfg.trials, cfg.trials, cfg.z),
-                            cfg.trials),
-        BoundCheck.at_least("certificate-validity-rate", vr, 0.99, 0.0, found),
-        BoundCheck.at_least("true-key-alive-rate", ta, 1.0, 0.0, found),
+        _check("certificate-found-rate", found, cfg.trials, 0.99, cfg.z),
+        _check("certificate-validity-rate", valid, found, 0.99),
+        _check("true-key-alive-rate", true_alive, found, 1.0),
     ]
     details = {"found": found, "mean_alive": alive_total / found if found else 0.0}
     return ExperimentResult(cfg, tuple(checks), details)
 
 
-_RUNNERS = {
-    "T1": _run_t1,
-    "T2": _run_t2,
-    "T3": _run_t3,
-    "T4": _run_t4,
-    "T5": _run_t5,
-    "T6": _run_t6,
-    "T7": _run_t7,
-    "T8": _run_t8,
+# name -> (runner, default (n, trials), widest table built in multiples of n).
+# n is the function width for T1-T3, the half-block for T4 (2n-bit Feistel
+# blocks), the block width for T5 and the toy cipher width for T6-T8 (n + 2n-bit
+# keyed families); T1's corpus stays at most 8 bits wide whatever n is.
+_EXPERIMENTS = {
+    "T1": (_run_t1, (6, 400), 0),
+    "T2": (_run_t2, (6, 500), 1),
+    "T3": (_run_t3, (4, 300), 1),
+    "T4": (_run_t4, (6, 200), 2),
+    "T5": (_run_t5, (8, 500), 1),
+    "T6": (_run_t6, (4, 100), 3),
+    "T7": (_run_t7, (6, 100), 3),
+    "T8": (_run_t8, (4, 1000), 3),
 }
+ALL_EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one bound-validation experiment; trials below 30 are rejected at
     config construction."""
-    return _RUNNERS[cfg.which](cfg)
+    return _EXPERIMENTS[cfg.which][0](cfg)
+
+
+# key -> the JSON types a config file may give it; bool is never an int here
+_CONFIG_TYPES = {"which": str, "seed": int, "n": int, "trials": int,
+                 "z": (int, float), "variant": str}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -648,19 +605,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("experiment config must be a JSON object")
-    unknown = set(raw) - {"which", "n", "trials", "seed", "z", "variant"}
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("which", "seed"):
         if key not in raw:
             raise ValueError(f"experiment config missing {key!r}")
-    which = raw["which"]
-    dn, dt = default_shape(which)
-    return ExperimentConfig(
-        which=which,
-        n=int(raw.get("n", dn)),
-        trials=int(raw.get("trials", dt)),
-        seed=int(raw["seed"]),
-        z=float(raw.get("z", 3.0)),
-        variant=str(raw.get("variant", "default")),
-    )
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+            raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+    return ExperimentConfig.with_defaults(**{**raw, "z": float(raw.get("z", 3.0))})

@@ -119,7 +119,13 @@ def test_attack_em_rejects_other_kinds(capsys, toy_file):
     assert main(["attack-em", toy_file, "--seed", "1"]) == 2
 
 
-def test_malformed_cipher_files_exit_two(capsys, tmp_path):
+def test_malformed_cipher_files_exit_two(capsys, tmp_path, monkeypatch):
+    from bvattack.ciphers import ToyCipher, ToyCipherPublic, save_cipher
+
+    def unreachable(self):
+        raise AssertionError("keyed family built before the width check")
+
+    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", unreachable)
     no_shape = tmp_path / "em.txt"
     no_shape.write_text("cipher even-mansour n=2\ntable etable n=2\n0 1 2 3\n")
     assert main(["attack-em", str(no_shape), "--seed", "1"]) == 2
@@ -127,7 +133,15 @@ def test_malformed_cipher_files_exit_two(capsys, tmp_path):
     no_r.write_text("cipher toy n=2\n" + "".join(
         f"table {name} m=2 n=2\n0 1 2 3\n" for name in ("sbox", "last_sbox", "etable")))
     assert main(["attack-impossible", str(no_r), "--seed", "1"]) == 2
-    assert capsys.readouterr().err.count("error:") == 2
+    # a valid n=5 file whose header claims 5 rounds: a 25-bit keyed family
+    wide = tmp_path / "wide.txt"
+    save_cipher(wide, ToyCipher.generate(5, seed=51))
+    text = wide.read_text()
+    assert text.startswith("cipher toy n=5 r=3 ")
+    wide.write_text(text.replace(" r=3 ", " r=5 ", 1))
+    assert main(["attack-impossible", str(wide), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "n * rounds" in err
 
 
 def test_diff_attack_flow(capsys, toy_file):
@@ -211,19 +225,22 @@ def test_out_matches_stdout(tmp_path, capsys, quad_file):
     assert json.loads(out_file.read_text()) == rep
 
 
-def test_threads_recorded_and_env(capsys, monkeypatch, em_file):
-    code, rep = run(capsys, "attack-em", em_file, "--seed", "52",
-                    "--threads", "4")
-    assert rep["invocation"]["params"]["threads"] == 4
-    monkeypatch.setenv("BVATTACK_THREADS", "2")
-    code, rep = run(capsys, "attack-em", em_file, "--seed", "52")
-    assert rep["invocation"]["params"]["threads"] == 2
-    # 0 means auto; the sequential engine resolves it to one worker
-    code, rep = run(capsys, "attack-em", em_file, "--seed", "52",
-                    "--threads", "0")
-    assert code == 0
-    assert rep["invocation"]["params"]["threads"] == 1
-    assert main(["attack-em", em_file, "--seed", "52", "--threads", "-1"]) == 2
+def test_no_threads_flag(capsys, em_file, toy_file):
+    # execution is sequential: no subcommand takes a worker count or records one
+    runs = [["distinguish-feistel", "--n", "3", "--target", "feistel", "--seed", "1"],
+            ["attack-em", em_file, "--seed", "52"],
+            ["attack-diff", toy_file, "--seed", "53", "--q", "4"],
+            ["attack-smallprob", toy_file, "--seed", "54", "--q", "2", "--l", "2"],
+            ["attack-impossible", toy_file, "--seed", "55"],
+            ["verify-theorems", "--which", "T5", "--seed", "7", "--n", "4", "--trials", "30"]]
+    for argv in runs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--threads", "4"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, rep = run(capsys, *argv)
+        assert code == 0
+        assert "threads" not in rep["invocation"]["params"], argv[0]
 
 
 # --- verify-theorems and gen-cipher --------------------------------------------------
@@ -248,6 +265,17 @@ def test_verify_theorems_flag_conflicts(capsys, tmp_path):
     code, rep = run(capsys, "verify-theorems", "--config", str(cfg), "--seed", "1")
     assert code == 0
     assert rep["result"]["experiments"][0]["config"]["seed"] == 3
+
+
+def test_verify_theorems_rejects_malformed_config(capsys, tmp_path):
+    cfg = tmp_path / "c.json"
+    for raw in ({"which": ["T5"], "seed": 1}, {"which": "T5", "seed": None},
+                {"which": "T5", "seed": 1, "n": 6.7}):
+        cfg.write_text(json.dumps(raw))
+        assert main(["verify-theorems", "--config", str(cfg), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.count("error:") == 3
+    assert main(["verify-theorems", "--which", "T2", "--variant", "bogus", "--seed", "1"]) == 2
+    assert "unknown variant" in capsys.readouterr().err
 
 
 def test_gen_cipher_guards(capsys, tmp_path):

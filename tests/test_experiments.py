@@ -1,5 +1,6 @@
 """Bound-validation machinery: stats helpers, corpora, quick runs."""
 
+import hashlib
 import json
 import math
 
@@ -61,6 +62,12 @@ def test_config_validation():
         ExperimentConfig(which="T1", n=4, trials=29, seed=1)
     with pytest.raises(ValueError):
         ExperimentConfig(which="T1", n=0, trials=100, seed=1)
+    # --which all passes one variant to every experiment, so all of them check it
+    for which in ALL_EXPERIMENTS:
+        with pytest.raises(ValueError, match="unknown variant"):
+            ExperimentConfig(which=which, n=4, trials=100, seed=1, variant="bogus")
+        for variant in ("default", "random", "bent"):
+            ExperimentConfig(which=which, n=4, trials=100, seed=1, variant=variant)
 
 
 def test_config_rejects_widths_beyond_the_table_cap(monkeypatch):
@@ -155,3 +162,52 @@ def test_load_experiment_config(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError):
         load_experiment_config(path)
+    path.write_text(json.dumps({"which": "T5", "seed": 11, "z": 2, "variant": "bent"}))
+    assert load_experiment_config(path) == ExperimentConfig(
+        which="T5", n=8, trials=500, seed=11, z=2.0, variant="bent")
+    for raw in ({"which": ["T5"], "seed": 1}, {"which": "T5", "seed": None},
+                {"which": "T5", "seed": True}, {"which": "T5", "seed": 1.0},
+                {"which": "T5", "seed": 1, "n": 6.7}, {"which": "T5", "seed": 1, "n": None},
+                {"which": "T5", "seed": 1, "trials": "60"},
+                {"which": "T5", "seed": 1, "trials": False},
+                {"which": "T5", "seed": 1, "z": "3"}, {"which": "T5", "seed": 1, "z": True},
+                {"which": "T5", "seed": 1, "variant": 2},
+                {"which": "T5", "seed": 1, "variant": "bogus"}):
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError):
+            load_experiment_config(path)
+
+
+# to_dict() SHA-256 (sort_keys JSON) of small runs, recorded before the runners
+# were rebuilt on shared helpers; any change to a label, seed tag, RNG draw or
+# margin shows here.  Most shapes are small enough that some rates fall
+# strictly between 0 and 1, where the binomial margin is nonzero.
+PINNED_REPORTS = [
+    ("T1", 4, "default", "70dd6d23996e25c590c997580ae182172b772342b13000590c93f04691681cf5"),
+    ("T2", 4, "default", "d629475dfa406591279bd3c0ecfdbc6c839c60e52e63c15ebc9f529b0a06ab7f"),
+    ("T2", 4, "bent", "3ebe04e841bb2d6019bc92b68d575f46c4576e5a762602cbec61b7be6d04743f"),
+    ("T2", 3, "strong-toy", "64fe47174d73a2fae802f3451ec9af145a7d9df44e67409ac068c964ad75b4df"),
+    ("T3", 3, "default", "779cf17f522140fce77cfd131f00a80e310658bb178306dd2ab0c4a538ba5726"),
+    ("T4", 3, "default", "5f89eb3ab1d934a8028f5e38a5f6bac1f2e6f2e889f155dd0b1714542f26348d"),
+    ("T5", 3, "default", "4a1ea857e8e2ef417be9f2cbc12043b813370ab04f481fd4f17a3e848e20c565"),
+    ("T6", 3, "default", "338fd39cd434316142feda6ada240ed7014c6a6550bce9d2668f0739d6cd2a3e"),
+    ("T7", 4, "default", "96b1f5d5662a6541f8c28df745e95641782a553c1f3e41d181c735a1afa6b417"),
+    ("T8", 4, "default", "fd05c1183ecb830337500bf22cd3f11513c10228963f436c99b2c702835874bf"),
+]
+
+
+@pytest.mark.parametrize("which,n,variant,digest", PINNED_REPORTS,
+                         ids=[f"{w}-{v}" for w, _, v, _ in PINNED_REPORTS])
+def test_report_bytes_pinned(which, n, variant, digest):
+    res = run_experiment(ExperimentConfig(which=which, n=n, trials=30, seed=7, variant=variant))
+    text = json.dumps(res.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_quality_grid_detail_order():
+    # verify-theorems writes details unsorted, so their key order is part of the report
+    for which, n in (("T1", 4), ("T3", 3)):
+        details = run_experiment(ExperimentConfig(which=which, n=n, trials=30, seed=7)).details
+        assert list(details) == ["corpus_size", "grid"]
+        for entry in details["grid"]:
+            assert list(entry) == ["p", "eps", "bound", "found", "good", "found_rate"]

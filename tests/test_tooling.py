@@ -1,13 +1,15 @@
-"""The benchmark tracer (perfbench/tracing.py) patches package names given
-as strings; a rename or deletion in the package would silently break a
-traced run, so every name it lists must still resolve."""
+"""The benchmark (perfbench/run.py and perfbench/tracing.py) reaches into the
+package by name; a rename or deletion in the package would silently break a
+benchmark run, so every name it uses must still resolve."""
 
+import ast
 import importlib
 import inspect
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing_module():
@@ -42,3 +44,22 @@ def test_table_file_signatures_match_their_byte_hooks():
 
     for fn in (save_function, load_function, save_cipher, load_cipher):
         assert list(inspect.signature(fn).parameters)[0] == "path", fn.__name__
+
+
+def test_benchmark_driver_names_resolve():
+    # every experiments.X, boolfn.X and cli.X that run.py reads, found in its source
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("experiments", "boolfn", "cli")}
+    assert ("experiments", "run_experiment") in used and ("cli", "main") in used
+    for mod_name, attr in sorted(used):
+        mod = importlib.import_module(f"bvattack.{mod_name}")
+        assert hasattr(mod, attr), f"bvattack.{mod_name}.{attr}"
+
+
+def test_experiment_config_takes_the_benchmark_keywords():
+    from bvattack.experiments import ExperimentConfig
+
+    cfg = ExperimentConfig(which="T5", n=8, trials=30, seed=1)
+    assert (cfg.which, cfg.n, cfg.trials, cfg.seed) == ("T5", 8, 30, 1)
