@@ -25,7 +25,7 @@ from .boolfn import (
     save_function,
     walsh_spectrum,
 )
-from .bv import BvSampler, QueryLedger, bv_sample
+from .bv import BvSampler, QueryLedger
 from .ciphers import EvenMansour, Feistel3, ToyCipher, load_cipher, save_cipher
 from .experiments import ExperimentConfig, run_experiment
 from .gf2 import AffineSolutionSet, EnumerationCapError, LinearSystem, solve
@@ -59,7 +59,6 @@ __all__ = [
     "ToyCipher",
     "VectorFunction",
     "WalshSpectrum",
-    "bv_sample",
     "differential_attack",
     "distinguish_feistel",
     "find_boolean_structures",

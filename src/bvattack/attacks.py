@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import VectorFunction
-from .bv import BvSampler, QueryLedger
+from .bv import BvSampler, QueryLedger, check_draw_budget
 from .ciphers import (
     OracleFunction,
     ToyCipherPublic,
@@ -167,6 +167,7 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     independent per-pair evidence); falls back to iid uniform once more
     pairs are requested than the 2^(n-1) that exist.
     """
+    check_draw_budget(pairs, "pair count")
     xs = np.arange(1 << n)
     reps = xs[xs < (xs ^ a)]
     if pairs <= len(reps):
@@ -355,12 +356,11 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
     p = default_sample_count(x_bits) if p is None else int(p)
     if p < 1:
         raise ValueError(f"sample count must be positive, got {p}")
-    shift = G.m - x_bits
     queries = 0
     for j in range(1, G.n + 1):
-        ws = BvSampler(G.component(j), (seed, j), ledger).draw(p)
+        ws = BvSampler(G.component(j), (seed, j), ledger, x_bits).draw(p)
         queries += p
-        never_one, never_zero = solve_zero_one(x_bits, ws >> shift)
+        never_one, never_zero = solve_zero_one(x_bits, ws)
         cands = []
         for forbidden, sol in ((1, never_one), (0, never_zero)):
             a = sol.smallest_nonzero()

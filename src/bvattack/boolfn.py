@@ -150,14 +150,6 @@ class WalshSpectrum:
         """The normalized coefficient S_f(w) as an exact rational."""
         return Fraction(int(self.coeffs[w]), 1 << self.n)
 
-    def values(self) -> list[Fraction]:
-        return [self.value(w) for w in range(1 << self.n)]
-
-    def squared_masses(self) -> np.ndarray:
-        """Integer masses W[w]^2; they sum to 4^n exactly."""
-        c = self.coeffs.astype(np.int64)
-        return c * c
-
     def support(self) -> np.ndarray:
         """All w with nonzero coefficient (the possible sampler outcomes)."""
         return np.flatnonzero(self.coeffs)
@@ -167,11 +159,11 @@ class WalshSpectrum:
 
 
 def _wht(b: np.ndarray) -> np.ndarray:
-    """Integer Walsh-Hadamard butterfly in O(n 2^n), in place on the
-    caller's fresh int64 array of length 2^n, which it returns."""
+    """Integer Walsh-Hadamard butterfly along axis 0, in place on the caller's
+    fresh int64 array of 2^w rows (by c columns), which it returns."""
     h = 1
     while h < len(b):
-        v = b.reshape(-1, 2 * h)
+        v = b.reshape(-1, 2 * h, *b.shape[1:])
         left = v[:, :h].copy()
         v[:, :h] += v[:, h:]
         v[:, h:] = left - v[:, h:]

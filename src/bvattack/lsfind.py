@@ -44,9 +44,12 @@ def default_sample_count(width: int) -> int:
 
 
 def _absorb_samples(e: Eliminator, ws: np.ndarray, c: int = 0) -> Eliminator:
-    """Absorb a row (w, c) per distinct sample w; p can be huge, the
-    distinct samples are few."""
-    for w in np.unique(ws).tolist():
+    """Absorb a row (w, c) per distinct sample w, in ascending order; p can
+    be huge, the distinct samples are few and lie below 2^width (a table
+    width here, so the hit mask takes at most 16 MiB)."""
+    hit = np.zeros(1 << e.width, dtype=bool)
+    hit[ws] = True
+    for w in np.flatnonzero(hit).tolist():
         e.absorb(w, c)
     return e
 
@@ -149,10 +152,10 @@ def find_vector_structures(
     over bits.  The loop halts as soon as any per-bit set or the running
     intersection is trivial, so the query count is at most n * p.
 
-    solve_width < m truncates samples to their leading solve_width bits and
-    searches directions of that width only.  This is how an attack targets
-    the data half of a combined (data || key) input.  p defaults to
-    4 * effective width.
+    solve_width < m samples the leading solve_width bits of each outcome
+    from their exact marginal law and searches directions of that width
+    only: how an attack targets the data half of a (data || key) input.
+    p defaults to 4 * effective width.
     """
     width = F.m if solve_width is None else int(solve_width)
     if not 1 <= width <= F.m:
@@ -160,18 +163,16 @@ def find_vector_structures(
     p = default_sample_count(width) if p is None else int(p)
     if p < 1:
         raise ValueError(f"sample count must be positive, got {p}")
-    shift = F.m - width
 
     comps: list[ComponentEvidence] = []
     elim = Eliminator(width)
     queries = 0
     found = True
     for j in range(1, F.n + 1):
-        ws = BvSampler(F.component(j), (seed, j), ledger).draw(p)
+        ws = BvSampler(F.component(j), (seed, j), ledger, width).draw(p)
         queries += p
-        trunc = ws >> shift
-        pivot = int(trunc[0])
-        cset = _absorb_samples(Eliminator(width), trunc ^ pivot)
+        pivot = int(ws[0])
+        cset = _absorb_samples(Eliminator(width), ws ^ pivot)
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
             found = False

@@ -13,11 +13,11 @@ __all__ = ["seeded_rng", "flat_key"]
 
 
 def flat_key(*parts) -> tuple[int, ...]:
-    """Flatten ints and nested int tuples into one rng key tuple."""
+    """Flatten ints and nested int tuples, at any depth, into one rng key tuple."""
     out: list[int] = []
     for p in parts:
         if isinstance(p, (tuple, list)):
-            out.extend(int(q) for q in p)
+            out.extend(flat_key(*p))
         else:
             out.append(int(p))
     return tuple(out)

@@ -5,17 +5,24 @@ loops, direct definitional sums, exhaustive scans.  No fast transforms, no
 packed elimination, no shared code with the package under test.  Frozen
 expected values in the tests were computed with these.
 
-The exception is the chained searches at the end: they replay the package's
-own sampler streams through per-component solution sets and pairwise
-`intersect`, as the reference that the running-eliminator searches must
-equal field for field.
+The exceptions are the full-spectrum sampler and the chained searches at
+the end.  The sampler draws from the squared coefficients of the package's
+`walsh_spectrum` over the whole support, as the reference that the
+truncated (marginal-law) sampler must equal draw for draw.  The chained
+searches replay the package's own sampler streams through per-component
+solution sets and pairwise `intersect`, as the reference that the
+running-eliminator searches must equal field for field.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
+from bvattack.boolfn import walsh_spectrum
 from bvattack.bv import BvSampler
 from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
 from bvattack.lsfind import ComponentEvidence, VectorStructureResult, ZeroStructureResult
+from bvattack.rng import seeded_rng
 
 
 def parity(x: int) -> int:
@@ -40,6 +47,15 @@ def sample_distribution_direct(table, n: int) -> list:
     for w in range(1 << n):
         c = walsh_coefficient_direct(table, n, w)
         out.append(Fraction(c * c, 4 ** n))
+    return out
+
+
+def marginal_masses_direct(table, n: int, width: int) -> list:
+    """Squared integer coefficients summed over each leading width-bit prefix:
+    the mass of measuring a w whose top `width` bits are d, times 4^n."""
+    out = [0] * (1 << width)
+    for w in range(1 << n):
+        out[w >> (n - width)] += walsh_coefficient_direct(table, n, w) ** 2
     return out
 
 
@@ -145,6 +161,16 @@ def chi_square_statistic(observed, expected) -> float:
         if e > 0:
             stat += (o - e) ** 2 / e
     return stat
+
+
+def full_spectrum_draws(f, seed_key: tuple, count: int) -> np.ndarray:
+    """`count` outcomes of the full n-bit measurement: uniform integers from
+    the sampler's seeded stream, searched against the cumulative W[w]^2."""
+    coeffs = walsh_spectrum(f).coeffs
+    support = np.flatnonzero(coeffs)
+    cum = np.cumsum(coeffs[support] ** 2)
+    u = seeded_rng(seed_key).integers(0, 4 ** f.n, size=count, dtype=np.int64)
+    return support[np.searchsorted(cum, u, side="right")]
 
 
 def chained_vector_search(F, p: int, seed, solve_width=None) -> VectorStructureResult:

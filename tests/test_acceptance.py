@@ -24,7 +24,7 @@ from bvattack.boolfn import (
     restricted_spectral_mass,
     walsh_spectrum,
 )
-from bvattack.bv import bv_sample
+from bvattack.bv import BvSampler
 from bvattack.cli import main
 from bvattack.experiments import ExperimentConfig, default_shape, run_experiment
 from bvattack.rng import seeded_rng
@@ -78,13 +78,13 @@ def test_acceptance_01_sampler_outcome_law():
         n = (i % 6) + 1
         f = random_boolean_function(n, seeded_rng(900, i))
         support = set(walsh_spectrum(f).support().tolist())
-        out = bv_sample(f, 64, seed_key=(901, i))
+        out = BvSampler(f, (901, i)).draw(64)
         assert set(out.tolist()) <= support
     for j, n in enumerate((4, 5, 6)):
         f = random_boolean_function(n, seeded_rng(902, j))
         probs = sample_distribution_direct(f.table, n)
         draws = 100_000
-        out = bv_sample(f, draws, seed_key=(903, j))
+        out = BvSampler(f, (903, j)).draw(draws)
         counts = np.bincount(out, minlength=1 << n)
         keep = [k for k in range(1 << n) if probs[k] > 0]
         assert sum(int(counts[k]) for k in range(1 << n) if k not in keep) == 0

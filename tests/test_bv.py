@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bvattack.boolfn import BooleanFunction, random_boolean_function, walsh_spectrum
-from bvattack.bv import BvSampler, QueryLedger, bv_sample
+from bvattack.boolfn import BooleanFunction, _wht, random_boolean_function, walsh_spectrum
+from bvattack.bv import MAX_DRAWS, BvSampler, QueryLedger
 from bvattack.rng import seeded_rng
 
-from oracles import sample_distribution_direct
+from oracles import full_spectrum_draws, marginal_masses_direct, sample_distribution_direct
 
 # chi-square seeds are pinned; if an implementation change shifts the stream,
 # re-pin once after confirming the distribution is otherwise healthy
@@ -23,7 +23,7 @@ def fn(n, bits):
 
 def test_constant_function_always_measures_zero():
     # all spectral mass of a constant sits at w=0
-    out = bv_sample(fn(3, [1] * 8), 50, seed_key=1)
+    out = BvSampler(fn(3, [1] * 8), 1).draw(50)
     assert np.all(out == 0)
 
 
@@ -31,7 +31,7 @@ def test_linear_function_recovers_its_vector():
     # f(x) = x.a yields a with certainty, the noiseless case
     for a in range(1, 8):
         table = [bin(a & x).count("1") & 1 for x in range(8)]
-        out = bv_sample(fn(3, table), 20, seed_key=(2, a))
+        out = BvSampler(fn(3, table), (2, a)).draw(20)
         assert np.all(out == a)
 
 
@@ -39,7 +39,7 @@ def test_linear_function_recovers_its_vector():
 def test_outcomes_stay_on_spectrum_support(n, key):
     f = random_boolean_function(n, seeded_rng(key, 10))
     support = set(walsh_spectrum(f).support().tolist())
-    out = bv_sample(f, 64, seed_key=(key, 11))
+    out = BvSampler(f, (key, 11)).draw(64)
     assert set(out.tolist()) <= support
 
 
@@ -48,7 +48,7 @@ def test_distribution_matches_exact_law_chi2():
     f = random_boolean_function(4, seeded_rng(777))
     probs = sample_distribution_direct(f.table, 4)
     draws = 100_000
-    out = bv_sample(f, draws, seed_key=778)
+    out = BvSampler(f, 778).draw(draws)
     observed = np.bincount(out, minlength=16)
     keep = [k for k in range(16) if probs[k] > 0]
     obs = [int(observed[k]) for k in keep]
@@ -61,7 +61,7 @@ def test_distribution_matches_exact_law_chi2():
 def test_uniform_case_chi2():
     # x1 x2 has |coeff| = 2 everywhere: uniform over 4 outcomes
     f = fn(2, [0, 0, 0, 1])
-    out = bv_sample(f, 40_000, seed_key=779)
+    out = BvSampler(f, 779).draw(40_000)
     observed = np.bincount(out, minlength=4)
     _, pvalue = stats.chisquare(observed, [10_000.0] * 4)
     assert pvalue > CHI2_ALPHA
@@ -69,22 +69,22 @@ def test_uniform_case_chi2():
 
 def test_equal_seeds_give_equal_streams():
     f = random_boolean_function(5, seeded_rng(5))
-    a = bv_sample(f, 100, seed_key=(9, 1))
-    b = bv_sample(f, 100, seed_key=(9, 1))
+    a = BvSampler(f, (9, 1)).draw(100)
+    b = BvSampler(f, (9, 1)).draw(100)
     assert a.tolist() == b.tolist()
 
 
 def test_distinct_stream_components_differ():
     f = random_boolean_function(6, seeded_rng(6))
-    a = bv_sample(f, 200, seed_key=(9, 1))
-    b = bv_sample(f, 200, seed_key=(9, 2))
+    a = BvSampler(f, (9, 1)).draw(200)
+    b = BvSampler(f, (9, 2)).draw(200)
     assert a.tolist() != b.tolist()
 
 
 def test_nested_seed_keys_flatten():
     f = random_boolean_function(4, seeded_rng(4))
-    a = bv_sample(f, 32, seed_key=((3, 4), 5))
-    b = bv_sample(f, 32, seed_key=(3, 4, 5))
+    a = BvSampler(f, ((3, 4), 5)).draw(32)
+    b = BvSampler(f, (3, 4, 5)).draw(32)
     assert a.tolist() == b.tolist()
 
 
@@ -92,7 +92,7 @@ def test_ledger_charges_one_quantum_per_draw():
     led = QueryLedger()
     s = BvSampler(random_boolean_function(4, seeded_rng(12)), (13,), led)
     s.draw(10)
-    s.draw_one()
+    s.draw(1)
     s.draw(0)
     assert led.quantum == 11
     assert led.classical == 0
@@ -110,8 +110,55 @@ def test_ledger_validation():
         s.draw(-1)
 
 
-def test_helper_matches_sampler():
-    f = random_boolean_function(5, seeded_rng(20))
-    direct = BvSampler(f, (21, 0)).draw(40)
-    helper = bv_sample(f, 40, seed_key=(21, 0))
-    assert direct.tolist() == helper.tolist()
+def test_draw_budget_checked_before_drawing():
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("draws allocated before the budget check")
+
+    led = QueryLedger()
+    s = BvSampler(random_boolean_function(3, seeded_rng(16)), (17,), led)
+    s._rng = NoDraws()
+    with pytest.raises(ValueError, match="budget"):
+        s.draw(MAX_DRAWS + 1)
+    assert s.draws == 0 and led.quantum == 0
+
+
+# --- truncated sampler: the exact marginal law of the leading bits ------------
+
+
+@given(st.integers(1, 10), st.integers(0, 2**30), st.integers(1, 300))
+def test_truncated_draws_are_full_draws_shifted(n, key, p):
+    f = random_boolean_function(n, seeded_rng(key, 30))
+    full = full_spectrum_draws(f, (key, 31), p)
+    assert BvSampler(f, (key, 31)).draw(p).tolist() == full.tolist()
+    for width in range(1, n + 1):
+        s = BvSampler(f, (key, 31), width=width)
+        assert s.n == width
+        assert s.draw(p).tolist() == (full >> (n - width)).tolist(), width
+
+
+@given(st.integers(1, 6), st.integers(0, 2**30))
+def test_marginal_masses_match_grouped_squares(n, key):
+    f = random_boolean_function(n, seeded_rng(key, 32))
+    for width in range(1, n + 1):
+        s = BvSampler(f, (key,), width=width)
+        masses = [0] * (1 << width)
+        for w, m in zip(s.outcomes.tolist(), np.diff(s._cum, prepend=0).tolist()):
+            masses[w] = m
+        assert masses == marginal_masses_direct(f.table, n, width), width
+        assert int(s._cum[-1]) == 4 ** n
+
+
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**30))
+def test_butterfly_along_rows_is_walsh_per_column(n, cols, key):
+    fs = [random_boolean_function(n, seeded_rng(key, 33, c)) for c in range(cols)]
+    got = _wht(np.stack([1 - 2 * f.table.astype(np.int64) for f in fs], axis=1))
+    for c, f in enumerate(fs):
+        assert got[:, c].tolist() == walsh_spectrum(f).coeffs.tolist()
+
+
+def test_truncated_width_validation():
+    f = random_boolean_function(4, seeded_rng(34))
+    for width in (0, 5):
+        with pytest.raises(ValueError, match="width"):
+            BvSampler(f, (35,), width=width)

@@ -97,6 +97,34 @@ def test_lsfind_no_structure_exits_one(tmp_path, capsys):
     assert rep["result"]["found"] is False
 
 
+def test_sample_counts_beyond_the_draw_budget_exit_two(capsys, quad_file, toy_file,
+                                                       monkeypatch):
+    from bvattack import bv
+
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("draws allocated before the budget check")
+
+        def choice(self, *args, **kwargs):
+            raise AssertionError("pairs allocated before the budget check")
+
+    real_rng = bv.seeded_rng
+    monkeypatch.setattr(bv, "seeded_rng", lambda *key: NoDraws())
+    assert main(["lsfind", quad_file, "--p", "10000000000", "--seed", "1"]) == 2
+    assert "budget" in capsys.readouterr().err
+    # p = n^3 l^2 q^2 = 64 * 100 * 10^4 > MAX_DRAWS
+    assert main(["attack-smallprob", toy_file, "--seed", "1", "--q", "100",
+                 "--l", "10"]) == 2
+    assert "budget" in capsys.readouterr().err
+    monkeypatch.setattr(bv, "seeded_rng", real_rng)
+    from bvattack import attacks
+
+    monkeypatch.setattr(attacks, "seeded_rng", lambda *key: NoDraws())
+    assert main(["attack-diff", toy_file, "--seed", "1", "--q", "2",
+                 "--pairs", str(bv.MAX_DRAWS + 1)]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["lsfind", "/nonexistent/f.txt", "--seed", "1"]) == 2
     assert main(["attack-em", "/nonexistent/c.txt", "--seed", "1"]) == 2
@@ -265,6 +293,19 @@ def test_verify_theorems_flag_conflicts(capsys, tmp_path):
     code, rep = run(capsys, "verify-theorems", "--config", str(cfg), "--seed", "1")
     assert code == 0
     assert rep["result"]["experiments"][0]["config"]["seed"] == 3
+
+
+def test_verify_theorems_params_echo_the_config(capsys, tmp_path):
+    # the config's seed, z and variant ran, so the params record them, not the flags
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"which": "T5", "seed": 3, "trials": 30, "z": 0.5}))
+    code, rep = run(capsys, "verify-theorems", "--config", str(cfg), "--seed", "1")
+    assert code == 0
+    ran = rep["result"]["experiments"][0]["config"]
+    params = rep["invocation"]["params"]
+    assert (params["seed"], params["z"], params["variant"]) == (3, 0.5, "default")
+    assert (params["seed"], params["z"], params["variant"]) == (
+        ran["seed"], ran["z"], ran["variant"])
 
 
 def test_verify_theorems_rejects_malformed_config(capsys, tmp_path):
