@@ -160,7 +160,8 @@ class WalshSpectrum:
 
 def _wht(b: np.ndarray) -> np.ndarray:
     """Integer Walsh-Hadamard butterfly along axis 0, in place on the caller's
-    fresh int64 array of 2^w rows (by c columns), which it returns."""
+    fresh integer array of 2^w rows (by c columns), which it returns.  The
+    dtype must hold 2^w * max|entry|, the largest sum a row can reach."""
     h = 1
     while h < len(b):
         v = b.reshape(-1, 2 * h, *b.shape[1:])

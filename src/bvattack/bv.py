@@ -2,9 +2,16 @@
 
 Running the BV circuit on a boolean f and measuring yields the string w with
 probability S_f(w)^2.  Squared integer Walsh coefficients are dyadic masses
-summing to exactly 4^n, so one uniform integer draw from [0, 4^n) plus a
-binary search over the cumulative masses reproduces the measurement law with
-no floating point anywhere.  One sample costs one quantum query to f.
+summing to exactly 4^n, so one uniform integer u from [0, 4^n), mapped to the
+first outcome whose cumulative mass exceeds u, reproduces the measurement law
+with no floating point anywhere.  One sample costs one quantum query to f.
+
+A draw finds that outcome by a binary search over the cumulative masses, or,
+once it is large enough to repay the build, through an index table over the
+top bits of u (the guide table of Chen and Asau, 1974): u's bucket gives the
+first outcome that can hold it, and a few passes step on past every
+cumulative mass at or below u.  Both find the same outcome for every u, so
+the table changes the speed of a draw, never its result.
 
 With width < n only the leading `width` bits of w are drawn, from their exact
 marginal law: a butterfly along the 2^width data rows of the table, then each
@@ -59,20 +66,54 @@ class QueryLedger:
         return f"QueryLedger(quantum={self.quantum}, classical={self.classical})"
 
 
+# A draw builds the index table only if it takes at least one draw per entry
+# and at least 2^12 draws.  Measured on a 2-core VM: below 2^11 draws one
+# binary search per draw beat building and using the table at every support
+# size up to 256 (the build has a fixed cost of about 20 us), from 2^12 on the
+# table won at every size, and at 1024 or more outcomes it won from a quarter
+# of a draw per entry.  One draw per entry also keeps the int32 table within
+# half the size of the draw's own int64 array.
+_MIN_TABLE_DRAW_BITS = 12
+
+
+def _index_table(cum: np.ndarray, bits: int) -> tuple:
+    """Index table over the top `bits` bits of u in [0, cum[-1]), a power of two.
+
+    Returns (lo, shift, steps): bucket b = u >> shift starts at b << shift,
+    lo[b] = #{cum <= b << shift} is the first outcome any u in it can map to,
+    and steps is the most cum entries strictly inside one bucket, so `steps`
+    passes of idx += u >= cum[idx] reach the outcome the binary search finds.
+    Returns () when steps exceeds the binary search's depth.
+    """
+    shift = int(cum[-1]).bit_length() - 1 - bits
+    # cum <= b << shift exactly when ceil(cum / 2^shift) <= b; the support
+    # has at most 2^24 outcomes, so int32 holds every index
+    first = np.bincount(-(-cum >> shift), minlength=(1 << bits) + 1)[: 1 << bits]
+    lo = np.cumsum(first, dtype=np.int32)
+    inner = cum[cum & ((1 << shift) - 1) != 0] >> shift
+    steps = int(np.bincount(inner).max(initial=0))
+    return (lo, shift, steps) if steps <= len(cum).bit_length() else ()
+
+
 class BvSampler:
     """Measurement-outcome sampler for one boolean function: one Walsh
-    transform (over the leading `width` bits only) when built, then a binary
-    search over the support per draw."""
+    transform (over the leading `width` bits only) when built, then per draw
+    of `count` outcomes either a binary search over the support for each, or,
+    from 2^12 draws and one per table entry on, the index table, built by the
+    first such draw and kept."""
 
-    __slots__ = ("n", "outcomes", "ledger", "draws", "_cum", "_rng")
+    __slots__ = ("n", "outcomes", "ledger", "draws", "_cum", "_rng", "_bits", "_index")
 
     def __init__(self, f: BooleanFunction, seed_key, ledger: QueryLedger | None = None,
                  width: int | None = None) -> None:
         width = f.n if width is None else int(width)
         if not 1 <= width <= f.n:
             raise ValueError(f"width must be in [1, {f.n}], got {width}")
-        rows = _wht((1 - 2 * f.table.astype(np.int64)).reshape(1 << width, -1))
-        masses = np.einsum("ij,ij->i", rows, rows) << (f.n - width)
+        # int32 holds every entry: a sum of 2^width signs, and the table cap
+        # keeps 2^width <= 2^24 < 2^31.  A row's sum of squares, at most
+        # 2^(n + width) <= 2^48, is accumulated in int64.
+        rows = _wht((1 - 2 * f.table.astype(np.int32)).reshape(1 << width, -1))
+        masses = np.einsum("ij,ij->i", rows, rows, dtype=np.int64) << (f.n - width)
         support = np.flatnonzero(masses)
         self.n = width
         self.outcomes = support.astype(np.int64)
@@ -80,13 +121,25 @@ class BvSampler:
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
         self.draws = 0
+        # about four buckets per outcome, at most one per value of u
+        self._bits = min((len(support) - 1).bit_length() + 2, 2 * f.n)
+        self._index = None
 
     def draw(self, count: int = 1) -> np.ndarray:
         """Sample `count` outcomes; charges one quantum query per outcome."""
         check_draw_budget(count)
         total = int(self._cum[-1])
         u = self._rng.integers(0, total, size=count, dtype=np.int64)
-        idx = np.searchsorted(self._cum, u, side="right")
+        if self._index is None and count >= 1 << max(self._bits, _MIN_TABLE_DRAW_BITS):
+            self._index = _index_table(self._cum, self._bits)
+        if self._index:
+            lo, shift, steps = self._index
+            idx = lo[u >> shift]
+            # cum rises strictly and u < cum[-1], so idx stops at the answer
+            for _ in range(steps):
+                idx += u >= self._cum[idx]
+        else:
+            idx = np.searchsorted(self._cum, u, side="right")
         self.draws += count
         if self.ledger is not None:
             self.ledger.add_quantum(count)

@@ -43,31 +43,40 @@ def default_sample_count(width: int) -> int:
     return 4 * width
 
 
-def _absorb_samples(e: Eliminator, ws: np.ndarray, c: int = 0) -> Eliminator:
-    """Absorb a row (w, c) per distinct sample w, in ascending order; p can
-    be huge, the distinct samples are few and lie below 2^width (a table
-    width here, so the hit mask takes at most 16 MiB)."""
-    hit = np.zeros(1 << e.width, dtype=bool)
+def _distinct(width: int, ws: np.ndarray) -> list[int]:
+    """The distinct samples, ascending; p can be huge, the distinct samples
+    are few and lie below 2^width (a table width here, so the hit mask takes
+    at most 16 MiB)."""
+    hit = np.zeros(1 << width, dtype=bool)
     hit[ws] = True
-    for w in np.flatnonzero(hit).tolist():
-        e.absorb(w, c)
+    return np.flatnonzero(hit).tolist()
+
+
+def _absorb_samples(e: Eliminator, ws: np.ndarray) -> Eliminator:
+    """Absorb a row (w, 0) per distinct sample w, in ascending order."""
+    for w in _distinct(e.width, ws):
+        e.absorb(w)
     return e
 
 
 def solve_zero_one(width: int, samples: np.ndarray) -> tuple[AffineSolutionSet, AffineSolutionSet]:
     """The solution sets of {a . w = 0} and of {a . w = 1} over every sample w."""
-    zero, one = (_absorb_samples(Eliminator(width), samples, c).solution() for c in (0, 1))
-    return zero, one
+    zero, one = Eliminator(width), Eliminator(width)
+    for w in _distinct(width, samples):
+        zero.absorb(w, 0)
+        one.absorb(w, 1)
+    return zero.solution(), one.solution()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BooleanStructureResult:
-    """Outcome of the single-output search."""
+    """Outcome of the single-output search.  samples is the read-only array
+    of the p draws, so results compare and hash by identity."""
 
     found: bool
     zero_set: AffineSolutionSet
     one_set: AffineSolutionSet
-    samples: tuple[int, ...]
+    samples: np.ndarray
     p: int
     queries: int
 
@@ -132,10 +141,10 @@ def find_boolean_structures(
     if p < 1:
         raise ValueError(f"sample count must be positive, got {p}")
     ws = BvSampler(f, (seed,), ledger).draw(p)
-    samples = tuple(int(w) for w in ws)
+    ws.setflags(write=False)
     zero_set, one_set = solve_zero_one(f.n, ws)
     found = not (zero_set.is_trivial and one_set.is_trivial)
-    return BooleanStructureResult(found, zero_set, one_set, samples, p, p)
+    return BooleanStructureResult(found, zero_set, one_set, ws, p, p)
 
 
 def find_vector_structures(

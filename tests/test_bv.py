@@ -126,7 +126,14 @@ def test_draw_budget_checked_before_drawing():
 # --- truncated sampler: the exact marginal law of the leading bits ------------
 
 
-@given(st.integers(1, 10), st.integers(0, 2**30), st.integers(1, 300))
+# every support of at most 2^10 outcomes has an index table of at most 2^12
+# entries, so a draw of 2^12 or more builds and uses one, and a smaller draw
+# searches the cumulative masses
+TABLE_DRAWS = 1 << 12
+
+
+@given(st.integers(1, 10), st.integers(0, 2**30),
+       st.one_of(st.integers(1, 300), st.integers(TABLE_DRAWS - 2, 3 * TABLE_DRAWS)))
 def test_truncated_draws_are_full_draws_shifted(n, key, p):
     f = random_boolean_function(n, seeded_rng(key, 30))
     full = full_spectrum_draws(f, (key, 31), p)
@@ -135,6 +142,7 @@ def test_truncated_draws_are_full_draws_shifted(n, key, p):
         s = BvSampler(f, (key, 31), width=width)
         assert s.n == width
         assert s.draw(p).tolist() == (full >> (n - width)).tolist(), width
+        assert (s._index is not None) == (p >= TABLE_DRAWS), width
 
 
 @given(st.integers(1, 6), st.integers(0, 2**30))
@@ -162,3 +170,21 @@ def test_truncated_width_validation():
     for width in (0, 5):
         with pytest.raises(ValueError, match="width"):
             BvSampler(f, (35,), width=width)
+
+
+def test_index_table_pinned_cases():
+    cases = [
+        # n = 1: one outcome; with 2n = 2 table bits u itself picks the bucket
+        (fn(1, [0, 1]), lambda lo, shift, steps: shift == 0 and steps == 0),
+        (fn(1, [1, 1]), lambda lo, shift, steps: shift == 0 and steps == 0),
+        # three cumulative masses fall strictly inside one bucket
+        (random_boolean_function(6, seeded_rng(0, 40)), lambda lo, shift, steps: steps == 3),
+        # x1...x8: 255 masses of 4 crowd 16 to a bucket, more passes than the
+        # binary search's 9 levels, so the draw keeps the binary search
+        (fn(8, [0] * 255 + [1]), None),
+    ]
+    for f, shape in cases:
+        s = BvSampler(f, (38,))
+        count = TABLE_DRAWS + 5
+        assert s.draw(count).tolist() == full_spectrum_draws(f, (38,), count).tolist(), f.n
+        assert s._index == () if shape is None else shape(*s._index), f.n

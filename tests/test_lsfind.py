@@ -39,6 +39,9 @@ def test_quadratic_example_search():
     assert res.zero_set.is_trivial
     assert res.one_set.contains(0b001)
     assert len(res.samples) == res.p == 12
+    assert isinstance(res.samples, np.ndarray) and not res.samples.flags.writeable
+    with pytest.raises(ValueError):
+        res.samples[0] = 1
 
 
 @given(st.integers(2, 8), st.integers(0, 2**30))
