@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import VectorFunction
-from .bv import BvSampler, QueryLedger, check_draw_budget
+from .bv import QueryLedger, check_draw_budget
 from .ciphers import (
     OracleFunction,
     ToyCipherPublic,
@@ -27,11 +27,12 @@ from .ciphers import (
 )
 from .lsfind import (
     default_sample_count,
+    find_boolean_structures,
     find_common_zero_structure,
     find_vector_structures,
-    solve_zero_one,
+    search_shape,
 )
-from .rng import seeded_rng, flat_key
+from .rng import seeded_rng
 
 __all__ = [
     "InsufficientDataError",
@@ -89,7 +90,7 @@ def distinguish_feistel(encrypt: VectorFunction, seed, p: int | None = None) -> 
     n = encrypt.n // 2
     p = n + 1 if p is None else int(p)
 
-    rng = seeded_rng(*flat_key(seed, 0))
+    rng = seeded_rng(seed, 0)
     s0 = int(rng.integers(0, 1 << n))
     s1 = (s0 + 1 + int(rng.integers(0, (1 << n) - 1))) % (1 << n)
 
@@ -241,7 +242,7 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
 
     oracle = OracleFunction(etable, ledger)
     counter = rank_last_round_keys(oracle, public.inverse_last(), res.a, res.alpha,
-                                   pairs, seeded_rng(*flat_key(seed, 0)))
+                                   pairs, seeded_rng(seed, 0))
     return DifferentialAttackReport(True, res.a, res.alpha, counter.argmax(), counter,
                                     p, pairs, q, ledger.snapshot())
 
@@ -311,7 +312,7 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
     b = res.alpha ^ ((1 << n) - 1)
 
     guesses = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), res.a,
-                                 pairs, seeded_rng(*flat_key(seed, 0)))
+                                 pairs, seeded_rng(seed, 0))
     counts = [int((n - np.bitwise_count(dy ^ b)).sum()) for dy in guesses]
     counter = KeyCounterTable(tuple(counts), pairs, n)
     return SmallProbabilityReport(True, res.a, b, counter.argmin(), counter,
@@ -337,7 +338,7 @@ class ImpossibleFindReport:
     found: bool
     certificate: ImpossibleCertificate | None
     p: int
-    queries: dict
+    queries: int
 
 
 def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
@@ -345,32 +346,20 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
                                  ledger: QueryLedger | None = None) -> ImpossibleFindReport:
     """Per-bit impossible differential search on the keyed family G(x || k).
 
-    For each output bit, a direction orthogonal to every truncated sample
-    certifies its derivative bit is constant 0, i.e. the value 1 is
-    forbidden; a direction with dot 1 against every sample certifies 0 is
-    forbidden.  The first output bit with a nonzero candidate wins and the
-    numerically smaller candidate of its two systems is returned.
+    Each output bit is a boolean structure search over the leading x_bits
+    input bits.  A direction in its zero set certifies the derivative bit is
+    constant 0, i.e. the value 1 is forbidden; one in its one set certifies
+    0 is forbidden.  The first output bit with a nonzero candidate wins, with
+    its smallest candidate.
     """
-    if not 1 <= x_bits <= G.m:
-        raise ValueError(f"x_bits must be in [1, {G.m}], got {x_bits}")
-    p = default_sample_count(x_bits) if p is None else int(p)
-    if p < 1:
-        raise ValueError(f"sample count must be positive, got {p}")
-    queries = 0
+    x_bits, p = search_shape(G.m, x_bits, p)
     for j in range(1, G.n + 1):
-        ws = BvSampler(G.component(j), (seed, j), ledger, x_bits).draw(p)
-        queries += p
-        never_one, never_zero = solve_zero_one(x_bits, ws)
-        cands = []
-        for forbidden, sol in ((1, never_one), (0, never_zero)):
-            a = sol.smallest_nonzero()
-            if a is not None:
-                cands.append((a, forbidden))
-        if cands:
-            a, forbidden = min(cands)
-            cert = ImpossibleCertificate(j, a, forbidden)
-            return ImpossibleFindReport(True, cert, p, queries)
-    return ImpossibleFindReport(False, None, p, queries)
+        res = find_boolean_structures(G.component(j), p, (seed, j), ledger, x_bits)
+        cand = res.smallest_candidate()
+        if cand is not None:
+            a, i = cand
+            return ImpossibleFindReport(True, ImpossibleCertificate(j, a, 1 - i), p, p * j)
+    return ImpossibleFindReport(False, None, p, p * G.n)
 
 
 def impossible_certificate_valid(public: ToyCipherPublic, cert: ImpossibleCertificate) -> bool:
@@ -425,7 +414,7 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
                                      ledger.snapshot())
 
     guesses = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), cert.a,
-                                 pairs, seeded_rng(*flat_key(seed, 0)))
+                                 pairs, seeded_rng(seed, 0))
     alive = tuple(s for s, dy in enumerate(guesses)
                   if not np.any(((dy >> (n - cert.j)) & 1) == cert.forbidden))
     return ImpossibleSieveReport(True, cert, True, alive, pairs, res.p, ledger.snapshot())

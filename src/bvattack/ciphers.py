@@ -29,7 +29,7 @@ import numpy as np
 
 from .boolfn import MAX_WIDTH, VectorFunction, format_word_block, parse_word_block
 from .bv import QueryLedger
-from .rng import flat_key, seeded_rng
+from .rng import seeded_rng
 
 __all__ = [
     "OracleFunction",
@@ -113,7 +113,7 @@ class Feistel3:
     @classmethod
     def random(cls, n: int, seed) -> "Feistel3":
         rounds = [
-            seeded_rng(*flat_key(seed, i)).integers(0, 1 << n, size=1 << n, dtype=np.int64)
+            seeded_rng(seed, i).integers(0, 1 << n, size=1 << n, dtype=np.int64)
             for i in (1, 2, 3)
         ]
         return cls(n, *rounds)
@@ -185,8 +185,8 @@ class EvenMansour:
 
     @classmethod
     def random(cls, n: int, seed, allow_zero_k1: bool = False) -> "EvenMansour":
-        perm = random_permutation(n, seeded_rng(*flat_key(seed, 1)))
-        rng = seeded_rng(*flat_key(seed, 2))
+        perm = random_permutation(n, seeded_rng(seed, 1))
+        rng = seeded_rng(seed, 2)
         lo = 0 if allow_zero_k1 else 1
         k1 = int(rng.integers(lo, 1 << n))
         k2 = int(rng.integers(0, 1 << n))
@@ -226,7 +226,7 @@ def weak_sbox(n: int, seed: int) -> np.ndarray:
     alpha = rotr1(a_star, n)
     reps_in = [x for x in range(1 << n) if x < x ^ a_star]
     reps_out = [y for y in range(1 << n) if y < y ^ alpha]
-    rng = seeded_rng(*flat_key(seed, 71))
+    rng = seeded_rng(seed, 71)
     pairing = rng.permutation(len(reps_in))
     orient = rng.integers(0, 2, size=len(reps_in))
     sbox = np.zeros(1 << n, dtype=np.int64)
@@ -337,12 +337,12 @@ class ToyCipher:
         if preset == "weak":
             sbox = weak_sbox(n, seed)
         elif preset == "strong":
-            sbox = random_permutation(n, seeded_rng(*flat_key(seed, 11)))
+            sbox = random_permutation(n, seeded_rng(seed, 11))
         else:
             raise ValueError(f"unknown preset {preset!r}")
-        last = random_permutation(n, seeded_rng(*flat_key(seed, 12)))
+        last = random_permutation(n, seeded_rng(seed, 12))
         public = ToyCipherPublic(n, rounds, sbox, last)
-        rng = seeded_rng(*flat_key(seed, 13))
+        rng = seeded_rng(seed, 13)
         master = int(rng.integers(0, 1 << public.key_bits))
         s = int(rng.integers(0, 1 << n))
         return cls(public, preset, seed, master, s)

@@ -7,6 +7,11 @@ solving the resulting linear systems therefore yields candidate structures;
 spurious candidates survive each extra sample with probability bounded by
 the function's structure-free differential uniformity.
 
+Every output bit is solved one way: one eliminator over a . (w ^ w0) = 0 for
+the distinct samples w and the first sample w0 holds the directions with
+a . w constant.  The boolean search splits it by the row (w0, 0) or (w0, 1),
+the vector search intersects it across output bits.
+
 Sample streams are keyed (seed,) for a single boolean function and (seed, j)
 for output bit j of a vector function, so runs replay exactly.
 """
@@ -23,7 +28,7 @@ from .gf2 import AffineSolutionSet, Eliminator, dot
 
 __all__ = [
     "default_sample_count",
-    "solve_zero_one",
+    "search_shape",
     "BooleanStructureResult",
     "ComponentEvidence",
     "VectorStructureResult",
@@ -43,6 +48,18 @@ def default_sample_count(width: int) -> int:
     return 4 * width
 
 
+def search_shape(m: int, width: int | None, p: int | None) -> tuple[int, int]:
+    """(width, p) of a search over an m-bit input: width defaults to m and
+    must lie in [1, m], p defaults to 4 * width and must be positive."""
+    w = m if width is None else int(width)
+    if not 1 <= w <= m:
+        raise ValueError(f"solve_width must be in [1, {m}], got {width}")
+    p = default_sample_count(w) if p is None else int(p)
+    if p < 1:
+        raise ValueError(f"sample count must be positive, got {p}")
+    return w, p
+
+
 def _distinct(width: int, ws: np.ndarray) -> list[int]:
     """The distinct samples, ascending; p can be huge, the distinct samples
     are few and lie below 2^width (a table width here, so the hit mask takes
@@ -53,19 +70,28 @@ def _distinct(width: int, ws: np.ndarray) -> list[int]:
 
 
 def _absorb_samples(e: Eliminator, ws: np.ndarray) -> Eliminator:
-    """Absorb a row (w, 0) per distinct sample w, in ascending order."""
+    """Absorb a row (w, 0) per distinct sample w, ascending, until full rank:
+    a homogeneous system stays consistent, so later rows change nothing."""
     for w in _distinct(e.width, ws):
         e.absorb(w)
+        if e.rank == e.width:
+            break
     return e
 
 
-def solve_zero_one(width: int, samples: np.ndarray) -> tuple[AffineSolutionSet, AffineSolutionSet]:
-    """The solution sets of {a . w = 0} and of {a . w = 1} over every sample w."""
-    zero, one = Eliminator(width), Eliminator(width)
-    for w in _distinct(width, samples):
-        zero.absorb(w, 0)
-        one.absorb(w, 1)
-    return zero.solution(), one.solution()
+def _constancy(width: int, ws: np.ndarray) -> tuple[Eliminator, int]:
+    """The eliminator over a . (w ^ w0) = 0 for every sample w, and the pivot
+    w0 = ws[0]: its members a have a . w = a . w0 for every sample."""
+    w0 = int(ws[0])
+    return _absorb_samples(Eliminator(width), ws ^ w0), w0
+
+
+def _solution_with(e: Eliminator, w: int, c: int) -> AffineSolutionSet:
+    """The solution set of e's rows plus the row a . w = c; e is left as is."""
+    ext = Eliminator(e.width)
+    ext.rows.update(e.rows)
+    ext.absorb(w, c)
+    return ext.solution()
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +153,23 @@ def find_boolean_structures(
     p: int | None = None,
     seed: int = 0,
     ledger: QueryLedger | None = None,
+    solve_width: int | None = None,
 ) -> BooleanStructureResult:
     """Search for linear structures of a single boolean function.
 
-    Takes p measurement samples (default 4n) and solves the two candidate
-    systems {a . w = 0} and {a . w = 1} exactly.  found is False only when
-    neither system has a nonzero solution; an inconsistent one-system just
-    yields the empty set.  A constant f makes every sample 0, so the zero
-    system degenerates to the full space; that is a correct answer, not an
-    error.
+    Takes p measurement samples (default 4 * width) and solves the two
+    candidate systems {a . w = 0} and {a . w = 1} exactly.  found is False
+    only when neither system has a nonzero solution; an inconsistent
+    one-system just yields the empty set.  A constant f makes every sample 0,
+    so the zero system degenerates to the full space; that is a correct
+    answer, not an error.  solve_width < n searches directions of the
+    leading solve_width input bits, as in find_vector_structures.
     """
-    p = default_sample_count(f.n) if p is None else int(p)
-    if p < 1:
-        raise ValueError(f"sample count must be positive, got {p}")
-    ws = BvSampler(f, (seed,), ledger).draw(p)
+    width, p = search_shape(f.n, solve_width, p)
+    ws = BvSampler(f, (seed,), ledger, width).draw(p)
     ws.setflags(write=False)
-    zero_set, one_set = solve_zero_one(f.n, ws)
+    cset, w0 = _constancy(width, ws)
+    zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
     found = not (zero_set.is_trivial and one_set.is_trivial)
     return BooleanStructureResult(found, zero_set, one_set, ws, p, p)
 
@@ -166,32 +193,23 @@ def find_vector_structures(
     only: how an attack targets the data half of a (data || key) input.
     p defaults to 4 * effective width.
     """
-    width = F.m if solve_width is None else int(solve_width)
-    if not 1 <= width <= F.m:
-        raise ValueError(f"solve_width must be in [1, {F.m}], got {solve_width}")
-    p = default_sample_count(width) if p is None else int(p)
-    if p < 1:
-        raise ValueError(f"sample count must be positive, got {p}")
-
+    width, p = search_shape(F.m, solve_width, p)
     comps: list[ComponentEvidence] = []
     elim = Eliminator(width)
-    queries = 0
-    found = True
     for j in range(1, F.n + 1):
+        # ws stays bound until the next draw: freed earlier, the allocator can
+        # trim the heap and the next T7-sized draw faults its pages in again
         ws = BvSampler(F.component(j), (seed, j), ledger, width).draw(p)
-        queries += p
-        pivot = int(ws[0])
-        cset = _absorb_samples(Eliminator(width), ws ^ pivot)
+        cset, pivot = _constancy(width, ws)
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
-            found = False
             break
         for row in cset.rows.values():
             elim.absorb(*row)
         if elim.rank == width:
-            found = False
             break
 
+    found = not comps[-1].trivial and elim.rank < width
     inter = elim.solution()
     a = alpha = None
     if found:
@@ -199,7 +217,7 @@ def find_vector_structures(
         alpha = 0
         for ev in comps:
             alpha |= dot(a, ev.pivot) << (F.n - ev.j)
-    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p, queries)
+    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p, p * len(comps))
 
 
 def find_common_zero_structure(
@@ -214,23 +232,15 @@ def find_common_zero_structure(
     recovery: per output bit the system is {a . w = 0} over its samples, and
     the sets are intersected with early exit once only 0 survives.
     """
-    p = default_sample_count(F.m) if p is None else int(p)
-    if p < 1:
-        raise ValueError(f"sample count must be positive, got {p}")
-
+    _, p = search_shape(F.m, None, p)
     elim = Eliminator(F.m)
-    queries = 0
-    done = 0
-    found = True
     for j in range(1, F.n + 1):
         ws = BvSampler(F.component(j), (seed, j), ledger).draw(p)
-        queries += p
-        done = j
         _absorb_samples(elim, ws)
         if elim.rank == F.m:
-            found = False
             break
 
+    found = elim.rank < F.m
     inter = elim.solution()
     a = inter.smallest_nonzero() if found else None
-    return ZeroStructureResult(found, a, inter, done, p, queries)
+    return ZeroStructureResult(found, a, inter, j, p, p * j)

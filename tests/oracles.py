@@ -10,14 +10,15 @@ the end.  The sampler draws from the squared coefficients of the package's
 `walsh_spectrum` over the whole support, as the reference that the
 truncated (marginal-law) sampler must equal draw for draw.  The chained
 searches replay the package's own sampler streams through per-component
-solution sets and pairwise `intersect`, as the reference that the
-running-eliminator searches must equal field for field.
+`solve` and pairwise `intersect`, as the reference that the per-bit
+eliminator searches must equal field for field.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from bvattack.attacks import ImpossibleCertificate, ImpossibleFindReport
 from bvattack.boolfn import walsh_spectrum
 from bvattack.bv import BvSampler
 from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
@@ -213,3 +214,19 @@ def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
         if inter.is_trivial:
             return ZeroStructureResult(False, None, inter, done, p, p * done)
     return ZeroStructureResult(True, inter.smallest_nonzero(), inter, done, p, p * done)
+
+
+def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindReport:
+    """find_impossible_differential as per-bit draws and two solves per bit:
+    a nonzero solution of {a . w = 0} forbids the derivative value 1, one of
+    {a . w = 1} forbids 0; the first bit with either gives the smallest."""
+    for j in range(1, G.n + 1):
+        ws = BvSampler(G.component(j), (seed, j), width=x_bits).draw(p).tolist()
+        cands = []
+        for c in (0, 1):
+            a = solve(LinearSystem(x_bits, tuple((w, c) for w in ws))).smallest_nonzero()
+            if a is not None:
+                cands.append((a, 1 - c))
+        if cands:
+            return ImpossibleFindReport(True, ImpossibleCertificate(j, *min(cands)), p, p * j)
+    return ImpossibleFindReport(False, None, p, p * G.n)

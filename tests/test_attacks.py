@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bvattack.attacks import (
     InsufficientDataError,
@@ -18,7 +20,7 @@ from bvattack.attacks import (
     recover_em_key,
     small_probability_attack,
 )
-from bvattack.boolfn import VectorFunction
+from bvattack.boolfn import VectorFunction, random_vector_function
 from bvattack.bv import QueryLedger
 from bvattack.ciphers import (
     EvenMansour,
@@ -28,9 +30,10 @@ from bvattack.ciphers import (
     random_permutation,
     toy_reduced_family,
 )
+from bvattack.experiments import planted_vector
 from bvattack.rng import seeded_rng
 
-from oracles import key_match_counts_direct
+from oracles import chained_impossible_search, key_match_counts_direct
 
 TRIALS = 30
 
@@ -233,6 +236,25 @@ def test_impossible_search_finds_planted_certificate():
     assert cert.a == 3
     assert rep.queries == rep.p  # stopped after one component
     assert impossible_certificate_valid(tc.public, cert)
+
+
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**30), st.data())
+def test_impossible_search_equals_chained_reference(m, n, key, data):
+    rng = seeded_rng(key, 358)
+    planted = data.draw(st.booleans())
+    G = planted_vector(m, n, rng)[0] if planted else random_vector_function(m, n, rng)
+    x_bits = data.draw(st.integers(1, m))
+    p = data.draw(st.integers(1, 4 * x_bits))
+    got = find_impossible_differential(G, x_bits, (key, 359), p=p)
+    assert got == chained_impossible_search(G, x_bits, p, (key, 359))
+
+
+def test_impossible_search_on_toy_families_equals_chained_reference():
+    for t, kind in enumerate(("weak", "strong", "weak", "strong")):
+        G = toy_reduced_family(ToyCipher.generate(4, kind, seed=(360, t)).public)
+        for p in (1, 3, 16):
+            got = find_impossible_differential(G, 4, (361, t), p=p)
+            assert got == chained_impossible_search(G, 4, p, (361, t))
 
 
 def test_certificate_validity_against_manual_sweep():

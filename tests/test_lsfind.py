@@ -20,7 +20,7 @@ from bvattack.lsfind import (
     find_common_zero_structure,
     find_vector_structures,
 )
-from bvattack.gf2 import AffineSolutionSet
+from bvattack.gf2 import AffineSolutionSet, Eliminator, LinearSystem, solve
 from bvattack.rng import seeded_rng
 
 from oracles import chained_vector_search, chained_zero_search
@@ -72,6 +72,53 @@ def test_constant_function_degenerates_to_full_space():
     assert res.zero_set.size == 8
     assert res.one_set.is_empty
     assert res.smallest_candidate() == (1, 0)
+
+
+def _reference_function(kind: str, n: int, rng) -> BooleanFunction:
+    """A random, affine, constant or bent (inner-product) function; bent
+    ones round n up to even."""
+    if kind == "bent":
+        return inner_product_function(n + (n & 1))
+    xs = np.arange(1 << n)
+    if kind == "random":
+        return random_boolean_function(n, rng)
+    a = int(rng.integers(0, 1 << n)) if kind == "affine" else 0
+    return BooleanFunction(n, (np.bitwise_count(xs & a) & 1) ^ int(rng.integers(0, 2)))
+
+
+@given(st.sampled_from(["random", "affine", "constant", "bent"]), st.integers(1, 7),
+       st.integers(0, 2**30), st.data())
+def test_boolean_sets_equal_reference_solve(kind, n, key, data):
+    """zero_set and one_set are the solutions of {a . w = 0} and {a . w = 1}
+    over the samples, as the plain solve of all p rows finds them."""
+    f = _reference_function(kind, n, seeded_rng(key, 48))
+    width = data.draw(st.none() | st.integers(1, f.n))
+    p = data.draw(st.integers(1, 4 * f.n))
+    res = find_boolean_structures(f, p=p, seed=(key, 49), solve_width=width)
+    w = f.n if width is None else width
+    ws = res.samples.tolist()
+    assert len(ws) == p and all(0 <= s < 1 << w for s in ws)
+    assert res.zero_set == solve(LinearSystem(w, tuple((s, 0) for s in ws)))
+    assert res.one_set == solve(LinearSystem(w, tuple((s, 1) for s in ws)))
+    assert res.found == (not (res.zero_set.is_trivial and res.one_set.is_trivial))
+
+
+def test_boolean_search_stops_absorbing_at_full_rank(monkeypatch):
+    """A bent 8-bit function yields all 256 outcomes; once the eliminator has
+    full rank further rows change nothing, so at most one absorb per distinct
+    sample is made."""
+    calls = []
+    absorb = Eliminator.absorb
+
+    def counting(self, w, c=0):
+        calls.append(w)
+        absorb(self, w, c)
+
+    monkeypatch.setattr(Eliminator, "absorb", counting)
+    res = find_boolean_structures(inner_product_function(8), p=2**12, seed=50)
+    assert len(np.unique(res.samples)) == 256
+    assert not res.found
+    assert len(calls) <= 256
 
 
 def test_sample_count_validation():

@@ -1,14 +1,19 @@
 """The benchmark (perfbench/run.py and perfbench/tracing.py) reaches into the
 package by name; a rename or deletion in the package would silently break a
-benchmark run, so every name it uses must still resolve."""
+benchmark run, so every name it uses must still resolve.  The scripts under
+scripts/ must still run to the end."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -63,3 +68,13 @@ def test_experiment_config_takes_the_benchmark_keywords():
 
     cfg = ExperimentConfig(which="T5", n=8, trials=30, seed=1)
     assert (cfg.which, cfg.n, cfg.trials, cfg.seed) == ("T5", 8, 30, 1)
+
+
+def test_attack_demo_runs():
+    # every attack once, the impossible sieve included, in a fresh interpreter
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "attack_demo.py")],
+                          env={**os.environ, "PYTHONPATH": path}, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "impossible differential sieve" in done.stdout
