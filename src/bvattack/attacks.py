@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import VectorFunction
+from .boolfn import VectorFunction, derivative_table
 from .bv import QueryLedger, check_draw_budget
 from .ciphers import (
     OracleFunction,
@@ -176,6 +176,19 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     return rng.integers(0, 1 << n, size=pairs, dtype=np.int64)
 
 
+def _toy_family(public: ToyCipherPublic, etable: VectorFunction) -> VectorFunction:
+    """The keyed family G(x || k) of a toy attack, after checking that the
+    encryption table maps the cipher's n-bit blocks."""
+    if (etable.m, etable.n) != (public.n, public.n):
+        raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {public.n} to {public.n}")
+    return toy_reduced_family(public)
+
+
+def _key_derivatives(G: VectorFunction, a: int) -> np.ndarray:
+    """D[x, k] = G(x ^ a || k) ^ G(x || k) for a keyed family G with n data and n output bits."""
+    return derivative_table(G, a << (G.m - G.n)).reshape(1 << G.n, -1)
+
+
 def _guess_differences(oracle: OracleFunction, inv_last: np.ndarray, a: int, pairs: int,
                        rng: np.random.Generator):
     """Query `pairs` plaintext pairs with difference a, then yield, for each
@@ -233,7 +246,7 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     p = default_sample_count(n) if p is None else int(p)
     pairs = 8 * n if pairs is None else int(pairs)
 
-    G = toy_reduced_family(public)
+    G = _toy_family(public, etable)
     ledger = QueryLedger()
     res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
     if not res.found:
@@ -247,21 +260,19 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
                                     p, pairs, q, ledger.snapshot())
 
 
-def differential_match_counts(public: ToyCipherPublic, a: int, alpha: int) -> np.ndarray:
-    """Exhaustive per-key counts of x with F_k(x ^ a) = F_k(x) ^ alpha."""
-    y = public.reduced_encrypt_all_keys()
-    xs = np.arange(1 << public.n)
-    diff = y[:, xs ^ a] ^ y
-    return (diff == alpha).sum(axis=1)
+def differential_match_counts(G: VectorFunction, a: int, alpha: int) -> np.ndarray:
+    """Exhaustive per-key counts of x with F_k(x ^ a) = F_k(x) ^ alpha, over
+    the keyed family G(x || k) of toy_reduced_family."""
+    return (_key_derivatives(G, a) == alpha).sum(axis=0)
 
 
-def key_fraction_meeting(public: ToyCipherPublic, a: int, alpha: int,
+def key_fraction_meeting(G: VectorFunction, a: int, alpha: int,
                          threshold: Fraction) -> Fraction:
-    """Exact fraction of master keys whose differential probability meets
-    the threshold."""
-    counts = differential_match_counts(public, a, alpha)
+    """Exact fraction of master keys of the keyed family G whose
+    differential probability meets the threshold."""
+    counts = differential_match_counts(G, a, alpha)
     num, den = threshold.numerator, threshold.denominator
-    good = int(np.count_nonzero(counts * den >= num * (1 << public.n)))
+    good = int(np.count_nonzero(counts * den >= num * (1 << G.n)))
     return Fraction(good, len(counts))
 
 
@@ -303,7 +314,7 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
     p = (n ** 3) * (l ** 2) * (q ** 2) if p is None else int(p)
     pairs = l * l
 
-    G = toy_reduced_family(public)
+    G = _toy_family(public, etable)
     ledger = QueryLedger()
     res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
     if not res.found:
@@ -362,13 +373,10 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
     return ImpossibleFindReport(False, None, p, p * G.n)
 
 
-def impossible_certificate_valid(public: ToyCipherPublic, cert: ImpossibleCertificate) -> bool:
-    """Exhaustive sweep over every plaintext and key: the certified
-    derivative bit must never take the forbidden value."""
-    y = public.reduced_encrypt_all_keys()
-    xs = np.arange(1 << public.n)
-    diff = y[:, xs ^ cert.a] ^ y
-    bit = (diff >> (public.n - cert.j)) & 1
+def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:
+    """Exhaustive sweep of the keyed family G over every plaintext and key:
+    the certified derivative bit must never take the forbidden value."""
+    bit = (_key_derivatives(G, cert.a) >> (G.n - cert.j)) & 1
     return not bool(np.any(bit == cert.forbidden))
 
 
@@ -399,7 +407,7 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     if pairs < 0:
         raise ValueError(f"pairs cannot be negative, got {pairs}")
 
-    G = toy_reduced_family(public)
+    G = _toy_family(public, etable)
     ledger = QueryLedger()
     res = find_impossible_differential(G, n, seed, p=p, ledger=ledger)
     all_keys = tuple(range(1 << n))
@@ -408,7 +416,7 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
                                      ledger.snapshot())
 
     cert = res.certificate
-    valid = impossible_certificate_valid(public, cert)
+    valid = impossible_certificate_valid(G, cert)
     if not valid or pairs == 0:
         return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, res.p,
                                      ledger.snapshot())

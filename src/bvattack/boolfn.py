@@ -193,11 +193,12 @@ def dot_array(ws: np.ndarray, a: int) -> np.ndarray:
     return (np.bitwise_count(np.asarray(ws, dtype=np.int64) & a) & 1).astype(np.uint8)
 
 
-def derivative_table(f: BooleanFunction, a: int) -> np.ndarray:
-    """Bit table of x -> f(x ^ a) ^ f(x)."""
-    if not 0 <= a < (1 << f.n):
-        raise ValueError(f"direction {a:#x} does not fit in {f.n} bits")
-    xs = np.arange(1 << f.n)
+def derivative_table(f: BooleanFunction | VectorFunction, a: int) -> np.ndarray:
+    """Table of x -> f(x ^ a) ^ f(x): words for a vector f, bits for a boolean f."""
+    size = len(f.table)
+    if not 0 <= a < size:
+        raise ValueError(f"direction {a:#x} does not fit in {size.bit_length() - 1} bits")
+    xs = np.arange(size)
     return f.table[xs ^ a] ^ f.table
 
 

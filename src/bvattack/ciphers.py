@@ -86,6 +86,15 @@ def rotr1(v: int, n: int) -> int:
     return ((v >> 1) | ((v & 1) << (n - 1))) & ((1 << n) - 1)
 
 
+def _bijection(t, n: int, name: str) -> np.ndarray:
+    """t as a read-only int64 table, checked to be a bijection on n-bit words."""
+    arr = np.ascontiguousarray(t, dtype=np.int64)
+    if arr.shape != (1 << n,) or not np.array_equal(np.sort(arr), np.arange(1 << n)):
+        raise ValueError(f"{name} must be a bijection on n-bit words")
+    arr.setflags(write=False)
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # 3-round Feistel
 
@@ -172,12 +181,9 @@ class EvenMansour:
     __slots__ = ("n", "perm", "k1", "k2")
 
     def __init__(self, n: int, perm, k1: int, k2: int) -> None:
-        arr = np.ascontiguousarray(perm, dtype=np.int64)
-        if arr.shape != (1 << n,) or len(np.unique(arr)) != (1 << n):
-            raise ValueError("perm must be a bijection on n-bit words")
+        arr = _bijection(perm, n, "perm")
         if not (0 <= k1 < (1 << n) and 0 <= k2 < (1 << n)):
             raise ValueError("keys must be n-bit words")
-        arr.setflags(write=False)
         self.n = n
         self.perm = arr
         self.k1 = k1
@@ -237,8 +243,8 @@ def weak_sbox(n: int, seed: int) -> np.ndarray:
     return sbox
 
 
-def _round_keys(master: int, n: int, rounds: int) -> list[int]:
-    # round i takes the i-th n-bit slice of the master key, most significant first
+def _round_keys(master, n: int, rounds: int) -> list:
+    # round i takes the i-th n-bit slice of master (an int or int array), most significant first
     kb = (rounds - 1) * n
     return [(master >> (kb - i * n)) & ((1 << n) - 1) for i in range(1, rounds)]
 
@@ -266,12 +272,8 @@ class ToyCipherPublic:
 
     def __post_init__(self) -> None:
         _check_toy_shape(self.n, self.rounds)
-        for name, t in (("sbox", self.sbox), ("last_sbox", self.last_sbox)):
-            arr = np.ascontiguousarray(t, dtype=np.int64)
-            if arr.shape != (1 << self.n,) or len(np.unique(arr)) != (1 << self.n):
-                raise ValueError(f"{name} must be a bijection on n-bit words")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("sbox", "last_sbox"):
+            object.__setattr__(self, name, _bijection(getattr(self, name), self.n, name))
 
     @property
     def key_bits(self) -> int:
@@ -282,16 +284,17 @@ class ToyCipherPublic:
         inv[self.last_sbox] = np.arange(1 << self.n)
         return inv
 
+    def keyed_rounds(self, keys) -> np.ndarray:
+        """Matrix Y[i, x] = keyed rounds y -> rotl1(S(y ^ k_j)) on x under master key keys[i]."""
+        round_fn = rotl1(self.sbox, self.n)  # y -> rotl1(S(y)) as one table
+        y = np.arange(1 << self.n)
+        for ki in _round_keys(np.asarray(keys, dtype=np.int64)[:, None], self.n, self.rounds):
+            y = round_fn[y ^ ki]
+        return y
+
     def reduced_encrypt_all_keys(self) -> np.ndarray:
         """Matrix Y[k, x] = value of the keyed rounds on x under key k."""
-        n, kb = self.n, self.key_bits
-        ks = np.arange(1 << kb)
-        y = np.broadcast_to(np.arange(1 << n), (1 << kb, 1 << n)).copy()
-        for i in range(1, self.rounds):
-            ki = ((ks >> (kb - i * n)) & ((1 << n) - 1))[:, None]
-            y = self.sbox[y ^ ki]
-            y = ((y << 1) | (y >> (n - 1))) & ((1 << n) - 1)
-        return y
+        return self.keyed_rounds(np.arange(1 << self.key_bits))
 
 
 def toy_reduced_family(public: ToyCipherPublic) -> VectorFunction:
@@ -355,19 +358,9 @@ class ToyCipher:
     def rounds(self) -> int:
         return self.public.rounds
 
-    def reduced_table(self) -> VectorFunction:
-        """x -> input of the final round, under this instance's master key."""
-        n = self.n
-        ys = np.arange(1 << n)
-        for ki in _round_keys(self.master_key, n, self.rounds):
-            ys = self.public.sbox[ys ^ ki]
-            ys = ((ys << 1) | (ys >> (n - 1))) & ((1 << n) - 1)
-        return VectorFunction(n, n, ys)
-
     def encrypt_table(self) -> VectorFunction:
-        reduced = self.reduced_table().table
-        return VectorFunction(self.n, self.n,
-                              self.public.last_sbox[reduced] ^ self.last_key)
+        reduced = self.public.keyed_rounds([self.master_key])[0]
+        return VectorFunction(self.n, self.n, self.public.last_sbox[reduced] ^ self.last_key)
 
     def decrypt(self, c: int) -> int:
         n = self.n

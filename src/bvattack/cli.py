@@ -47,7 +47,6 @@ from .experiments import (
     load_experiment_config,
     run_experiment,
 )
-from .gf2 import EnumerationCapError
 from .lsfind import find_boolean_structures, find_vector_structures
 from .rng import seeded_rng
 
@@ -153,30 +152,19 @@ def _cmd_distinguish_feistel(args) -> tuple[dict, int]:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     params = {"n": n, "target": args.target, "seed": args.seed, "p": args.p,
               "trials": args.trials}
-    quantum = classical = 0
+    quantum = classical = yes = 0
+    for t in range(args.trials):
+        rep = distinguish_feistel(_trial_oracle(args.target, n, args.seed, t),
+                                  seed=(args.seed, 202, t), p=args.p)
+        yes += bool(rep.verdict)
+        quantum += rep.queries["quantum"]
+        classical += rep.queries["classical"]
+    params["p"] = rep.p
     if args.trials == 1:
-        rep = distinguish_feistel(_trial_oracle(args.target, n, args.seed, 0),
-                                  seed=(args.seed, 202, 0), p=args.p)
-        quantum, classical = rep.queries["quantum"], rep.queries["classical"]
-        params["p"] = rep.p
-        result = {
-            "trials": 1,
-            "verdict": rep.verdict,
-            "candidate": rep.candidate,
-            "s0": rep.s0,
-            "s1": rep.s1,
-            "probe": rep.probe,
-        }
+        result = {"trials": 1, "verdict": rep.verdict, "candidate": rep.candidate,
+                  "s0": rep.s0, "s1": rep.s1, "probe": rep.probe}
         code = 0 if rep.verdict else 1
     else:
-        yes = 0
-        for t in range(args.trials):
-            rep = distinguish_feistel(_trial_oracle(args.target, n, args.seed, t),
-                                      seed=(args.seed, 202, t), p=args.p)
-            yes += bool(rep.verdict)
-            quantum += rep.queries["quantum"]
-            classical += rep.queries["classical"]
-        params["p"] = rep.p
         result = {"trials": args.trials, "yes": yes, "yes_rate": yes / args.trials}
         code = 0
     return _report("distinguish-feistel", params, result,
@@ -410,7 +398,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except (ValueError, OSError, EnumerationCapError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2) + "\n"

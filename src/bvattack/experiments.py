@@ -41,6 +41,7 @@ from .boolfn import (
     WalshSpectrum,
     autocorrelation,
     derivative_count,
+    derivative_table,
     linear_structures_exhaustive,
     random_boolean_function,
     structure_free_uniformity,
@@ -146,6 +147,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least 30 trials for rate estimates, got {self.trials}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        if not 0 <= self.z < math.inf:
+            raise ValueError(f"z must be finite and non-negative, got {self.z}")
         bits = self.n * _VARIANT_WIDTH.get((self.which, self.variant), _EXPERIMENTS[self.which][2])
         if bits > MAX_WIDTH:
             raise ValueError(f"{self.which} at n = {self.n} needs {bits}-bit tables, over {MAX_WIDTH}")
@@ -247,8 +250,7 @@ def _structure_free_function(n: int, rng: np.random.Generator) -> BooleanFunctio
 
 
 def _joint_defect(F: VectorFunction, a: int, alpha: int) -> float:
-    xs = np.arange(1 << F.m)
-    match = int(np.count_nonzero((F.table[xs ^ a] ^ F.table) == alpha))
+    match = int(np.count_nonzero(derivative_table(F, a) == alpha))
     return 1.0 - match / (1 << F.m)
 
 
@@ -507,7 +509,8 @@ def _run_t6(cfg: ExperimentConfig) -> ExperimentResult:
     for cipher, rep in _weak_toy_runs(cfg, 170, differential_attack, q=q):
         if rep.a == 3 and rep.alpha == 3:
             planted += 1
-        if key_fraction_meeting(cipher.public, rep.a, rep.alpha, threshold) >= threshold:
+        G = toy_reduced_family(cipher.public)
+        if key_fraction_meeting(G, rep.a, rep.alpha, threshold) >= threshold:
             coverage_ok += 1
         if rep.recovered_last_key == cipher.last_key:
             recovered += 1

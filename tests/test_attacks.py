@@ -174,7 +174,7 @@ def test_match_counts_against_manual_loop():
     tc = ToyCipher.generate(3, "strong", seed=335)
     pub = tc.public
     a, alpha = 0b101, 0b010
-    counts = differential_match_counts(pub, a, alpha)
+    counts = differential_match_counts(toy_reduced_family(pub), a, alpha)
     y = pub.reduced_encrypt_all_keys()
     for k in range(1 << pub.key_bits):
         manual = sum(1 for x in range(8) if int(y[k, x ^ a]) ^ int(y[k, x]) == alpha)
@@ -184,9 +184,10 @@ def test_match_counts_against_manual_loop():
 def test_key_fraction_for_planted_weak_differential():
     # the weak pairing keeps difference 3 -> 3 through every key
     tc = ToyCipher.generate(4, "weak", seed=336)
-    assert key_fraction_meeting(tc.public, 3, 3, Fraction(1)) == Fraction(1)
+    G = toy_reduced_family(tc.public)
+    assert key_fraction_meeting(G, 3, 3, Fraction(1)) == Fraction(1)
     # and no key does better than chance at an unrelated output difference
-    assert key_fraction_meeting(tc.public, 3, 5, Fraction(1)) == Fraction(0)
+    assert key_fraction_meeting(G, 3, 5, Fraction(1)) == Fraction(0)
 
 
 # --- small-probability attack -----------------------------------------------------------
@@ -235,7 +236,7 @@ def test_impossible_search_finds_planted_certificate():
     assert cert.j == 1  # first component already carries the planted relation
     assert cert.a == 3
     assert rep.queries == rep.p  # stopped after one component
-    assert impossible_certificate_valid(tc.public, cert)
+    assert impossible_certificate_valid(G, cert)
 
 
 @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**30), st.data())
@@ -273,7 +274,7 @@ def test_certificate_validity_against_manual_sweep():
     from bvattack.attacks import ImpossibleCertificate
     for j, a, i in ((1, 3, 1), (1, 3, 0), (2, 3, 1), (1, 1, 0), (3, 5, 1)):
         cert = ImpossibleCertificate(j, a, i)
-        assert impossible_certificate_valid(pub, cert) == manual(j, a, i)
+        assert impossible_certificate_valid(toy_reduced_family(pub), cert) == manual(j, a, i)
 
 
 def test_impossible_attack_never_kills_true_key():
@@ -302,6 +303,33 @@ def test_impossible_attack_flags_bogus_certificate():
     assert rep.alive == tuple(range(16))
     assert rep.queries["classical"] == 0
     assert tc.last_key in rep.alive
+
+
+def test_impossible_attack_tabulates_the_family_once(monkeypatch):
+    from bvattack.ciphers import ToyCipherPublic
+
+    calls = []
+    build = ToyCipherPublic.reduced_encrypt_all_keys
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", counted)
+    tc = ToyCipher.generate(4, "weak", seed=355)
+    rep = impossible_attack(tc.public, tc.encrypt_table(), seed=356)
+    assert rep.certificate_valid  # the certificate check ran on the same family
+    assert calls == [tc.public]
+
+
+def test_toy_attacks_reject_mismatched_etable():
+    tc = ToyCipher.generate(4, "weak", seed=357)
+    wide = ToyCipher.generate(5, "weak", seed=357).encrypt_table()
+    for attack, kw in ((differential_attack, {"q": 2}),
+                       (small_probability_attack, {"q": 2, "l": 2}),
+                       (impossible_attack, {})):
+        with pytest.raises(ValueError, match="etable maps 5 to 5 bits"):
+            attack(tc.public, wide, seed=1, **kw)
 
 
 def test_impossible_attack_validation():

@@ -14,6 +14,7 @@ from bvattack.boolfn import (
     autocorrelation,
     derivative_count,
     derivative_count_via_spectrum,
+    derivative_table,
     differential_uniformity,
     format_word_block,
     linear_structures_exhaustive,
@@ -166,6 +167,16 @@ def test_structures_via_spectrum_match_exhaustive(n, key):
 def test_vector_structures_match_oracle(m, n, key):
     F = random_vector_function(m, n, seeded_rng(key, 7))
     assert vector_structures_exhaustive(F) == vector_structures_direct(F.table, m, n)
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**30), st.data())
+def test_vector_derivative_table_matches_loop(m, n, key, data):
+    F = random_vector_function(m, n, seeded_rng(key, 11))
+    a = data.draw(st.integers(0, (1 << m) - 1))
+    want = [F(x ^ a) ^ F(x) for x in range(1 << m)]
+    assert derivative_table(F, a).tolist() == want
+    with pytest.raises(ValueError):
+        derivative_table(F, 1 << m)
 
 
 # --- containers and validation -----------------------------------------------

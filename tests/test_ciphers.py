@@ -164,6 +164,8 @@ def test_em_validation():
         EvenMansour(2, np.array([0, 0, 1, 2]), 1, 0)  # not a bijection
     with pytest.raises(ValueError):
         EvenMansour(2, np.arange(4), 7, 0)  # k1 out of range
+    with pytest.raises(ValueError):
+        EvenMansour(2, np.array([0, 1, 2, 4]), 1, 0)  # distinct but not 2-bit words
 
 
 # --- keyed substitution cipher ----------------------------------------------------
@@ -234,6 +236,15 @@ def test_reduced_family_indexing(n, key):
             assert G((x << kb) | k) == int(y[k, x])
 
 
+@given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 2**30), st.data())
+def test_keyed_rounds_are_rows_of_the_all_keys_matrix(n, rounds, key, data):
+    pub = ToyCipher.generate(n, "strong", seed=(key, 9), rounds=rounds).public
+    keys = data.draw(st.lists(st.integers(0, (1 << pub.key_bits) - 1), min_size=1, max_size=5))
+    y = pub.keyed_rounds(keys)
+    assert y.shape == (len(keys), 1 << n)
+    assert np.array_equal(y, pub.reduced_encrypt_all_keys()[keys])
+
+
 def test_weak_family_has_exact_joint_structure():
     tc = ToyCipher.generate(4, "weak", seed=11)
     G = toy_reduced_family(tc.public)
@@ -250,6 +261,8 @@ def test_toy_validation():
     bad[0] = 1
     with pytest.raises(ValueError):
         ToyCipherPublic(4, 3, bad, s)
+    with pytest.raises(ValueError, match="last_sbox"):
+        ToyCipherPublic(4, 3, s, s + 1)  # distinct, but 16 is not a 4-bit word
     with pytest.raises(ValueError):
         ToyCipher.generate(4, "odd-preset", seed=0)
 

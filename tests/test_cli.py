@@ -1,6 +1,7 @@
 """Command line contract: report schema, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ def test_malformed_cipher_files_exit_two(capsys, tmp_path, monkeypatch):
     assert err.count("error:") == 3 and "n * rounds" in err
 
 
+def test_toy_attacks_reject_mismatched_etable(capsys, tmp_path, monkeypatch, toy_file):
+    from bvattack.ciphers import ToyCipher, ToyCipherPublic, save_cipher
+
+    def unreachable(self):
+        raise AssertionError("keyed family built before the etable check")
+
+    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", unreachable)
+    # the etable section of an n=5 toy file spliced into the n=4 one
+    wide = tmp_path / "wide.txt"
+    save_cipher(wide, ToyCipher.generate(5, seed=51))
+    head = Path(toy_file).read_text().split("table etable")[0]
+    spliced = tmp_path / "spliced.txt"
+    spliced.write_text(head + "table etable" + wide.read_text().split("table etable")[1])
+    for argv in (["attack-diff", "--q", "2"], ["attack-smallprob", "--q", "2", "--l", "2"],
+                 ["attack-impossible"]):
+        assert main([argv[0], str(spliced), "--seed", "1", *argv[1:]]) == 2
+    assert capsys.readouterr().err.count("etable maps 5 to 5 bits") == 3
+
+
 def test_diff_attack_flow(capsys, toy_file):
     code, rep = run(capsys, "attack-diff", toy_file, "--seed", "53", "--q", "4")
     assert code == 0
@@ -317,6 +337,16 @@ def test_verify_theorems_rejects_malformed_config(capsys, tmp_path):
     assert capsys.readouterr().err.count("error:") == 3
     assert main(["verify-theorems", "--which", "T2", "--variant", "bogus", "--seed", "1"]) == 2
     assert "unknown variant" in capsys.readouterr().err
+
+
+def test_verify_theorems_rejects_non_finite_or_negative_z(capsys, tmp_path):
+    for z in ("nan", "inf", "-1"):
+        assert main(["verify-theorems", "--which", "T5", "--seed", "1", "--z", z]) == 2
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"which": "T5", "seed": 1, "z": 1e999}')
+    assert main(["verify-theorems", "--config", str(cfg), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("z must be") == 4
 
 
 def test_gen_cipher_guards(capsys, tmp_path):

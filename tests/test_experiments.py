@@ -62,6 +62,11 @@ def test_config_validation():
         ExperimentConfig(which="T1", n=4, trials=29, seed=1)
     with pytest.raises(ValueError):
         ExperimentConfig(which="T1", n=0, trials=100, seed=1)
+    # the report records z as a JSON number, and a negative z tightens every check
+    for z in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="z must be"):
+            ExperimentConfig(which="T1", n=4, trials=100, seed=1, z=z)
+    ExperimentConfig(which="T1", n=4, trials=100, seed=1, z=0)
     # --which all passes one variant to every experiment, so all of them check it
     for which in ALL_EXPERIMENTS:
         with pytest.raises(ValueError, match="unknown variant"):
