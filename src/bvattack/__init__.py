@@ -28,7 +28,7 @@ from .boolfn import (
 from .bv import BvSampler, QueryLedger
 from .ciphers import EvenMansour, Feistel3, ToyCipher, load_cipher, save_cipher
 from .experiments import ExperimentConfig, run_experiment
-from .gf2 import AffineSolutionSet, EnumerationCapError, LinearSystem, solve
+from .gf2 import AffineSolutionSet, EnumerationCapError
 from .lsfind import (
     find_boolean_structures,
     find_common_zero_structure,
@@ -52,7 +52,6 @@ __all__ = [
     "ImpossibleCertificate",
     "ImpossibleSieveReport",
     "InsufficientDataError",
-    "LinearSystem",
     "MAX_WIDTH",
     "QueryLedger",
     "SmallProbabilityReport",
@@ -73,7 +72,6 @@ __all__ = [
     "save_function",
     "seeded_rng",
     "small_probability_attack",
-    "solve",
     "walsh_spectrum",
     "__version__",
 ]

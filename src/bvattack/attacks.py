@@ -349,7 +349,6 @@ class ImpossibleFindReport:
     found: bool
     certificate: ImpossibleCertificate | None
     p: int
-    queries: int
 
 
 def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
@@ -369,8 +368,8 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
         cand = res.smallest_candidate()
         if cand is not None:
             a, i = cand
-            return ImpossibleFindReport(True, ImpossibleCertificate(j, a, 1 - i), p, p * j)
-    return ImpossibleFindReport(False, None, p, p * G.n)
+            return ImpossibleFindReport(True, ImpossibleCertificate(j, a, 1 - i), p)
+    return ImpossibleFindReport(False, None, p)
 
 
 def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:

@@ -35,13 +35,11 @@ __all__ = [
     "dot_array",
     "derivative_table",
     "derivative_count",
-    "structure_defect",
     "differential_uniformity",
     "structure_free_uniformity",
     "linear_structures_exhaustive",
     "vector_structures_exhaustive",
     "restricted_spectral_mass",
-    "derivative_count_via_spectrum",
     "linear_structures_via_spectrum",
     "random_boolean_function",
     "random_vector_function",
@@ -210,14 +208,6 @@ def derivative_count(f: BooleanFunction, a: int, i: int) -> int:
     return int(np.count_nonzero(d == i))
 
 
-def structure_defect(f: BooleanFunction, a: int, i: int) -> Fraction:
-    """Fraction of inputs where the derivative in direction a is not i.
-
-    Zero exactly when a is a structure of f with constant derivative i.
-    """
-    return Fraction((1 << f.n) - derivative_count(f, a, i), 1 << f.n)
-
-
 def differential_uniformity(f: BooleanFunction) -> Fraction:
     """Largest derivative bias: max over a != 0 and i of Pr_x[derivative = i]."""
     size = 1 << f.n
@@ -265,15 +255,6 @@ def restricted_spectral_mass(spec: WalshSpectrum, a: int, i: int) -> int:
     sel = dot_array(ws, a) == i
     c = spec.coeffs[sel]
     return int(np.sum(c * c))
-
-
-def derivative_count_via_spectrum(spec: WalshSpectrum, a: int, i: int) -> Fraction:
-    """Derivative count recovered from the spectrum alone.
-
-    Equals derivative_count(f, a, i) exactly for the matching f; the division
-    by 2^n is always exact, which the tests assert.
-    """
-    return Fraction(restricted_spectral_mass(spec, a, i), 1 << spec.n)
 
 
 def linear_structures_via_spectrum(spec: WalshSpectrum) -> tuple[list[int], list[int]]:

@@ -102,7 +102,7 @@ class BvSampler:
     from 2^12 draws and one per table entry on, the index table, built by the
     first such draw and kept."""
 
-    __slots__ = ("n", "outcomes", "ledger", "draws", "_cum", "_rng", "_bits", "_index")
+    __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng", "_bits", "_index")
 
     def __init__(self, f: BooleanFunction, seed_key, ledger: QueryLedger | None = None,
                  width: int | None = None) -> None:
@@ -120,7 +120,6 @@ class BvSampler:
         self._cum = np.cumsum(masses[support], dtype=np.int64)
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
-        self.draws = 0
         # about four buckets per outcome, at most one per value of u
         self._bits = min((len(support) - 1).bit_length() + 2, 2 * f.n)
         self._index = None
@@ -140,7 +139,6 @@ class BvSampler:
                 idx += u >= self._cum[idx]
         else:
             idx = np.searchsorted(self._cum, u, side="right")
-        self.draws += count
         if self.ledger is not None:
             self.ledger.add_quantum(count)
         return self.outcomes[idx]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boolfn import MAX_WIDTH, VectorFunction, format_word_block, parse_word_block
+from .boolfn import MAX_WIDTH, VectorFunction, _check_width, format_word_block, parse_word_block
 from .bv import QueryLedger
 from .rng import seeded_rng
 
@@ -109,6 +109,7 @@ class Feistel3:
     __slots__ = ("n", "p1", "p2", "p3")
 
     def __init__(self, n: int, p1, p2, p3) -> None:
+        _check_width(2 * n, "Feistel block width 2n")
         self.n = n
         tables = []
         for t in (p1, p2, p3):
@@ -121,6 +122,7 @@ class Feistel3:
 
     @classmethod
     def random(cls, n: int, seed) -> "Feistel3":
+        _check_width(2 * n, "Feistel block width 2n")  # before any table is built
         rounds = [
             seeded_rng(seed, i).integers(0, 1 << n, size=1 << n, dtype=np.int64)
             for i in (1, 2, 3)
@@ -174,13 +176,13 @@ class EvenMansour:
     """E(x) = P(x ^ k1) ^ k2 for a public random permutation P.
 
     k1 = 0 makes E ^ P constant, so every direction is a period and the key
-    recovery has no signal; generators therefore draw k1 nonzero unless
-    explicitly told otherwise.
+    recovery has no signal; the generator therefore draws k1 nonzero.
     """
 
     __slots__ = ("n", "perm", "k1", "k2")
 
     def __init__(self, n: int, perm, k1: int, k2: int) -> None:
+        _check_width(n, "n")
         arr = _bijection(perm, n, "perm")
         if not (0 <= k1 < (1 << n) and 0 <= k2 < (1 << n)):
             raise ValueError("keys must be n-bit words")
@@ -190,11 +192,11 @@ class EvenMansour:
         self.k2 = k2
 
     @classmethod
-    def random(cls, n: int, seed, allow_zero_k1: bool = False) -> "EvenMansour":
+    def random(cls, n: int, seed) -> "EvenMansour":
+        _check_width(n, "n")  # before the permutation is drawn
         perm = random_permutation(n, seeded_rng(seed, 1))
         rng = seeded_rng(seed, 2)
-        lo = 0 if allow_zero_k1 else 1
-        k1 = int(rng.integers(lo, 1 << n))
+        k1 = int(rng.integers(1, 1 << n))
         k2 = int(rng.integers(0, 1 << n))
         return cls(n, perm, k1, k2)
 
@@ -285,15 +287,17 @@ class ToyCipherPublic:
         return inv
 
     def keyed_rounds(self, keys) -> np.ndarray:
-        """Matrix Y[i, x] = keyed rounds y -> rotl1(S(y ^ k_j)) on x under master key keys[i]."""
+        """Matrix Y[x, i] = keyed rounds y -> rotl1(S(y ^ k_j)) on x under master
+        key keys[i]: keys on the last axis, so with every key in order the
+        flattened matrix is G(x || k)."""
         round_fn = rotl1(self.sbox, self.n)  # y -> rotl1(S(y)) as one table
-        y = np.arange(1 << self.n)
-        for ki in _round_keys(np.asarray(keys, dtype=np.int64)[:, None], self.n, self.rounds):
+        y = np.arange(1 << self.n)[:, None]
+        for ki in _round_keys(np.asarray(keys, dtype=np.int64)[None, :], self.n, self.rounds):
             y = round_fn[y ^ ki]
         return y
 
     def reduced_encrypt_all_keys(self) -> np.ndarray:
-        """Matrix Y[k, x] = value of the keyed rounds on x under key k."""
+        """Matrix Y[x, k] = value of the keyed rounds on x under key k."""
         return self.keyed_rounds(np.arange(1 << self.key_bits))
 
 
@@ -304,10 +308,8 @@ def toy_reduced_family(public: ToyCipherPublic) -> VectorFunction:
     attacker's own model of the cipher, so building it costs no oracle
     queries.
     """
-    y = public.reduced_encrypt_all_keys()
-    # index (x << key_bits) | k, so transpose [k, x] -> [x, k] then flatten
     return VectorFunction(public.n + public.key_bits, public.n,
-                          np.ascontiguousarray(y.T).reshape(-1))
+                          public.reduced_encrypt_all_keys().reshape(-1))
 
 
 class ToyCipher:
@@ -359,7 +361,7 @@ class ToyCipher:
         return self.public.rounds
 
     def encrypt_table(self) -> VectorFunction:
-        reduced = self.public.keyed_rounds([self.master_key])[0]
+        reduced = self.public.keyed_rounds([self.master_key])[:, 0]
         return VectorFunction(self.n, self.n, self.public.last_sbox[reduced] ^ self.last_key)
 
     def decrypt(self, c: int) -> int:

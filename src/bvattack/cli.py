@@ -40,6 +40,7 @@ from .boolfn import (
     structure_free_uniformity,
     walsh_spectrum,
 )
+from .bv import QueryLedger
 from .ciphers import EvenMansour, Feistel3, ToyCipher, load_cipher, random_permutation, save_cipher
 from .experiments import (
     ALL_EXPERIMENTS,
@@ -109,8 +110,9 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
 def _cmd_lsfind(args) -> tuple[dict, int]:
     fn = load_function(args.fn)
     params = {"fn": args.fn, "p": args.p, "seed": args.seed}
+    ledger = QueryLedger()
     if isinstance(fn, BooleanFunction):
-        res = find_boolean_structures(fn, p=args.p, seed=args.seed)
+        res = find_boolean_structures(fn, p=args.p, seed=args.seed, ledger=ledger)
         params["p"] = res.p
         result = {
             "kind": "boolean",
@@ -120,7 +122,7 @@ def _cmd_lsfind(args) -> tuple[dict, int]:
             "smallest_candidate": list(res.smallest_candidate() or []) or None,
         }
     else:
-        res = find_vector_structures(fn, p=args.p, seed=args.seed)
+        res = find_vector_structures(fn, p=args.p, seed=args.seed, ledger=ledger)
         result = {
             "kind": "vector",
             "found": res.found,
@@ -133,8 +135,7 @@ def _cmd_lsfind(args) -> tuple[dict, int]:
             ],
         }
         params["p"] = res.p
-    queries = {"quantum": res.queries, "classical": 0}
-    return _report("lsfind", params, result, queries), 0 if res.found else 1
+    return _report("lsfind", params, result, ledger.snapshot()), 0 if res.found else 1
 
 
 def _trial_oracle(target: str, n: int, seed, t: int) -> VectorFunction:
@@ -275,8 +276,6 @@ def _cmd_gen_cipher(args) -> tuple[dict, int]:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if kind == "feistel3":
-        if n > 12:
-            raise ValueError(f"feistel blocks are 2n bits; n = {n} is too wide to tabulate")
         cipher = Feistel3.random(n, seed=args.seed)
     elif kind == "even-mansour":
         if n > 20:

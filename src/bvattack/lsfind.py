@@ -104,7 +104,6 @@ class BooleanStructureResult:
     one_set: AffineSolutionSet
     samples: np.ndarray
     p: int
-    queries: int
 
     def smallest_candidate(self) -> tuple[int, int] | None:
         """Smallest nonzero candidate and its derivative value, or None."""
@@ -135,7 +134,6 @@ class VectorStructureResult:
     intersection: AffineSolutionSet
     components: tuple[ComponentEvidence, ...]
     p: int
-    queries: int
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,6 @@ class ZeroStructureResult:
     intersection: AffineSolutionSet
     components_done: int
     p: int
-    queries: int
 
 
 def find_boolean_structures(
@@ -171,7 +168,7 @@ def find_boolean_structures(
     cset, w0 = _constancy(width, ws)
     zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
     found = not (zero_set.is_trivial and one_set.is_trivial)
-    return BooleanStructureResult(found, zero_set, one_set, ws, p, p)
+    return BooleanStructureResult(found, zero_set, one_set, ws, p)
 
 
 def find_vector_structures(
@@ -217,7 +214,7 @@ def find_vector_structures(
         alpha = 0
         for ev in comps:
             alpha |= dot(a, ev.pivot) << (F.n - ev.j)
-    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p, p * len(comps))
+    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p)
 
 
 def find_common_zero_structure(
@@ -243,4 +240,4 @@ def find_common_zero_structure(
     found = elim.rank < F.m
     inter = elim.solution()
     a = inter.smallest_nonzero() if found else None
-    return ZeroStructureResult(found, a, inter, j, p, p * j)
+    return ZeroStructureResult(found, a, inter, j, p)

@@ -199,7 +199,7 @@ def chained_vector_search(F, p: int, seed, solve_width=None) -> VectorStructureR
         alpha = 0
         for ev in comps:
             alpha |= parity(a & ev.pivot) << (F.n - ev.j)
-    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p, p * len(comps))
+    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p)
 
 
 def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
@@ -212,8 +212,8 @@ def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
         done = j
         inter = intersect(inter, solve(LinearSystem(F.m, tuple((int(w), 0) for w in ws))))
         if inter.is_trivial:
-            return ZeroStructureResult(False, None, inter, done, p, p * done)
-    return ZeroStructureResult(True, inter.smallest_nonzero(), inter, done, p, p * done)
+            return ZeroStructureResult(False, None, inter, done, p)
+    return ZeroStructureResult(True, inter.smallest_nonzero(), inter, done, p)
 
 
 def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindReport:
@@ -228,5 +228,5 @@ def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindRep
             if a is not None:
                 cands.append((a, 1 - c))
         if cands:
-            return ImpossibleFindReport(True, ImpossibleCertificate(j, *min(cands)), p, p * j)
-    return ImpossibleFindReport(False, None, p, p * G.n)
+            return ImpossibleFindReport(True, ImpossibleCertificate(j, *min(cands)), p)
+    return ImpossibleFindReport(False, None, p)

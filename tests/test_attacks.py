@@ -177,7 +177,7 @@ def test_match_counts_against_manual_loop():
     counts = differential_match_counts(toy_reduced_family(pub), a, alpha)
     y = pub.reduced_encrypt_all_keys()
     for k in range(1 << pub.key_bits):
-        manual = sum(1 for x in range(8) if int(y[k, x ^ a]) ^ int(y[k, x]) == alpha)
+        manual = sum(1 for x in range(8) if int(y[x ^ a, k]) ^ int(y[x, k]) == alpha)
         assert int(counts[k]) == manual
 
 
@@ -230,12 +230,13 @@ def test_smallprob_validation():
 def test_impossible_search_finds_planted_certificate():
     tc = ToyCipher.generate(4, "weak", seed=350)
     G = toy_reduced_family(tc.public)
-    rep = find_impossible_differential(G, 4, seed=351)
+    led = QueryLedger()
+    rep = find_impossible_differential(G, 4, seed=351, ledger=led)
     assert rep.found
     cert = rep.certificate
     assert cert.j == 1  # first component already carries the planted relation
     assert cert.a == 3
-    assert rep.queries == rep.p  # stopped after one component
+    assert led.quantum == rep.p  # stopped after one component
     assert impossible_certificate_valid(G, cert)
 
 
@@ -266,7 +267,7 @@ def test_certificate_validity_against_manual_sweep():
     def manual(cert_j, cert_a, forbidden):
         for k in range(1 << pub.key_bits):
             for x in range(16):
-                d = int(y[k, x ^ cert_a]) ^ int(y[k, x])
+                d = int(y[x ^ cert_a, k]) ^ int(y[x, k])
                 if (d >> (4 - cert_j)) & 1 == forbidden:
                     return False
         return True

@@ -155,8 +155,6 @@ def test_em_difference_oracle_period(n, key):
 def test_em_zero_k1_only_when_allowed():
     ks = [EvenMansour.random(3, seed=(60, t)).k1 for t in range(60)]
     assert all(k >= 1 for k in ks)
-    allowed = [EvenMansour.random(3, seed=(61, t), allow_zero_k1=True).k1 for t in range(60)]
-    assert any(k == 0 for k in allowed)
 
 
 def test_em_validation():
@@ -166,6 +164,31 @@ def test_em_validation():
         EvenMansour(2, np.arange(4), 7, 0)  # k1 out of range
     with pytest.raises(ValueError):
         EvenMansour(2, np.array([0, 1, 2, 4]), 1, 0)  # distinct but not 2-bit words
+
+
+def test_feistel_and_em_widths_checked_before_any_table(monkeypatch):
+    from bvattack import ciphers
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("tables built before the width check")
+
+    for builder in ("seeded_rng", "random_permutation"):
+        monkeypatch.setattr(ciphers, builder, unreachable)
+    for n in (0, 13):
+        with pytest.raises(ValueError, match="2n must be"):
+            Feistel3.random(n, seed=1)
+        with pytest.raises(ValueError, match="2n must be"):
+            Feistel3(n, None, None, None)
+    for n in (0, 25, 30):
+        with pytest.raises(ValueError, match="n must be"):
+            EvenMansour.random(n, seed=1)
+        with pytest.raises(ValueError, match="n must be"):
+            EvenMansour(n, None, 1, 0)
+    # the widest allowed shapes pass the check and reach the builders
+    with pytest.raises(AssertionError):
+        Feistel3.random(12, seed=1)
+    with pytest.raises(AssertionError):
+        EvenMansour.random(24, seed=1)
 
 
 # --- keyed substitution cipher ----------------------------------------------------
@@ -232,8 +255,8 @@ def test_reduced_family_indexing(n, key):
         for k in range(0, 1 << kb, 7):
             direct = toy_encrypt_direct(n, pub.rounds, pub.sbox, pub.last_sbox, k, 0, x)
             # drop the final substitution: y matrix holds the reduced value
-            assert int(y[k, x]) == int(pub.inverse_last()[direct])
-            assert G((x << kb) | k) == int(y[k, x])
+            assert int(y[x, k]) == int(pub.inverse_last()[direct])
+            assert G((x << kb) | k) == int(y[x, k])
 
 
 @given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 2**30), st.data())
@@ -241,8 +264,8 @@ def test_keyed_rounds_are_rows_of_the_all_keys_matrix(n, rounds, key, data):
     pub = ToyCipher.generate(n, "strong", seed=(key, 9), rounds=rounds).public
     keys = data.draw(st.lists(st.integers(0, (1 << pub.key_bits) - 1), min_size=1, max_size=5))
     y = pub.keyed_rounds(keys)
-    assert y.shape == (len(keys), 1 << n)
-    assert np.array_equal(y, pub.reduced_encrypt_all_keys()[keys])
+    assert y.shape == (1 << n, len(keys))
+    assert np.array_equal(y, pub.reduced_encrypt_all_keys()[:, keys])
 
 
 def test_weak_family_has_exact_joint_structure():

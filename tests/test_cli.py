@@ -98,6 +98,21 @@ def test_lsfind_no_structure_exits_one(tmp_path, capsys):
     assert rep["result"]["found"] is False
 
 
+def test_lsfind_vector_report_charges_only_the_sampled_components(tmp_path, capsys):
+    from bvattack.boolfn import VectorFunction
+
+    # components x1 x2, x1 x2 + x3 x4 (bent: the search halts there), x1 x2
+    x = np.arange(16)
+    c1 = (x >> 3) & (x >> 2) & 1
+    c2 = c1 ^ ((x >> 1) & x & 1)
+    path = tmp_path / "vec.txt"
+    save_function(path, VectorFunction(4, 3, (c1 << 2) | (c2 << 1) | c1))
+    code, rep = run(capsys, "lsfind", str(path), "--p", "32", "--seed", "3")
+    assert code == 1
+    assert [c["trivial"] for c in rep["result"]["components"]] == [False, True]
+    assert rep["queries"] == {"quantum": 64, "classical": 0}
+
+
 def test_sample_counts_beyond_the_draw_budget_exit_two(capsys, quad_file, toy_file,
                                                        monkeypatch):
     from bvattack import bv

@@ -148,9 +148,10 @@ def test_planted_vector_structure_in_intersection(n, key):
 
 def test_planted_vector_recovery_pinned():
     F, a, alpha = planted_vector(5, 5, seeded_rng(12345, 42))
-    res = find_vector_structures(F, p=40, seed=(12345, 43))
+    led = QueryLedger()
+    res = find_vector_structures(F, p=40, seed=(12345, 43), ledger=led)
     assert (res.a, res.alpha) == (a, alpha)
-    assert res.queries == 40 * 5  # no early halt when a structure exists
+    assert led.quantum == 40 * 5  # no early halt when a structure exists
 
 
 def test_vector_search_early_halt_on_random_function():
@@ -161,9 +162,8 @@ def test_vector_search_early_halt_on_random_function():
     led = QueryLedger()
     res = find_vector_structures(F, p=64, seed=(2024, 2), ledger=led)
     assert not res.found
-    assert led.quantum == res.queries
-    assert res.queries < 64 * 8
-    assert res.queries % 64 == 0
+    assert led.quantum == 64 * len(res.components)
+    assert led.quantum < 64 * 8
 
 
 def test_vector_alpha_reconstruction_bit_order():
@@ -234,8 +234,9 @@ def test_trivial_component_stays_out_of_the_intersection():
     c1 = (x >> 3) & (x >> 2) & 1
     c2 = c1 ^ ((x >> 1) & x & 1)
     F = VectorFunction(4, 2, (c1 << 1) | c2)
-    res = find_vector_structures(F, p=32, seed=(3, 47))
+    led = QueryLedger()
+    res = find_vector_structures(F, p=32, seed=(3, 47), ledger=led)
     assert [ev.trivial for ev in res.components] == [False, True]
-    assert not res.found and res.queries == 64
+    assert not res.found and led.quantum == 64
     assert res.intersection == AffineSolutionSet(4, False, 0, (0b0010, 0b0001))
     assert res == chained_vector_search(F, 32, (3, 47))

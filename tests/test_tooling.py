@@ -1,7 +1,7 @@
 """The benchmark (perfbench/run.py and perfbench/tracing.py) reaches into the
 package by name; a rename or deletion in the package would silently break a
-benchmark run, so every name it uses must still resolve.  The scripts under
-scripts/ must still run to the end."""
+benchmark run, so every name it uses must still resolve, as must every name
+the package exports.  The scripts under scripts/ must still run to the end."""
 
 import ast
 import importlib
@@ -32,6 +32,18 @@ def test_traced_names_resolve():
     for mod_name, cls_name, attr, *_ in tracing.METHODS:
         cls = getattr(importlib.import_module(f"bvattack.{mod_name}"), cls_name)
         assert attr in cls.__dict__, f"bvattack.{mod_name}.{cls_name}.{attr}"
+
+
+def test_exported_names_resolve():
+    # a deleted or renamed name left in an __all__ breaks `import *` only
+    import bvattack
+
+    mods = [bvattack] + [importlib.import_module(f"bvattack.{p.stem}")
+                         for p in sorted((ROOT / "src" / "bvattack").glob("*.py"))
+                         if p.stem not in ("__init__", "__main__")]
+    for mod in mods:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 def test_key_ranking_signature_matches_its_count_hook():
