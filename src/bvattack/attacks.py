@@ -176,12 +176,14 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     return rng.integers(0, 1 << n, size=pairs, dtype=np.int64)
 
 
-def _toy_family(public: ToyCipherPublic, etable: VectorFunction) -> VectorFunction:
-    """The keyed family G(x || k) of a toy attack, after checking that the
-    encryption table maps the cipher's n-bit blocks."""
+def _toy_family(public: ToyCipherPublic, etable: VectorFunction,
+                G: VectorFunction | None = None) -> VectorFunction:
+    """The keyed family G(x || k) of a toy attack, tabulated here unless the
+    caller passes it, after checking that the encryption table maps the
+    cipher's n-bit blocks."""
     if (etable.m, etable.n) != (public.n, public.n):
         raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {public.n} to {public.n}")
-    return toy_reduced_family(public)
+    return toy_reduced_family(public) if G is None else G
 
 
 def _key_derivatives(G: VectorFunction, a: int) -> np.ndarray:
@@ -227,8 +229,8 @@ class DifferentialAttackReport:
 
 
 def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
-                        q: int, p: int | None = None,
-                        pairs: int | None = None) -> DifferentialAttackReport:
+                        q: int, p: int | None = None, pairs: int | None = None,
+                        G: VectorFunction | None = None) -> DifferentialAttackReport:
     """Two-phase differential key recovery against the toy cipher.
 
     Phase one samples the keyed-rounds family G(x || k) over data and key
@@ -238,7 +240,8 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     queries the real encryption table on `pairs` pairs with that difference
     and ranks final-round keys by exact match count.  q is the key-coverage
     target 1 - 1/q; it is recorded for verification and does not change the
-    defaults.
+    defaults.  A caller that has tabulated toy_reduced_family(public) already
+    passes it as G.
     """
     if q < 1:
         raise ValueError(f"coverage parameter q must be positive, got {q}")
@@ -246,7 +249,7 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     p = default_sample_count(n) if p is None else int(p)
     pairs = 8 * n if pairs is None else int(pairs)
 
-    G = _toy_family(public, etable)
+    G = _toy_family(public, etable, G)
     ledger = QueryLedger()
     res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
     if not res.found:

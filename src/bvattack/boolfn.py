@@ -281,6 +281,9 @@ def random_vector_function(m: int, n: int, rng: np.random.Generator) -> VectorFu
 _HEADER_BOOL = re.compile(r"^boolfn n=(\d+)$")
 _HEADER_VEC = re.compile(r"^vecfn m=(\d+) n=(\d+)$")
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_VALUE = np.full(256, 255, dtype=np.uint8)  # byte -> hex digit value, 255 if none
+_HEX_VALUE[_HEX_DIGITS] = np.arange(16)
+_HEX_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 
 def format_word_block(words, bits: int) -> bytes:
@@ -296,21 +299,45 @@ def format_word_block(words, bits: int) -> bytes:
     return out.tobytes()
 
 
+def _decode_canonical(text: str, count: int, digits: int) -> np.ndarray | None:
+    """The words of `text` if it is `count` tokens of exactly `digits` ASCII
+    hex digits joined by single spaces, decoded in one pass; else None."""
+    if len(text) != count * (digits + 1) - 1 or not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if np.any(raw[digits::digits + 1] != ord(" ")):
+        return None
+    vals = np.zeros(count, dtype=np.int64)
+    for k in range(digits):
+        nib = _HEX_VALUE[raw[k::digits + 1]]
+        if nib.max() > 15:
+            return None
+        vals <<= 4
+        vals |= nib
+    return vals
+
+
 def parse_word_block(lines, m: int, bits: int, what: str) -> np.ndarray:
-    """The 2^m words of a block's lines as int64, each parsed by int(t, 16)
-    and checked to fit in `bits`; both widths are checked first."""
+    """The 2^m words of a block's lines as int64, checked to fit in `bits`;
+    both widths are checked first.  A canonical block, as format_word_block
+    writes it, decodes in one vectorised pass; any other text goes token by
+    token through int(t, 16), which gives the same words on canonical text,
+    so both paths accept the same blocks with the same errors."""
     _check_width(m, f"{what}: input width")
     _check_width(bits, f"{what}: output width")
     count = 1 << m
-    toks = " ".join(lines).split()
-    if len(toks) != count:
-        raise ValueError(f"{what}: expected {count} entries, got {len(toks)}")
-    try:
-        vals = np.fromiter(map(int, toks, repeat(16)), dtype=np.int64, count=count)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-    except OverflowError:
-        vals = None  # an entry beyond int64 fits no table width
+    text = " ".join(lines)
+    vals = _decode_canonical(text, count, max(1, (bits + 3) // 4))
+    if vals is None:
+        toks = text.split()
+        if len(toks) != count:
+            raise ValueError(f"{what}: expected {count} entries, got {len(toks)}")
+        try:
+            vals = np.fromiter(map(int, toks, repeat(16)), dtype=np.int64, count=count)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from exc
+        except OverflowError:
+            vals = None  # an entry beyond int64 fits no table width
     if vals is None or vals.min() < 0 or vals.max() >= (1 << bits):
         raise ValueError(f"{what}: an entry does not fit in {bits} bits")
     return vals

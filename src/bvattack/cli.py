@@ -24,6 +24,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .attacks import (
     differential_attack,
     distinguish_feistel,
@@ -78,18 +80,26 @@ def _report(subcommand: str, params: dict, result: dict, queries=None) -> dict:
 # handlers; each returns (report dict, exit code)
 
 
+def _square_sum(coeffs) -> int:
+    """Exact sum of squares of coefficients at most 2^24 in magnitude: int64
+    rows of 2^14 squares (each row sum at most 2^62), added as Python ints."""
+    rows = coeffs.reshape(-1, min(len(coeffs), 1 << 14))
+    return sum(np.einsum("ij,ij->i", rows, rows).tolist())
+
+
 def _cmd_spectrum(args) -> tuple[dict, int]:
     fn = load_function(args.fn)
     if not isinstance(fn, BooleanFunction):
         raise ValueError("spectrum expects a single-output function file")
     spec = walsh_spectrum(fn)
     coeffs = spec.coeffs
+    max_abs = int(abs(coeffs).max())
     result = {
         "n": fn.n,
         "normalization": 1 << fn.n,
         "support_size": int(len(spec.support())),
-        "max_abs_coefficient": int(abs(coeffs).max()),
-        "parseval_ok": bool(int((coeffs.astype(object) ** 2).sum()) == 4 ** fn.n),
+        "max_abs_coefficient": max_abs,
+        "parseval_ok": max_abs <= 1 << fn.n and _square_sum(coeffs) == 4 ** fn.n,
     }
     if fn.n <= 8:
         result["coefficients"] = [int(c) for c in coeffs]

@@ -506,10 +506,16 @@ def _run_t6(cfg: ExperimentConfig) -> ExperimentResult:
     q = max(2, n)
     threshold = Fraction(1) - Fraction(1, q)
     planted = coverage_ok = recovered = 0
-    for cipher, rep in _weak_toy_runs(cfg, 170, differential_attack, q=q):
+    for t in range(cfg.trials):
+        # as _weak_toy_runs, but the family is tabulated once for attack and coverage
+        cipher = ToyCipher.generate(n, "weak", seed=(cfg.seed, 170, t))
+        G = toy_reduced_family(cipher.public)
+        rep = differential_attack(cipher.public, cipher.encrypt_table(), seed=(cfg.seed, 171, t),
+                                  q=q, G=G)
+        if not rep.found:
+            continue
         if rep.a == 3 and rep.alpha == 3:
             planted += 1
-        G = toy_reduced_family(cipher.public)
         if key_fraction_meeting(G, rep.a, rep.alpha, threshold) >= threshold:
             coverage_ok += 1
         if rep.recovered_last_key == cipher.last_key:

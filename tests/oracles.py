@@ -15,6 +15,7 @@ eliminator searches must equal field for field.
 """
 
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -153,6 +154,24 @@ def hex_lines_direct(words, bits: int) -> list:
     digits = max(1, (bits + 3) // 4)
     toks = [format(int(w), f"0{digits}x") for w in words]
     return [" ".join(toks[i:i + 16]) for i in range(0, len(toks), 16)]
+
+
+def parse_word_block_direct(lines, m: int, bits: int, what: str) -> np.ndarray:
+    """Word-block lines one token at a time through int(t, 16): the package's
+    per-token parser, widths taken as already checked."""
+    count = 1 << m
+    toks = " ".join(lines).split()
+    if len(toks) != count:
+        raise ValueError(f"{what}: expected {count} entries, got {len(toks)}")
+    try:
+        vals = np.fromiter(map(int, toks, repeat(16)), dtype=np.int64, count=count)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    except OverflowError:
+        vals = None  # an entry beyond int64 fits no table width
+    if vals is None or vals.min() < 0 or vals.max() >= (1 << bits):
+        raise ValueError(f"{what}: an entry does not fit in {bits} bits")
+    return vals
 
 
 def chi_square_statistic(observed, expected) -> float:

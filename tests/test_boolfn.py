@@ -34,6 +34,7 @@ from oracles import (
     boolean_structures_direct,
     derivative_value_counts,
     hex_lines_direct,
+    parse_word_block_direct,
     restricted_mass_direct,
     vector_structures_direct,
     walsh_spectrum_direct,
@@ -279,3 +280,77 @@ def test_word_block_matches_per_word_formatting(m, bits, key):
     block = format_word_block(words, bits).decode()
     assert block == "".join(f"{line}\n" for line in hex_lines_direct(words, bits))
     assert parse_word_block(block.splitlines(), m, bits, "block").tolist() == words.tolist()
+
+
+# --- canonical decode against the per-token reference -----------------------------
+
+
+def _mutate(text: str, kind: str, i: int, bits: int) -> str:
+    """A saved word block with one edit; i picks where (and, for some kinds, what)."""
+    width = max(1, (bits + 3) // 4)
+    digits = [k for k, c in enumerate(text) if c not in " \n"]
+    seps = [k for k, c in enumerate(text) if c == " "]
+    ends = [k for k, c in enumerate(text) if c == "\n"]
+    digit, sep, end = digits[i % len(digits)], seps[i % len(seps)], ends[i % len(ends)]
+    tok = digit - digit % (width + 1)
+    wide = format((1 << bits) + i % 3, f"0{width}x")
+    return {
+        "non-hex": lambda: text[:digit] + "gxz-.+_#"[i % 8] + text[digit + 1:],
+        "upper": lambda: text[:tok] + text[tok:tok + width].upper() + text[tok + width:],
+        "short": lambda: text[:digit] + text[digit + 1:],
+        "long": lambda: text[:digit] + "0123456789abcdef"[i % 16] + text[digit:],
+        "double-space": lambda: text[:sep] + " " + text[sep:],
+        "tab": lambda: text[:sep] + "\t" + text[sep + 1:],
+        "trailing-space": lambda: text[:end] + " " + text[end:],
+        "crlf": lambda: text[:end] + "\r" + text[end:],
+        "cr": lambda: text[:sep] + "\r" + text[sep + 1:],
+        "nbsp": lambda: text[:sep] + "\xa0" + text[sep + 1:],
+        "arabic-digit": lambda: text[:digit] + "\u0663" + text[digit + 1:],
+        "0x": lambda: text[:tok] + "0x" + text[tok:],
+        "missing-token": lambda: text[:tok] + text[tok + width + 1:],
+        "extra-token": lambda: text[:tok] + text[tok:tok + width + 1] + text[tok:],
+        "too-wide": lambda: text[:tok] + wide + text[tok + width:],
+        "byte": lambda: text[:i % len(text)] + chr(32 + i % 95) + text[i % len(text) + 1:],
+    }[kind]()
+
+
+_MUTATIONS = ("non-hex", "upper", "short", "long", "double-space", "tab", "trailing-space",
+              "crlf", "cr", "nbsp", "arabic-digit", "0x", "missing-token", "extra-token",
+              "too-wide", "byte")
+
+
+def _parse_outcome(parse, text: str, m: int, bits: int):
+    """The words parsed from text's non-blank lines, as load_function passes
+    them, or the ValueError message."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        vals = parse(lines, m, bits, "block")
+    except ValueError as exc:
+        return str(exc)
+    assert vals.dtype == np.int64
+    return vals.tolist()
+
+
+def _assert_decode_matches_reference(m, bits, key, kind, i):
+    words = random_vector_function(m, bits, seeded_rng(key, 11)).table
+    text = format_word_block(words, bits).decode()
+    if kind is not None:
+        text = _mutate(text, kind, i, bits)
+    want = _parse_outcome(parse_word_block_direct, text, m, bits)
+    assert _parse_outcome(parse_word_block, text, m, bits) == want
+    if kind is None:
+        assert want == words.tolist()
+
+
+@given(st.integers(1, 6), st.integers(1, 24), st.integers(0, 2**30),
+       st.sampled_from((None,) + _MUTATIONS), st.integers(0, 2**16))
+def test_decode_equals_per_token_reference(m, bits, key, kind, i):
+    _assert_decode_matches_reference(m, bits, key, kind, i)
+
+
+@pytest.mark.parametrize("m,bits", [(1, 1), (1, 4), (1, 5), (1, 24), (5, 1), (5, 4), (5, 5),
+                                    (5, 24)])
+def test_decode_equals_per_token_reference_pinned(m, bits):
+    for kind in (None,) + _MUTATIONS:
+        for i in range(5):
+            _assert_decode_matches_reference(m, bits, 12, kind, i)

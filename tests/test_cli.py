@@ -82,6 +82,48 @@ def test_spectrum_rejects_vector_file(tmp_path, capsys):
     assert main(["spectrum", str(path)]) == 2
 
 
+def _parseval_ok(monkeypatch, capsys, tmp_path, n, tamper=None):
+    """spectrum's Parseval readout on a random n-bit function, with the
+    spectrum the CLI sees edited in place by tamper."""
+    import bvattack.cli as cli
+    from bvattack.boolfn import WalshSpectrum, random_boolean_function, walsh_spectrum
+    from bvattack.rng import seeded_rng
+
+    def tampered(f):
+        c = walsh_spectrum(f).coeffs.copy()
+        tamper(c)
+        return WalshSpectrum(f.n, c)
+
+    if tamper is not None:
+        monkeypatch.setattr(cli, "walsh_spectrum", tampered)
+    table = random_boolean_function(n, seeded_rng(n, 12)).table.copy()
+    table[0] ^= table.sum() & 1  # even weight, so some coefficients are 0
+    path = tmp_path / f"f{n}.txt"
+    save_function(path, BooleanFunction(n, table))
+    code, rep = run(capsys, "spectrum", str(path))
+    assert code == 0
+    return rep["result"]["parseval_ok"]
+
+
+@pytest.mark.parametrize("n", [1, 13, 15])
+def test_spectrum_parseval_exact(monkeypatch, capsys, tmp_path, n):
+    # 2^13 and 2^15 coefficients fall on either side of one 2^14-term row
+    assert _parseval_ok(monkeypatch, capsys, tmp_path, n) is True
+
+
+@pytest.mark.parametrize("n", [1, 13, 15])
+def test_spectrum_parseval_catches_tampering(monkeypatch, capsys, tmp_path, n):
+    def bump(c):
+        c[-1] += 2
+
+    def huge(c):
+        # on a zero coefficient: the square wraps to 0 in int64, leaving the sum at 4^n
+        c[np.flatnonzero(c == 0)[0]] = 1 << 40
+
+    assert _parseval_ok(monkeypatch, capsys, tmp_path, n, bump) is False
+    assert _parseval_ok(monkeypatch, capsys, tmp_path, n, huge) is False
+
+
 def test_lsfind_reports_structure(capsys, quad_file):
     code, rep = run(capsys, "lsfind", quad_file, "--seed", "3")
     assert code == 0

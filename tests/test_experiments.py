@@ -209,6 +209,21 @@ def test_report_bytes_pinned(which, n, variant, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_t6_tabulates_each_family_once(monkeypatch):
+    from bvattack.ciphers import ToyCipherPublic
+
+    calls = []
+    build = ToyCipherPublic.reduced_encrypt_all_keys
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", counted)
+    run_experiment(ExperimentConfig(which="T6", n=3, trials=30, seed=7))
+    assert len(calls) == 30 and len(set(map(id, calls))) == 30
+
+
 def test_quality_grid_detail_order():
     # verify-theorems writes details unsorted, so their key order is part of the report
     for which, n in (("T1", 4), ("T3", 3)):
