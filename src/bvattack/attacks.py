@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import VectorFunction, derivative_table
+from .boolfn import VectorFunction
 from .bv import QueryLedger, check_draw_budget
 from .ciphers import (
     OracleFunction,
@@ -187,8 +187,13 @@ def _toy_family(public: ToyCipherPublic, etable: VectorFunction,
 
 
 def _key_derivatives(G: VectorFunction, a: int) -> np.ndarray:
-    """D[x, k] = G(x ^ a || k) ^ G(x || k) for a keyed family G with n data and n output bits."""
-    return derivative_table(G, a << (G.m - G.n)).reshape(1 << G.n, -1)
+    """D[x, k] = G(x ^ a || k) ^ G(x || k) for a keyed family G with n data and
+    n output bits: a gather of rows of G's table read as its 2^n x 2^kb matrix."""
+    size = 1 << G.n
+    if not 0 <= a < size:
+        raise ValueError(f"direction {a:#x} does not fit in {G.n} bits")
+    Y = G.table.reshape(size, -1)
+    return Y[np.arange(size) ^ a] ^ Y
 
 
 def _guess_differences(oracle: OracleFunction, inv_last: np.ndarray, a: int, pairs: int,

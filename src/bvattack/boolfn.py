@@ -32,7 +32,6 @@ __all__ = [
     "WalshSpectrum",
     "walsh_spectrum",
     "autocorrelation",
-    "dot_array",
     "derivative_table",
     "derivative_count",
     "differential_uniformity",
@@ -186,11 +185,6 @@ def autocorrelation(spec: WalshSpectrum) -> np.ndarray:
     return c
 
 
-def dot_array(ws: np.ndarray, a: int) -> np.ndarray:
-    """Vectorized GF(2) inner product of packed vectors with a fixed vector."""
-    return (np.bitwise_count(np.asarray(ws, dtype=np.int64) & a) & 1).astype(np.uint8)
-
-
 def derivative_table(f: BooleanFunction | VectorFunction, a: int) -> np.ndarray:
     """Table of x -> f(x ^ a) ^ f(x): words for a vector f, bits for a boolean f."""
     size = len(f.table)
@@ -252,7 +246,7 @@ def restricted_spectral_mass(spec: WalshSpectrum, a: int, i: int) -> int:
     if i not in (0, 1):
         raise ValueError(f"mask value must be a bit, got {i}")
     ws = np.arange(1 << spec.n)
-    sel = dot_array(ws, a) == i
+    sel = (np.bitwise_count(ws & a) & 1) == i
     c = spec.coeffs[sel]
     return int(np.sum(c * c))
 

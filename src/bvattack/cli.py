@@ -93,11 +93,11 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
         raise ValueError("spectrum expects a single-output function file")
     spec = walsh_spectrum(fn)
     coeffs = spec.coeffs
-    max_abs = int(abs(coeffs).max())
+    max_abs = max(int(coeffs.max()), -int(coeffs.min()))
     result = {
         "n": fn.n,
         "normalization": 1 << fn.n,
-        "support_size": int(len(spec.support())),
+        "support_size": int(np.count_nonzero(coeffs)),
         "max_abs_coefficient": max_abs,
         "parseval_ok": max_abs <= 1 << fn.n and _square_sum(coeffs) == 4 ** fn.n,
     }

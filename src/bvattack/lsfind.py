@@ -94,15 +94,14 @@ def _solution_with(e: Eliminator, w: int, c: int) -> AffineSolutionSet:
     return ext.solution()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BooleanStructureResult:
-    """Outcome of the single-output search.  samples is the read-only array
-    of the p draws, so results compare and hash by identity."""
+    """Outcome of the single-output search.  The p draws are not kept
+    (BvSampler(f, (seed,), width=width) replays them), so results compare by value."""
 
     found: bool
     zero_set: AffineSolutionSet
     one_set: AffineSolutionSet
-    samples: np.ndarray
     p: int
 
     def smallest_candidate(self) -> tuple[int, int] | None:
@@ -163,12 +162,10 @@ def find_boolean_structures(
     leading solve_width input bits, as in find_vector_structures.
     """
     width, p = search_shape(f.n, solve_width, p)
-    ws = BvSampler(f, (seed,), ledger, width).draw(p)
-    ws.setflags(write=False)
-    cset, w0 = _constancy(width, ws)
+    cset, w0 = _constancy(width, BvSampler(f, (seed,), ledger, width).draw(p))
     zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
     found = not (zero_set.is_trivial and one_set.is_trivial)
-    return BooleanStructureResult(found, zero_set, one_set, ws, p)
+    return BooleanStructureResult(found, zero_set, one_set, p)
 
 
 def find_vector_structures(

@@ -1,5 +1,6 @@
 """End-to-end attack drivers graded against the generated secrets."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -321,6 +322,42 @@ def test_impossible_attack_tabulates_the_family_once(monkeypatch):
     rep = impossible_attack(tc.public, tc.encrypt_table(), seed=356)
     assert rep.certificate_valid  # the certificate check ran on the same family
     assert calls == [tc.public]
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs; numpy reports its buffers to
+    tracemalloc, so this counts every table-sized temporary."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_keyed_family_sweeps_stay_within_two_tables():
+    """The all-keys sweeps read G as its 2^n x 2^kb matrix of rows, so one
+    gathered copy of G is the only table-sized array they build."""
+    from bvattack.attacks import ImpossibleCertificate
+
+    G = toy_reduced_family(ToyCipher.generate(6, "weak", seed=370).public)
+    bound = 2 * G.table.nbytes
+    assert _traced_peak(impossible_certificate_valid, G, ImpossibleCertificate(1, 3, 1)) <= bound
+    assert _traced_peak(differential_match_counts, G, 3, 3) <= bound
+
+
+def test_keyed_family_sweeps_reject_directions_outside_the_data_half():
+    from bvattack.attacks import ImpossibleCertificate
+
+    G = toy_reduced_family(ToyCipher.generate(4, "weak", seed=371).public)
+    for a in (1 << 4, -1):
+        with pytest.raises(ValueError, match="direction"):
+            differential_match_counts(G, a, 3)
+        with pytest.raises(ValueError, match="direction"):
+            key_fraction_meeting(G, a, 3, Fraction(1, 2))
+        with pytest.raises(ValueError, match="direction"):
+            impossible_certificate_valid(G, ImpossibleCertificate(1, a, 1))
 
 
 def test_toy_attacks_reject_mismatched_etable():

@@ -46,6 +46,33 @@ def test_exported_names_resolve():
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither references nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # no linter is installed, so the check is a plain walk of each module's syntax tree
+    assert _unused_imports("import os\nfrom a import b, c as d\nos.sep\n__all__ = ['d']\n") == [
+        "b (line 2)"]
+    for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
+        assert _unused_imports(path.read_text()) == [], path.name
+
+
 def test_key_ranking_signature_matches_its_count_hook():
     # the hook reads the oracle and the pair count by position
     from bvattack.attacks import rank_last_round_keys
