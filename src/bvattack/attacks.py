@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import VectorFunction
+from .boolfn import VectorFunction, derivative_table
 from .bv import QueryLedger, check_draw_budget
 from .ciphers import (
     OracleFunction,
@@ -26,7 +26,6 @@ from .ciphers import (
     toy_reduced_family,
 )
 from .lsfind import (
-    default_sample_count,
     find_boolean_structures,
     find_common_zero_structure,
     find_vector_structures,
@@ -186,14 +185,13 @@ def _toy_family(public: ToyCipherPublic, etable: VectorFunction,
     return toy_reduced_family(public) if G is None else G
 
 
-def _key_derivatives(G: VectorFunction, a: int) -> np.ndarray:
-    """D[x, k] = G(x ^ a || k) ^ G(x || k) for a keyed family G with n data and
-    n output bits: a gather of rows of G's table read as its 2^n x 2^kb matrix."""
-    size = 1 << G.n
-    if not 0 <= a < size:
-        raise ValueError(f"direction {a:#x} does not fit in {G.n} bits")
-    Y = G.table.reshape(size, -1)
-    return Y[np.arange(size) ^ a] ^ Y
+def _budgeted_sample_count(n: int, p: int | None, pairs: int) -> int:
+    """p resolved for a search over n data bits, checked with the pair count
+    against the per-call budget before the keyed family is tabulated."""
+    _, p = search_shape(n, n, p)
+    check_draw_budget(p)
+    check_draw_budget(pairs, "pair count")
+    return p
 
 
 def _guess_differences(oracle: OracleFunction, inv_last: np.ndarray, a: int, pairs: int,
@@ -251,8 +249,8 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     if q < 1:
         raise ValueError(f"coverage parameter q must be positive, got {q}")
     n = public.n
-    p = default_sample_count(n) if p is None else int(p)
     pairs = 8 * n if pairs is None else int(pairs)
+    p = _budgeted_sample_count(n, p, pairs)
 
     G = _toy_family(public, etable, G)
     ledger = QueryLedger()
@@ -271,7 +269,7 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
 def differential_match_counts(G: VectorFunction, a: int, alpha: int) -> np.ndarray:
     """Exhaustive per-key counts of x with F_k(x ^ a) = F_k(x) ^ alpha, over
     the keyed family G(x || k) of toy_reduced_family."""
-    return (_key_derivatives(G, a) == alpha).sum(axis=0)
+    return (derivative_table(G, a, G.n) == alpha).sum(axis=0)
 
 
 def key_fraction_meeting(G: VectorFunction, a: int, alpha: int,
@@ -321,6 +319,7 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
     n = public.n
     p = (n ** 3) * (l ** 2) * (q ** 2) if p is None else int(p)
     pairs = l * l
+    p = _budgeted_sample_count(n, p, pairs)
 
     G = _toy_family(public, etable)
     ledger = QueryLedger()
@@ -383,7 +382,7 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
 def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:
     """Exhaustive sweep of the keyed family G over every plaintext and key:
     the certified derivative bit must never take the forbidden value."""
-    bit = (_key_derivatives(G, cert.a) >> (G.n - cert.j)) & 1
+    bit = (derivative_table(G, cert.a, G.n) >> (G.n - cert.j)) & 1
     return not bool(np.any(bit == cert.forbidden))
 
 
@@ -413,6 +412,7 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     pairs = 4 * n if pairs is None else int(pairs)
     if pairs < 0:
         raise ValueError(f"pairs cannot be negative, got {pairs}")
+    p = _budgeted_sample_count(n, p, pairs)
 
     G = _toy_family(public, etable)
     ledger = QueryLedger()

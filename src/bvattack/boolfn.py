@@ -39,7 +39,6 @@ __all__ = [
     "linear_structures_exhaustive",
     "vector_structures_exhaustive",
     "restricted_spectral_mass",
-    "linear_structures_via_spectrum",
     "random_boolean_function",
     "random_vector_function",
     "format_word_block",
@@ -185,13 +184,16 @@ def autocorrelation(spec: WalshSpectrum) -> np.ndarray:
     return c
 
 
-def derivative_table(f: BooleanFunction | VectorFunction, a: int) -> np.ndarray:
-    """Table of x -> f(x ^ a) ^ f(x): words for a vector f, bits for a boolean f."""
-    size = len(f.table)
-    if not 0 <= a < size:
-        raise ValueError(f"direction {a:#x} does not fit in {size.bit_length() - 1} bits")
-    xs = np.arange(size)
-    return f.table[xs ^ a] ^ f.table
+def derivative_table(f: BooleanFunction | VectorFunction, a: int,
+                     width: int | None = None) -> np.ndarray:
+    """x -> f(x ^ a) ^ f(x) for a direction a of the leading `width` input bits
+    (all of them by default), words for a vector f and bits for a boolean f, as
+    2^width rows: D[x, k] for a keyed family G(x || k) at width G.n."""
+    rows = len(f.table) if width is None else 1 << width
+    if not 0 <= a < rows:
+        raise ValueError(f"direction {a:#x} does not fit in {rows.bit_length() - 1} bits")
+    t = f.table.reshape(rows, -1)
+    return np.take(t, np.arange(rows) ^ a, axis=0) ^ t
 
 
 def derivative_count(f: BooleanFunction, a: int, i: int) -> int:
@@ -221,8 +223,14 @@ def structure_free_uniformity(f: BooleanFunction) -> Fraction | None:
 
 
 def linear_structures_exhaustive(f: BooleanFunction) -> tuple[list[int], list[int]]:
-    """(U^0, U^1): all directions with constant derivative 0 or 1; 0 is in U^0."""
-    return linear_structures_via_spectrum(walsh_spectrum(f))
+    """(U^0, U^1): all directions with constant derivative 0 or 1; 0 is in U^0.
+
+    Read off the spectrum: a is in U^i iff the whole squared mass sits on
+    {w : w . a = i}, i.e. C(a) = +-2^n.
+    """
+    c = autocorrelation(walsh_spectrum(f))
+    size = 1 << f.n
+    return np.flatnonzero(c == size).tolist(), np.flatnonzero(c == -size).tolist()
 
 
 def vector_structures_exhaustive(F: VectorFunction) -> list[tuple[int, int]]:
@@ -249,14 +257,6 @@ def restricted_spectral_mass(spec: WalshSpectrum, a: int, i: int) -> int:
     sel = (np.bitwise_count(ws & a) & 1) == i
     c = spec.coeffs[sel]
     return int(np.sum(c * c))
-
-
-def linear_structures_via_spectrum(spec: WalshSpectrum) -> tuple[list[int], list[int]]:
-    """Structure sets read off the spectrum: a is in U^i iff the whole
-    squared mass sits on {w : w . a = i}, i.e. C(a) = +-2^n."""
-    c = autocorrelation(spec)
-    size = 1 << spec.n
-    return np.flatnonzero(c == size).tolist(), np.flatnonzero(c == -size).tolist()
 
 
 def random_boolean_function(n: int, rng: np.random.Generator) -> BooleanFunction:

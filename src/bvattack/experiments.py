@@ -20,9 +20,11 @@ carry margin 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -258,7 +260,10 @@ def _survival_union(spectra: list[WalshSpectrum], width: int, p: int) -> float:
     """Sum over nonzero directions a of the leading `width` input bits of
     the exact chance that a survives p samples of every component, the
     product of q0^p + q1^p.  q1(a) is the squared mass on {w : w . a = 1},
-    the exact integer (4^m - 2^m C(a)) / 2, over the total mass 4^m."""
+    the exact integer (4^m - 2^m C(a)) / 2, over the total mass 4^m.  So the
+    sum is the expected number of nonzero candidates (|U^0| + |U^1| - 1 for
+    one boolean f).  Python's float power keeps T2's bound bytes; numpy's
+    q ** p can differ in the last bit."""
     m = spectra[0].n
     shift = m - width
     mass = 1 << (2 * m)
@@ -334,6 +339,17 @@ def _run_t1(cfg: ExperimentConfig) -> ExperimentResult:
 # T2: false-positive rate on structure-free functions
 
 
+def _no_rate(cfg: ExperimentConfig, instances: tuple, spectra, p: int, search,
+             tag: int) -> BoundCheck:
+    """T2's check: the share of trials whose search answers No, trial t
+    searching instances[t % len] with seed (seed, tag, t), against 1 minus the
+    largest _survival_union(spectra(x), n, p) over the instances x."""
+    union = max(_survival_union(spectra(x), cfg.n, p) for x in instances)
+    no_count = sum(not search(instances[t % len(instances)], p=p, seed=(cfg.seed, tag, t)).found
+                   for t in range(cfg.trials))
+    return _check("no-rate", no_count, cfg.trials, 1.0 - min(1.0, union), cfg.z)
+
+
 def _run_t2(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.n
     p = 3 * n
@@ -341,34 +357,29 @@ def _run_t2(cfg: ExperimentConfig) -> ExperimentResult:
     if variant == "strong-toy":
         return _run_t2_strong_toy(cfg)
 
-    no_count = 0
-    cache: dict[int, tuple[BooleanFunction, float, float]] = {}
-    for t in range(cfg.trials):
-        fi = 0 if variant == "bent" else t % 40
-        if fi not in cache:
-            f = (inner_product_function(n) if variant == "bent"
-                 else _structure_free_function(n, seeded_rng(cfg.seed, 120, fi)))
-            union = _survival_union([walsh_spectrum(f)], n, p)
-            dp = structure_free_uniformity(f)
-            cache[fi] = (f, union, float(dp) if dp is not None else 0.0)
-        f = cache[fi][0]
-        res = find_boolean_structures(f, p=p, seed=(cfg.seed, 121, t))
-        if not res.found:
-            no_count += 1
-
-    worst_union = max(u for _, u, _ in cache.values())
-    p0 = max(d for _, _, d in cache.values())
-    union_bound = 1.0 - min(1.0, worst_union)
-    checks = [_check("no-rate", no_count, cfg.trials, union_bound, cfg.z)]
+    fns = ((inner_product_function(n),) if variant == "bent"
+           else tuple(_structure_free_function(n, seeded_rng(cfg.seed, 120, fi))
+                      for fi in range(min(cfg.trials, 40))))
+    check = _no_rate(cfg, fns, lambda f: [walsh_spectrum(f)], p, find_boolean_structures, 121)
+    p0 = max(float(dp or 0) for dp in map(structure_free_uniformity, fns))
     details = {
         "variant": variant,
         "p": p,
         "measured_delta_prime_max": p0,
         "raw_p0_to_p": p0 ** p,
         "coarse_union_bound": 1.0 - min(1.0, 2 * ((1 << n) - 1) * p0 ** p),
-        "exact_union_bound": union_bound,
+        "exact_union_bound": check.bound,
     }
-    return ExperimentResult(cfg, tuple(checks), details)
+    return ExperimentResult(cfg, (check,), details)
+
+
+def _strong_toy_family(n: int, seed: int, ci: int) -> tuple[VectorFunction, int]:
+    """Keyed family of strong-preset instance ci, redrawn (bump = 0, 1, ...)
+    until its S-box has no nonzero structure, and the number of redraws."""
+    for bump in itertools.count():
+        inst = ToyCipher.generate(n, "strong", seed=(seed, 130, ci, bump))
+        if len(vector_structures_exhaustive(VectorFunction(n, n, inst.public.sbox))) == 1:
+            return toy_reduced_family(inst.public), bump
 
 
 def _run_t2_strong_toy(cfg: ExperimentConfig) -> ExperimentResult:
@@ -376,37 +387,12 @@ def _run_t2_strong_toy(cfg: ExperimentConfig) -> ExperimentResult:
     should answer No, at a rate matching the exact spectral survival odds."""
     n = cfg.n
     p = 4 * n
-    no_count = 0
-    rejected = 0
-    worst_union = 0.0
-    cache: dict[int, tuple] = {}
-    for t in range(cfg.trials):
-        ci = t % 20
-        if ci not in cache:
-            inst = None
-            bump = 0
-            while inst is None:
-                cand = ToyCipher.generate(n, "strong", seed=(cfg.seed, 130, ci, bump))
-                if len(vector_structures_exhaustive(
-                        VectorFunction(n, n, cand.public.sbox))) == 1:
-                    inst = cand
-                else:
-                    rejected += 1
-                    bump += 1
-            G = toy_reduced_family(inst.public)
-            union = _survival_union([walsh_spectrum(G.component(j)) for j in range(1, n + 1)],
-                                    n, p)
-            cache[ci] = (G, union)
-        G, union = cache[ci]
-        worst_union = max(worst_union, union)
-        res = find_vector_structures(G, p=p, seed=(cfg.seed, 131, t), solve_width=n)
-        if not res.found:
-            no_count += 1
-    bound = 1.0 - min(1.0, worst_union)
-    checks = [_check("no-rate", no_count, cfg.trials, bound, cfg.z)]
-    details = {"variant": "strong-toy", "p": p, "exact_union_bound": bound,
-               "rejected_sboxes": rejected}
-    return ExperimentResult(cfg, tuple(checks), details)
+    Gs, bumps = zip(*(_strong_toy_family(n, cfg.seed, ci) for ci in range(min(cfg.trials, 20))))
+    check = _no_rate(cfg, Gs, lambda G: [walsh_spectrum(G.component(j)) for j in range(1, n + 1)],
+                     p, partial(find_vector_structures, solve_width=n), 131)
+    details = {"variant": "strong-toy", "p": p, "exact_union_bound": check.bound,
+               "rejected_sboxes": sum(bumps)}
+    return ExperimentResult(cfg, (check,), details)
 
 
 # ---------------------------------------------------------------------------

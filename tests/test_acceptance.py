@@ -19,14 +19,14 @@ from bvattack.boolfn import (
     BooleanFunction,
     derivative_count,
     linear_structures_exhaustive,
-    linear_structures_via_spectrum,
     random_boolean_function,
     restricted_spectral_mass,
     walsh_spectrum,
 )
 from bvattack.bv import BvSampler
 from bvattack.cli import main
-from bvattack.experiments import ExperimentConfig, default_shape, run_experiment
+from bvattack.experiments import ExperimentConfig, _survival_union, default_shape, run_experiment
+from bvattack.lsfind import find_boolean_structures
 from bvattack.rng import seeded_rng
 
 from oracles import (
@@ -94,6 +94,23 @@ def test_acceptance_01_sampler_outcome_law():
     _report(1, "sampler obeys the exact squared-coefficient law", t0)
 
 
+def test_survival_law_predicts_the_candidate_count():
+    """Two-sided check of the exact survival law: a nonzero direction a
+    survives p samples with probability q0(a)^p + q1(a)^p, so the mean number
+    of nonzero candidates of the boolean search, |U^0| + |U^1| - 1, equals
+    their sum over a, to within 3 standard errors of the mean."""
+    for n, p in ((6, 8), (8, 12)):
+        f = random_boolean_function(n, seeded_rng(SEED, 920, n))
+        predicted = _survival_union([walsh_spectrum(f)], n, p)
+        counts = []
+        for t in range(4000):
+            res = find_boolean_structures(f, p=p, seed=(SEED, 921, n, t))
+            counts.append(res.zero_set.size + res.one_set.size - 1)
+        counts = np.array(counts)
+        se = counts.std(ddof=1) / np.sqrt(len(counts))
+        assert abs(counts.mean() - predicted) <= 3 * se, (n, p, counts.mean(), predicted, se)
+
+
 def test_acceptance_02_exact_structure_theory():
     """Spectral mass identity on 1000 cases; structure sets match brute force."""
     t0 = time.perf_counter()
@@ -111,8 +128,6 @@ def test_acceptance_02_exact_structure_theory():
     for i in range(150):
         n = (i % 6) + 1
         f = random_boolean_function(n, seeded_rng(912, i))
-        assert linear_structures_via_spectrum(walsh_spectrum(f)) == \
-            boolean_structures_direct(f.table, n)
         assert linear_structures_exhaustive(f) == boolean_structures_direct(f.table, n)
     _report(2, "restricted spectral mass equals 2^n times the derivative count, exactly", t0)
 

@@ -360,6 +360,24 @@ def test_keyed_family_sweeps_reject_directions_outside_the_data_half():
             impossible_certificate_valid(G, ImpossibleCertificate(1, a, 1))
 
 
+def test_over_budget_arguments_fail_before_the_family_is_tabulated(monkeypatch):
+    import bvattack.attacks
+
+    def unreachable(public):
+        raise AssertionError("keyed family tabulated before the budget check")
+
+    tc = ToyCipher.generate(7, "weak", seed=372, rounds=3)
+    etable = tc.encrypt_table()
+    monkeypatch.setattr(bvattack.attacks, "toy_reduced_family", unreachable)
+    over = 1 << 23
+    for attack, kw, what in ((small_probability_attack, {"q": 1, "l": 300}, "draw count"),
+                             (differential_attack, {"q": 2, "p": over}, "draw count"),
+                             (differential_attack, {"q": 2, "pairs": over}, "pair count"),
+                             (impossible_attack, {"pairs": over}, "pair count")):
+        with pytest.raises(ValueError, match=f"{what} .* per-call budget"):
+            attack(tc.public, etable, seed=1, **kw)
+
+
 def test_toy_attacks_reject_mismatched_etable():
     tc = ToyCipher.generate(4, "weak", seed=357)
     wide = ToyCipher.generate(5, "weak", seed=357).encrypt_table()

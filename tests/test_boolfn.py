@@ -17,7 +17,6 @@ from bvattack.boolfn import (
     differential_uniformity,
     format_word_block,
     linear_structures_exhaustive,
-    linear_structures_via_spectrum,
     load_function,
     parse_word_block,
     random_boolean_function,
@@ -154,12 +153,6 @@ def test_restricted_mass_identity(n, key, data):
     assert mass == (1 << n) * derivative_count(f, a, i)
 
 
-@given(st.integers(1, 6), st.integers(0, 2**30))
-def test_structures_via_spectrum_match_exhaustive(n, key):
-    f = random_boolean_function(n, seeded_rng(key, 6))
-    assert linear_structures_via_spectrum(walsh_spectrum(f)) == linear_structures_exhaustive(f)
-
-
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**30))
 def test_vector_structures_match_oracle(m, n, key):
     F = random_vector_function(m, n, seeded_rng(key, 7))
@@ -171,9 +164,18 @@ def test_vector_derivative_table_matches_loop(m, n, key, data):
     F = random_vector_function(m, n, seeded_rng(key, 11))
     a = data.draw(st.integers(0, (1 << m) - 1))
     want = [F(x ^ a) ^ F(x) for x in range(1 << m)]
-    assert derivative_table(F, a).tolist() == want
+    assert derivative_table(F, a).ravel().tolist() == want
     with pytest.raises(ValueError):
         derivative_table(F, 1 << m)
+    # a direction of the leading `width` bits, one row per value of those bits
+    width = data.draw(st.integers(1, m))
+    a = data.draw(st.integers(0, (1 << width) - 1))
+    lift = a << (m - width)
+    want = [F(x ^ lift) ^ F(x) for x in range(1 << m)]
+    d = derivative_table(F, a, width)
+    assert d.shape == (1 << width, 1 << (m - width)) and d.ravel().tolist() == want
+    with pytest.raises(ValueError):
+        derivative_table(F, 1 << width, width)
 
 
 # --- containers and validation -----------------------------------------------

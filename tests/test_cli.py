@@ -183,6 +183,20 @@ def test_sample_counts_beyond_the_draw_budget_exit_two(capsys, quad_file, toy_fi
     assert "budget" in capsys.readouterr().err
 
 
+def test_over_budget_pairs_exit_two_on_a_no_answer(capsys, tmp_path):
+    # the pair count is checked before the search, not only once it answers Yes
+    from bvattack.bv import MAX_DRAWS
+
+    path = str(tmp_path / "strong.txt")
+    assert run(capsys, "gen-cipher", "--kind", "toy", "--n", "5", "--seed", "1",
+               "--preset", "strong", "--out", path)[0] == 0
+    for argv in (["attack-diff", path, "--seed", "1", "--q", "2"],
+                 ["attack-impossible", path, "--seed", "1"]):
+        assert run(capsys, *argv)[0] == 1
+        assert main(argv + ["--pairs", str(MAX_DRAWS + 1)]) == 2
+        assert "pair count" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["lsfind", "/nonexistent/f.txt", "--seed", "1"]) == 2
     assert main(["attack-em", "/nonexistent/c.txt", "--seed", "1"]) == 2

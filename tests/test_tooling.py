@@ -73,6 +73,42 @@ def test_no_unused_imports():
         assert _unused_imports(path.read_text()) == [], path.name
 
 
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (a leading underscore, not a dunder) that no
+    module of `sources` references, by name, attribute or import."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_no_dead_private_helpers():
+    assert _unreferenced_private_names({
+        "a": "def _used(): pass\ndef _dead(): pass\n_X = 1\n_Y: int = 2\n__v__ = 3\n",
+        "b": "from a import _used\nprint(_X)\n",
+    }) == ["a._dead", "a._Y"]
+    src = ROOT / "src" / "bvattack"
+    sources = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []
+
+
 def test_key_ranking_signature_matches_its_count_hook():
     # the hook reads the oracle and the pair count by position
     from bvattack.attacks import rank_last_round_keys
