@@ -86,7 +86,7 @@ class BooleanFunction:
 class VectorFunction:
     """A function {0,1}^m -> {0,1}^n held as a dense word table."""
 
-    __slots__ = ("m", "n", "table", "_components")
+    __slots__ = ("m", "n", "table")
 
     def __init__(self, m: int, n: int, table) -> None:
         _check_width(m, "m")
@@ -100,7 +100,6 @@ class VectorFunction:
         self.m = m
         self.n = n
         self.table = t
-        self._components: dict[int, BooleanFunction] = {}
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -109,11 +108,7 @@ class VectorFunction:
         """Output bit j as a boolean function; j is 1-based, 1 = most significant."""
         if not 1 <= j <= self.n:
             raise ValueError(f"component index must be in [1, {self.n}], got {j}")
-        if j not in self._components:
-            shift = self.n - j
-            bits = ((self.table >> shift) & 1).astype(np.uint8)
-            self._components[j] = BooleanFunction(self.m, bits)
-        return self._components[j]
+        return BooleanFunction(self.m, ((self.table >> (self.n - j)) & 1).astype(np.uint8))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFunction):
@@ -161,9 +156,10 @@ def _wht(b: np.ndarray) -> np.ndarray:
     h = 1
     while h < len(b):
         v = b.reshape(-1, 2 * h, *b.shape[1:])
-        left = v[:, :h].copy()
-        v[:, :h] += v[:, h:]
-        v[:, h:] = left - v[:, h:]
+        x, y = v[:, :h], v[:, h:]
+        left = x.copy()
+        x += y
+        np.subtract(left, y, out=y)
         h *= 2
     return b
 

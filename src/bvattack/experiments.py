@@ -72,6 +72,9 @@ __all__ = [
 # width factor of a variant whose widest table differs from its experiment's
 _VARIANT_WIDTH = {("T2", "strong-toy"): 3}
 _VARIANTS = ("default", "random", "bent", "strong-toy")
+# least n of a variant that needs more than one bit: every 1- and 2-bit
+# permutation is affine, so no strong S-box that narrow exists to be drawn
+_VARIANT_MIN_N = {("T2", "strong-toy"): 3}
 
 
 def default_shape(which: str) -> tuple[int, int]:
@@ -149,6 +152,9 @@ class ExperimentConfig:
             raise ValueError(f"need at least 30 trials for rate estimates, got {self.trials}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        least = _VARIANT_MIN_N.get((self.which, self.variant), 1)
+        if self.n < least:
+            raise ValueError(f"{self.which} {self.variant} needs n >= {least}, got {self.n}")
         if not 0 <= self.z < math.inf:
             raise ValueError(f"z must be finite and non-negative, got {self.z}")
         bits = self.n * _VARIANT_WIDTH.get((self.which, self.variant), _EXPERIMENTS[self.which][2])

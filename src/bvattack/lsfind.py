@@ -69,11 +69,12 @@ def _distinct(width: int, ws: np.ndarray) -> list[int]:
     return np.flatnonzero(hit).tolist()
 
 
-def _absorb_samples(e: Eliminator, ws: np.ndarray) -> Eliminator:
-    """Absorb a row (w, 0) per distinct sample w, ascending, until full rank:
-    a homogeneous system stays consistent, so later rows change nothing."""
+def _absorb_samples(e: Eliminator, ws: np.ndarray, w0: int = 0) -> Eliminator:
+    """Absorb a row (w ^ w0, 0) per distinct sample w, ascending in w, until
+    full rank: a homogeneous system stays consistent, so later rows change
+    nothing, and the order of the rows changes only the rows, not their span."""
     for w in _distinct(e.width, ws):
-        e.absorb(w)
+        e.absorb(w ^ w0)
         if e.rank == e.width:
             break
     return e
@@ -83,7 +84,7 @@ def _constancy(width: int, ws: np.ndarray) -> tuple[Eliminator, int]:
     """The eliminator over a . (w ^ w0) = 0 for every sample w, and the pivot
     w0 = ws[0]: its members a have a . w = a . w0 for every sample."""
     w0 = int(ws[0])
-    return _absorb_samples(Eliminator(width), ws ^ w0), w0
+    return _absorb_samples(Eliminator(width), ws, w0), w0
 
 
 def _solution_with(e: Eliminator, w: int, c: int) -> AffineSolutionSet:
@@ -191,10 +192,8 @@ def find_vector_structures(
     comps: list[ComponentEvidence] = []
     elim = Eliminator(width)
     for j in range(1, F.n + 1):
-        # ws stays bound until the next draw: freed earlier, the allocator can
-        # trim the heap and the next T7-sized draw faults its pages in again
-        ws = BvSampler(F.component(j), (seed, j), ledger, width).draw(p)
-        cset, pivot = _constancy(width, ws)
+        sampler = BvSampler(F.component(j), (seed, j), ledger, width)
+        cset, pivot = _constancy(width, sampler.draw(p))
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
             break

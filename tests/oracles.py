@@ -103,6 +103,25 @@ def solve_affine_direct(width: int, constraints) -> list:
     return out
 
 
+def constancy_direct(width: int, ws) -> tuple[int, int, list]:
+    """(rank, w0, rows) of the rows w ^ w0 over every sample w in draw order,
+    w0 the first sample: plain elimination on each row's highest set bit,
+    duplicates and all, so the rows span the space the samples' differences
+    from w0 span."""
+    w0 = int(ws[0])
+    rows = {}
+    for w in ws:
+        v = int(w) ^ w0
+        while v:
+            top = v.bit_length() - 1
+            if top not in rows:
+                rows[top] = v
+                break
+            v ^= rows[top]
+    assert all(r < 1 << width for r in rows.values())
+    return len(rows), w0, list(rows.values())
+
+
 def restricted_mass_direct(table, n: int, a: int, i: int) -> int:
     """Sum of squared (scaled) coefficients over {w : w . a = i}."""
     total = 0

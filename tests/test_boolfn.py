@@ -195,6 +195,11 @@ def test_vector_component_convention():
     F = VectorFunction(2, 2, np.array([0b00, 0b01, 0b10, 0b11]))
     assert F.component(1).table.tolist() == [0, 0, 1, 1]
     assert F.component(2).table.tolist() == [0, 1, 0, 1]
+    # words wider than a byte: every bit, the ones above bit 7 included
+    words = [0xabcdef, 0x123456, 0xffffff, 0, 0x800000, 0x000001, 0x555555, 0xaaaaaa]
+    G = VectorFunction(3, 24, np.array(words))
+    for j in range(1, 25):
+        assert G.component(j).table.tolist() == [(w >> (24 - j)) & 1 for w in words], j
     with pytest.raises(ValueError):
         F.component(0)
     with pytest.raises(ValueError):

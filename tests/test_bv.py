@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bvattack.boolfn import BooleanFunction, _wht, random_boolean_function, walsh_spectrum
-from bvattack.bv import MAX_DRAWS, BvSampler, QueryLedger
+from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger
 from bvattack.rng import seeded_rng
 
 from oracles import full_spectrum_draws, marginal_masses_direct, sample_distribution_direct
@@ -187,3 +187,30 @@ def test_index_table_pinned_cases():
         count = TABLE_DRAWS + 5
         assert s.draw(count).tolist() == full_spectrum_draws(f, (38,), count).tolist(), f.n
         assert s._index == () if shape is None else shape(*s._index), f.n
+
+
+def _top_bent(n: int) -> BooleanFunction:
+    """x1 x2 + x3 x4 on the top four of n bits: the 16 outcomes are the
+    multiples of 2^(n - 4), so the support is not arange."""
+    x = np.arange(1 << n) >> (n - 4)
+    return BooleanFunction(n, ((x >> 3) & (x >> 2) ^ (x >> 1) & x) & 1)
+
+
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_table_draws_across_block_boundaries(count):
+    """A table draw maps u to outcomes block by block; every block, the
+    short last one included, gives the full-spectrum reference's draws."""
+    cases = [
+        # the three-pass table, at full width
+        (random_boolean_function(6, seeded_rng(0, 40)), None, lambda s: s._index[2] == 3),
+        # the marginal law of the leading 5 of 9 bits
+        (random_boolean_function(9, seeded_rng(0, 41)), 5, lambda s: s.n == 5),
+        # 16 outcomes spaced 16 apart
+        (_top_bent(8), None, lambda s: s.outcomes.tolist() == list(range(0, 256, 16))),
+    ]
+    for f, width, shape in cases:
+        s = BvSampler(f, (42,), width=width)
+        got = s.draw(count)
+        full = full_spectrum_draws(f, (42,), count)
+        assert got.tolist() == (full >> (f.n - s.n)).tolist(), f.n
+        assert s._index and shape(s), f.n

@@ -386,6 +386,12 @@ def test_verify_theorems_flag_conflicts(capsys, tmp_path):
     assert rep["result"]["experiments"][0]["config"]["seed"] == 3
 
 
+def test_verify_theorems_strong_toy_too_narrow_exits_2():
+    for n in ("1", "2"):
+        assert main(["verify-theorems", "--which", "T2", "--variant", "strong-toy",
+                     "--n", n, "--trials", "30", "--seed", "1"]) == 2
+
+
 def test_verify_theorems_params_echo_the_config(capsys, tmp_path):
     # the config's seed, z and variant ran, so the params record them, not the flags
     cfg = tmp_path / "c.json"

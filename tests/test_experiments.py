@@ -75,6 +75,20 @@ def test_config_validation():
             ExperimentConfig(which=which, n=4, trials=100, seed=1, variant=variant)
 
 
+def test_strong_toy_rejects_widths_without_a_strong_sbox(monkeypatch):
+    import bvattack.experiments as ex
+
+    # every 1- and 2-bit permutation is affine, so the redraw loop would never end
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an S-box drawn before the width check")
+
+    monkeypatch.setattr(ex.ToyCipher, "generate", unreachable)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            run_experiment(ExperimentConfig("T2", n, trials=30, seed=1, variant="strong-toy"))
+    ExperimentConfig("T2", 3, trials=30, seed=1, variant="strong-toy")
+
+
 def test_config_rejects_widths_beyond_the_table_cap(monkeypatch):
     import bvattack.experiments as ex
 

@@ -15,6 +15,8 @@ from bvattack.bv import BvSampler, QueryLedger
 from bvattack.ciphers import random_permutation
 from bvattack.experiments import example_quadratic, inner_product_function, planted_boolean, planted_vector
 from bvattack.lsfind import (
+    _constancy,
+    _solution_with,
     default_sample_count,
     find_boolean_structures,
     find_common_zero_structure,
@@ -23,7 +25,7 @@ from bvattack.lsfind import (
 from bvattack.gf2 import AffineSolutionSet, Eliminator, LinearSystem, solve
 from bvattack.rng import seeded_rng
 
-from oracles import chained_vector_search, chained_zero_search
+from oracles import chained_vector_search, chained_zero_search, constancy_direct, solve_affine_direct
 
 
 def test_default_sample_count():
@@ -100,6 +102,28 @@ def test_boolean_sets_equal_reference_solve(kind, n, key, data):
     assert res.zero_set == solve(LinearSystem(w, tuple((s, 0) for s in ws)))
     assert res.one_set == solve(LinearSystem(w, tuple((s, 1) for s in ws)))
     assert res.found == (not (res.zero_set.is_trivial and res.one_set.is_trivial))
+
+
+@given(st.sampled_from(["random", "affine", "constant", "bent", "planted"]), st.integers(1, 8),
+       st.integers(0, 2**30), st.data())
+def test_constancy_equals_elimination_over_every_difference(kind, n, key, data):
+    """_constancy absorbs only the distinct samples, each XORed with the pivot
+    after the distinct set is found; the rank, the pivot and both canonical
+    sets must be those of eliminating w ^ w0 over all p samples."""
+    if kind == "planted":
+        f = planted_boolean(n, seeded_rng(key, 51))[0]
+    else:
+        f = _reference_function(kind, n, seeded_rng(key, 51))
+    width = data.draw(st.integers(1, f.n))
+    # small draws take the binary search, from 2^12 on the index table
+    p = data.draw(st.integers(1, 40) | st.integers(1 << 12, 1 << 13))
+    ws = BvSampler(f, (key, 52), width=width).draw(p)
+    cset, w0 = _constancy(width, ws)
+    rank, pivot, rows = constancy_direct(width, ws)
+    assert (cset.rank, w0) == (rank, pivot)
+    for c in (0, 1):
+        want = solve_affine_direct(width, [(r, 0) for r in rows] + [(pivot, c)])
+        assert _solution_with(cset, w0, c).members(cap=1 << width) == want, c
 
 
 def test_boolean_search_stops_absorbing_at_full_rank(monkeypatch):

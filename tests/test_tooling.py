@@ -126,6 +126,26 @@ def test_table_file_signatures_match_their_byte_hooks():
         assert list(inspect.signature(fn).parameters)[0] == "path", fn.__name__
 
 
+def test_draw_and_butterfly_return_what_the_hooks_read():
+    # the draw hook counts len(r) and np.bincount(r) of a draw's result, so a
+    # draw returns all its outcomes as one 1-D int64 array, on both the binary
+    # search and the index table, across more than one table block
+    import numpy as np
+
+    from bvattack.boolfn import _wht, random_boolean_function
+    from bvattack.bv import _BLOCK, BvSampler
+    from bvattack.rng import seeded_rng
+
+    f = random_boolean_function(8, seeded_rng(60))
+    for width in (8, 5):
+        for p in (1, 100, 1 << 12, 2 * _BLOCK + 3):
+            r = BvSampler(f, (61,), width=width).draw(p)
+            assert (type(r), r.ndim, r.dtype, len(r)) == (np.ndarray, 1, np.int64, p), (width, p)
+    # callers rely on the butterfly running in place on their own array
+    b = np.ones((16, 3), dtype=np.int32)
+    assert _wht(b) is b and b[0].tolist() == [16] * 3
+
+
 def test_benchmark_driver_names_resolve():
     # every experiments.X, boolfn.X and cli.X that run.py reads, found in its source
     tree = ast.parse((PERFBENCH / "run.py").read_text())
