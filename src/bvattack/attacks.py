@@ -194,17 +194,32 @@ def _budgeted_sample_count(n: int, p: int | None, pairs: int) -> int:
     return p
 
 
+# Cells per block of the key-guess matrix: at most 2 MiB of int64
+# differences, unless one guess alone has more pairs (up to MAX_DRAWS).  The
+# default pair counts, at most 8n, put all 2^n guesses of n <= 8 bits in one
+# block.
+_GUESS_CELLS = 1 << 18
+
+
 def _guess_differences(oracle: OracleFunction, inv_last: np.ndarray, a: int, pairs: int,
-                       rng: np.random.Generator):
-    """Query `pairs` plaintext pairs with difference a, then yield, for each
-    final-round key guess s in turn, the pairs' one-round partial decryption
-    differences under s."""
+                       rng: np.random.Generator, reduce) -> np.ndarray:
+    """Query `pairs` plaintext pairs with difference a, then reduce the
+    (guesses x pairs) matrix D[s, i] of the pairs' one-round partial
+    decryption differences under final-round key guess s to one value per
+    guess: reduce maps blocks of consecutive guesses, at most _GUESS_CELLS
+    cells (at least one guess), to their values."""
     n = oracle.fn.n
     xs = _pair_plaintexts(n, a, pairs, rng)
     c1 = oracle.classical_batch(xs)
     c2 = oracle.classical_batch(xs ^ a)
-    for s in range(1 << n):
-        yield inv_last[c1 ^ s] ^ inv_last[c2 ^ s]
+    step = max(1, _GUESS_CELLS // pairs)
+    values = []
+    for lo in range(0, 1 << n, step):
+        s = np.arange(lo, min(lo + step, 1 << n))[:, None]
+        d = inv_last[c1 ^ s]
+        d ^= inv_last[c2 ^ s]
+        values.append(reduce(d))
+    return np.concatenate(values)
 
 
 def rank_last_round_keys(oracle: OracleFunction, inv_last: np.ndarray, a: int, alpha: int,
@@ -213,9 +228,9 @@ def rank_last_round_keys(oracle: OracleFunction, inv_last: np.ndarray, a: int, a
     pairs whose one-round partial decryption difference equals alpha."""
     if pairs <= 0:
         raise InsufficientDataError("key counting needs at least one plaintext pair")
-    counts = tuple(int(np.count_nonzero(dy == alpha))
-                   for dy in _guess_differences(oracle, inv_last, a, pairs, rng))
-    return KeyCounterTable(counts, pairs, 1)
+    counts = _guess_differences(oracle, inv_last, a, pairs, rng,
+                                lambda d: np.count_nonzero(d == alpha, axis=1))
+    return KeyCounterTable(tuple(counts.tolist()), pairs, 1)
 
 
 @dataclass(frozen=True)
@@ -269,7 +284,11 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
 def differential_match_counts(G: VectorFunction, a: int, alpha: int) -> np.ndarray:
     """Exhaustive per-key counts of x with F_k(x ^ a) = F_k(x) ^ alpha, over
     the keyed family G(x || k) of toy_reduced_family."""
-    return (derivative_table(G, a, G.n) == alpha).sum(axis=0)
+    d = derivative_table(G, a, G.n)
+    counts = np.zeros(d.shape[1], dtype=np.int64)
+    for row in d:  # one row at a time, so no table-sized comparison exists
+        counts += row == alpha
+    return counts
 
 
 def key_fraction_meeting(G: VectorFunction, a: int, alpha: int,
@@ -329,10 +348,11 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
                                       ledger.snapshot())
     b = res.alpha ^ ((1 << n) - 1)
 
-    guesses = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), res.a,
-                                 pairs, seeded_rng(seed, 0))
-    counts = [int((n - np.bitwise_count(dy ^ b)).sum()) for dy in guesses]
-    counter = KeyCounterTable(tuple(counts), pairs, n)
+    # bitwise_count gives uint8 counts of at most n, so n - count cannot wrap
+    counts = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), res.a,
+                                pairs, seeded_rng(seed, 0),
+                                lambda d: (n - np.bitwise_count(d ^ b)).sum(axis=1))
+    counter = KeyCounterTable(tuple(counts.tolist()), pairs, n)
     return SmallProbabilityReport(True, res.a, b, counter.argmin(), counter,
                                   p, l, q, pairs, ledger.snapshot())
 
@@ -382,8 +402,13 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
 def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:
     """Exhaustive sweep of the keyed family G over every plaintext and key:
     the certified derivative bit must never take the forbidden value."""
-    bit = (derivative_table(G, cert.a, G.n) >> (G.n - cert.j)) & 1
-    return not bool(np.any(bit == cert.forbidden))
+    d = derivative_table(G, cert.a, G.n)
+    d &= 1 << (G.n - cert.j)  # in place: the certified bit, or 0
+    if cert.forbidden == 1:
+        return not d.any()
+    if cert.forbidden == 0:
+        return bool(d.all())
+    return True  # a value that is not a bit never shows
 
 
 @dataclass(frozen=True)
@@ -428,8 +453,8 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
         return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, res.p,
                                      ledger.snapshot())
 
-    guesses = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), cert.a,
-                                 pairs, seeded_rng(seed, 0))
-    alive = tuple(s for s, dy in enumerate(guesses)
-                  if not np.any(((dy >> (n - cert.j)) & 1) == cert.forbidden))
+    shows = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), cert.a,
+                               pairs, seeded_rng(seed, 0),
+                               lambda d: (((d >> (n - cert.j)) & 1) == cert.forbidden).any(axis=1))
+    alive = tuple(np.flatnonzero(~shows).tolist())
     return ImpossibleSieveReport(True, cert, True, alive, pairs, res.p, ledger.snapshot())

@@ -17,6 +17,7 @@ Widths are capped at 24 bits; every table here is dense.
 
 from __future__ import annotations
 
+import io
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -83,19 +84,35 @@ class BooleanFunction:
         return f"BooleanFunction(n={self.n})"
 
 
+def _word_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned type that holds a `bits`-bit word: uint8 up to
+    8 bits, uint16 up to 16, uint32 up to the 24-bit cap."""
+    return np.min_scalar_type((1 << bits) - 1)
+
+
 class VectorFunction:
-    """A function {0,1}^m -> {0,1}^n held as a dense word table."""
+    """A function {0,1}^m -> {0,1}^n held as a dense word table.
+
+    The table is held in the narrowest unsigned type for n-bit words: uint8
+    up to 8 output bits, uint16 up to 16, uint32 up to 24.  An integer table
+    is range-checked in its own type and then narrowed, with no copy when it
+    is already narrow and contiguous; any other input is converted to int64
+    first.  component() returns uint8 bits.
+    """
 
     __slots__ = ("m", "n", "table")
 
     def __init__(self, m: int, n: int, table) -> None:
         _check_width(m, "m")
         _check_width(n, "n")
-        t = np.ascontiguousarray(table, dtype=np.int64)
+        t = np.asarray(table)
+        if t.dtype.kind not in "iu":
+            t = t.astype(np.int64)
         if t.shape != (1 << m,):
             raise ValueError(f"table must have 2^{m} entries, got shape {t.shape}")
-        if t.min(initial=0) < 0 or t.max(initial=0) >= (1 << n):
+        if int(t.min(initial=0)) < 0 or int(t.max(initial=0)) >= (1 << n):
             raise ValueError(f"table entries must fit in {n} output bits")
+        t = np.ascontiguousarray(t, dtype=_word_dtype(n))
         t.setflags(write=False)
         self.m = m
         self.n = n
@@ -108,7 +125,9 @@ class VectorFunction:
         """Output bit j as a boolean function; j is 1-based, 1 = most significant."""
         if not 1 <= j <= self.n:
             raise ValueError(f"component index must be in [1, {self.n}], got {j}")
-        return BooleanFunction(self.m, ((self.table >> (self.n - j)) & 1).astype(np.uint8))
+        bit = self.table >> (self.n - j)
+        bit &= 1
+        return BooleanFunction(self.m, bit.astype(np.uint8, copy=False))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFunction):
@@ -189,7 +208,9 @@ def derivative_table(f: BooleanFunction | VectorFunction, a: int,
     if not 0 <= a < rows:
         raise ValueError(f"direction {a:#x} does not fit in {rows.bit_length() - 1} bits")
     t = f.table.reshape(rows, -1)
-    return np.take(t, np.arange(rows) ^ a, axis=0) ^ t
+    d = np.take(t, np.arange(rows) ^ a, axis=0)
+    d ^= t
+    return d
 
 
 def derivative_count(f: BooleanFunction, a: int, i: int) -> int:
@@ -274,6 +295,13 @@ _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_VALUE = np.full(256, 255, dtype=np.uint8)  # byte -> hex digit value, 255 if none
 _HEX_VALUE[_HEX_DIGITS] = np.arange(16)
 _HEX_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+_SEPARATOR = np.zeros(256, dtype=bool)  # byte -> whether it may follow a canonical word
+_SEPARATOR[np.frombuffer(b" \n", dtype=np.uint8)] = True
+# ASCII bytes other than "\n" that str.splitlines breaks a line at, or that
+# str.strip strips and bytes.strip does not: a file that holds one is cut up
+# as text
+_ODD_BYTES = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_BLANK = re.compile(rb"[ \t\n]*")  # the whitespace left in a file without them
 
 
 def format_word_block(words, bits: int) -> bytes:
@@ -289,15 +317,16 @@ def format_word_block(words, bits: int) -> bytes:
     return out.tobytes()
 
 
-def _decode_canonical(text: str, count: int, digits: int) -> np.ndarray | None:
-    """The words of `text` if it is `count` tokens of exactly `digits` ASCII
-    hex digits joined by single spaces, decoded in one pass; else None."""
-    if len(text) != count * (digits + 1) - 1 or not text.isascii():
+def _decode_canonical(raw, count: int, digits: int, dtype) -> np.ndarray | None:
+    """The words of the bytes `raw` if they are `count` tokens of exactly
+    `digits` ASCII hex digits, each followed by a space or a newline (the last
+    one's may be missing), decoded in one pass into `dtype`; else None."""
+    if len(raw) not in (count * (digits + 1) - 1, count * (digits + 1)):
         return None
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if np.any(raw[digits::digits + 1] != ord(" ")):
+    raw = np.frombuffer(raw, dtype=np.uint8)
+    if not _SEPARATOR[raw[digits::digits + 1]].all():
         return None
-    vals = np.zeros(count, dtype=np.int64)
+    vals = np.zeros(count, dtype=dtype)
     for k in range(digits):
         nib = _HEX_VALUE[raw[k::digits + 1]]
         if nib.max() > 15:
@@ -307,19 +336,21 @@ def _decode_canonical(text: str, count: int, digits: int) -> np.ndarray | None:
     return vals
 
 
-def parse_word_block(lines, m: int, bits: int, what: str) -> np.ndarray:
-    """The 2^m words of a block's lines as int64, checked to fit in `bits`;
-    both widths are checked first.  A canonical block, as format_word_block
-    writes it, decodes in one vectorised pass; any other text goes token by
-    token through int(t, 16), which gives the same words on canonical text,
-    so both paths accept the same blocks with the same errors."""
+def parse_word_block(block, m: int, bits: int, what: str) -> np.ndarray:
+    """The 2^m words of a word block (text, or bytes as a file holds them),
+    checked to fit in `bits` and held in the narrowest unsigned type for
+    `bits`-bit words; both widths are checked first.  A canonical block, as
+    format_word_block writes it, decodes in one vectorised pass; any other
+    block is decoded as UTF-8 if it is bytes and goes token by token through
+    int(t, 16), which gives the same words on canonical text, so both paths
+    accept the same blocks with the same errors."""
     _check_width(m, f"{what}: input width")
     _check_width(bits, f"{what}: output width")
-    count = 1 << m
-    text = " ".join(lines)
-    vals = _decode_canonical(text, count, max(1, (bits + 3) // 4))
+    count, dtype = 1 << m, _word_dtype(bits)
+    raw = block.encode() if isinstance(block, str) else block
+    vals = _decode_canonical(raw, count, max(1, (bits + 3) // 4), dtype)
     if vals is None:
-        toks = text.split()
+        toks = (block if isinstance(block, str) else str(block, "utf-8")).split()
         if len(toks) != count:
             raise ValueError(f"{what}: expected {count} entries, got {len(toks)}")
         try:
@@ -328,9 +359,47 @@ def parse_word_block(lines, m: int, bits: int, what: str) -> np.ndarray:
             raise ValueError(f"{what}: {exc}") from exc
         except OverflowError:
             vals = None  # an entry beyond int64 fits no table width
-    if vals is None or vals.min() < 0 or vals.max() >= (1 << bits):
+    if vals is None or int(vals.min()) < 0 or int(vals.max()) >= (1 << bits):
         raise ValueError(f"{what}: an entry does not fit in {bits} bits")
-    return vals
+    return vals.astype(dtype, copy=False)
+
+
+def _read_sections(path, marks: tuple[str, ...] = ()) -> list[tuple[str, str | memoryview]]:
+    """A table file as (line, block) sections: its first non-blank line, and
+    each later line that starts with one of `marks` once right-stripped, each
+    with the rest of the file up to the next such line as its block.  An
+    ASCII file whose lines end in "\\n" alone is cut up as bytes, so each
+    block reaches parse_word_block undecoded, as a memoryview of the file.
+    Any other file is decoded as Path.read_text decodes it (with its errors)
+    and cut up by str.splitlines; on the files both ways accept, they give
+    the same lines and blocks of the same tokens."""
+    data = Path(path).read_bytes()
+    if not data.isascii() or any(c in data for c in _ODD_BYTES):
+        lines = [ln for ln in io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+                 if ln.strip()]
+        starts = [i for i, ln in enumerate(lines) if i == 0 or ln.rstrip().startswith(marks)]
+        return [(lines[i], "\n".join(lines[i + 1:j]))
+                for i, j in zip(starts, starts[1:] + [len(lines)])]
+    first = _BLANK.match(data).end()
+    if first == len(data):
+        return []
+    starts = [data.rfind(b"\n", 0, first) + 1]
+    for mark in marks:
+        key = b"\n" + mark.encode()
+        at = data.find(key, starts[0])
+        while at >= 0:
+            end = data.find(b"\n", at + 1)
+            if data[at + 1:end if end >= 0 else None].rstrip() != key[1:].rstrip():
+                starts.append(at + 1)
+            at = data.find(key, at + 1)
+    starts.sort()
+    view = memoryview(data)
+    out = []
+    for i, j in zip(starts, starts[1:] + [len(data)]):
+        end = data.find(b"\n", i, j)
+        end = j if end < 0 else end
+        out.append((data[i:end].decode("ascii"), view[end + 1:j]))
+    return out
 
 
 def save_function(path, fn: Union[BooleanFunction, VectorFunction]) -> None:
@@ -348,16 +417,17 @@ def save_function(path, fn: Union[BooleanFunction, VectorFunction]) -> None:
 
 def load_function(path) -> Union[BooleanFunction, VectorFunction]:
     """Read a table file written by save_function."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
+    sections = _read_sections(path)
+    if not sections:
         raise ValueError(f"{path}: empty function file")
-    head = lines[0].strip()
+    line, block = sections[0]
+    head = line.strip()
     m = _HEADER_BOOL.match(head)
     if m:
         n = int(m.group(1))
-        return BooleanFunction(n, parse_word_block(lines[1:], n, 1, str(path)))
+        return BooleanFunction(n, parse_word_block(block, n, 1, str(path)))
     m = _HEADER_VEC.match(head)
     if m:
         mm, n = int(m.group(1)), int(m.group(2))
-        return VectorFunction(mm, n, parse_word_block(lines[1:], mm, n, str(path)))
+        return VectorFunction(mm, n, parse_word_block(block, mm, n, str(path)))
     raise ValueError(f"{path}: unrecognized header {head!r}")

@@ -120,10 +120,16 @@ class BvSampler:
         width = f.n if width is None else int(width)
         if not 1 <= width <= f.n:
             raise ValueError(f"width must be in [1, {f.n}], got {width}")
-        # int32 holds every entry: a sum of 2^width signs, and the table cap
-        # keeps 2^width <= 2^24 < 2^31.  A row's sum of squares, at most
-        # 2^(n + width) <= 2^48, is accumulated in int64.
-        rows = _wht((1 - 2 * f.table.astype(np.int32)).reshape(1 << width, -1))
+        # Every butterfly entry lies in [-2^width, 2^width]: each starts as a
+        # sign +-1, and each of the width stages maps a pair (x, y) to
+        # (x + y, x - y), which at most doubles the largest magnitude (a
+        # constant column reaches 2^width).  So int8 holds width <= 6, int16
+        # width <= 14, and int32 the rest up to the 24-bit cap.  A row's sum of
+        # squares, at most 2^(n + width) <= 2^48, is accumulated in int64.
+        t = f.table.astype(np.int8 if width <= 6 else np.int16 if width <= 14 else np.int32)
+        t *= -2
+        t += 1
+        rows = _wht(t.reshape(1 << width, -1))
         masses = np.einsum("ij,ij->i", rows, rows, dtype=np.int64) << (f.n - width)
         support = np.flatnonzero(masses)
         self.n = width

@@ -23,11 +23,18 @@ boolfn word block.  They round-trip bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .boolfn import MAX_WIDTH, VectorFunction, _check_width, format_word_block, parse_word_block
+from .boolfn import (
+    MAX_WIDTH,
+    VectorFunction,
+    _check_width,
+    _read_sections,
+    _word_dtype,
+    format_word_block,
+    parse_word_block,
+)
 from .bv import QueryLedger
 from .rng import seeded_rng
 
@@ -286,19 +293,34 @@ class ToyCipherPublic:
         inv[self.last_sbox] = np.arange(1 << self.n)
         return inv
 
+    def _round_table(self) -> np.ndarray:
+        """y -> rotl1(S(y)) as one table, in the n-bit word type."""
+        return rotl1(self.sbox, self.n).astype(_word_dtype(self.n))
+
     def keyed_rounds(self, keys) -> np.ndarray:
         """Matrix Y[x, i] = keyed rounds y -> rotl1(S(y ^ k_j)) on x under master
-        key keys[i]: keys on the last axis, so with every key in order the
-        flattened matrix is G(x || k)."""
-        round_fn = rotl1(self.sbox, self.n)  # y -> rotl1(S(y)) as one table
-        y = np.arange(1 << self.n)[:, None]
+        key keys[i], in the n-bit word type: keys on the last axis, so with
+        every key in order the flattened matrix is G(x || k)."""
+        round_fn = self._round_table()
+        y = np.arange(1 << self.n, dtype=round_fn.dtype)[:, None]
         for ki in _round_keys(np.asarray(keys, dtype=np.int64)[None, :], self.n, self.rounds):
-            y = round_fn[y ^ ki]
+            y = round_fn[y ^ ki.astype(round_fn.dtype)]
         return y
 
     def reduced_encrypt_all_keys(self) -> np.ndarray:
-        """Matrix Y[x, k] = value of the keyed rounds on x under key k."""
-        return self.keyed_rounds(np.arange(1 << self.key_bits))
+        """Matrix Y[x, k] = value of the keyed rounds on x under key k, in the
+        n-bit word type.  With R[v, c] = rotl1(S(v ^ c)), the first keyed round
+        is R itself (rows x, columns k_1), and each later one maps every cell v
+        to the whole row R[v], one column per value of its round key.  So the
+        matrix grows by rows gathered from R, and the last gather is the only
+        family-sized array the build makes."""
+        round_fn = self._round_table()
+        v = np.arange(1 << self.n, dtype=round_fn.dtype)
+        r = round_fn[v[:, None] ^ v]
+        y = r
+        for _ in range(self.rounds - 2):
+            y = np.take(r, y, axis=0)
+        return y.reshape(1 << self.n, -1)
 
 
 def toy_reduced_family(public: ToyCipherPublic) -> VectorFunction:
@@ -469,29 +491,34 @@ def _parse_kv(tokens, what: str, want_ints, required=()) -> dict:
     return out
 
 
+def _first_line(block) -> str | None:
+    """The first non-blank line of a block, right-stripped, or None."""
+    text = block if isinstance(block, str) else str(block, "ascii")
+    return next((ln.rstrip() for ln in text.splitlines() if ln.strip()), None)
+
+
 def load_cipher(path) -> CipherFile:
     """Read a cipher file written by save_cipher.  A `table` line owns the
     lines after it, up to the next `keys` or `table` line, as its word block."""
-    lines = [ln.rstrip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("cipher "):
+    sections = _read_sections(path, ("keys ", "table "))
+    if not sections or not sections[0][0].rstrip().startswith("cipher "):
         raise ValueError(f"{path}: expected a 'cipher ...' header line")
-    _, kind, *head = lines[0].split()
+    _, kind, *head = sections[0][0].split()
     if kind not in _KINDS:
         raise ValueError(f"{path}: unknown cipher kind {kind!r}")
     params = _parse_kv(head, f"{path} header", {"n", "r", "seed"}, ("n",))
 
     keys: dict = {}
     tables: dict = {}
-    marks = [i for i, ln in enumerate(lines) if ln.startswith(("keys ", "table "))]
-    for i, end in zip([0, *marks], [*marks, len(lines)]):
-        word, *toks = lines[i].split()
+    for line, block in sections:
+        word, *toks = line.split()
         if word == "table":
             what = f"{path} table {toks[0]}"
             shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
             m, n = shape["m"], shape["n"]
-            tables[toks[0]] = VectorFunction(m, n, parse_word_block(lines[i + 1:end], m, n, what))
-        elif end > i + 1:  # the header and the keys line own no lines
-            raise ValueError(f"{path}: unexpected line {lines[i + 1]!r}")
+            tables[toks[0]] = VectorFunction(m, n, parse_word_block(block, m, n, what))
+        elif (extra := _first_line(block)) is not None:  # the header and keys own no lines
+            raise ValueError(f"{path}: unexpected line {extra!r}")
         elif word == "keys":
             keys = _parse_kv(toks, f"{path} keys", {"k1", "k2", "k", "s"})
     if "etable" not in tables:

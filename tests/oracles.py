@@ -5,8 +5,11 @@ loops, direct definitional sums, exhaustive scans.  No fast transforms, no
 packed elimination, no shared code with the package under test.  Frozen
 expected values in the tests were computed with these.
 
-The exceptions are the full-spectrum sampler and the chained searches at
-the end.  The sampler draws from the squared coefficients of the package's
+The exceptions are the text readers of table files, the full-spectrum
+sampler and the chained searches at the end.  The readers decode a file
+whole and split it into lines, as the package read files before it cut them
+up as bytes; they share the containers, the width check and the key=value
+parsing.  The sampler draws from the squared coefficients of the package's
 `walsh_spectrum` over the whole support, as the reference that the
 truncated (marginal-law) sampler must equal draw for draw.  The chained
 searches replay the package's own sampler streams through per-component
@@ -14,14 +17,17 @@ searches replay the package's own sampler streams through per-component
 eliminator searches must equal field for field.
 """
 
+import re
 from fractions import Fraction
 from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
 from bvattack.attacks import ImpossibleCertificate, ImpossibleFindReport
-from bvattack.boolfn import walsh_spectrum
+from bvattack.boolfn import BooleanFunction, VectorFunction, _check_width, walsh_spectrum
 from bvattack.bv import BvSampler
+from bvattack.ciphers import _KINDS, CipherFile, _parse_kv
 from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
 from bvattack.lsfind import ComponentEvidence, VectorStructureResult, ZeroStructureResult
 from bvattack.rng import seeded_rng
@@ -191,6 +197,110 @@ def parse_word_block_direct(lines, m: int, bits: int, what: str) -> np.ndarray:
     if vals is None or vals.min() < 0 or vals.max() >= (1 << bits):
         raise ValueError(f"{what}: an entry does not fit in {bits} bits")
     return vals
+
+
+def load_function_direct(path):
+    """load_function as a text reader: the file decoded whole, its non-blank
+    lines, the first one the header, the rest through the per-token parser."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty function file")
+    head = lines[0].strip()
+    m = re.match(r"^boolfn n=(\d+)$", head)
+    if m:
+        n = int(m.group(1))
+        _check_width(n, f"{path}: input width")
+        return BooleanFunction(n, parse_word_block_direct(lines[1:], n, 1, str(path)))
+    m = re.match(r"^vecfn m=(\d+) n=(\d+)$", head)
+    if m:
+        mm, n = int(m.group(1)), int(m.group(2))
+        _check_width(mm, f"{path}: input width")
+        _check_width(n, f"{path}: output width")
+        return VectorFunction(mm, n, parse_word_block_direct(lines[1:], mm, n, str(path)))
+    raise ValueError(f"{path}: unrecognized header {head!r}")
+
+
+def load_cipher_direct(path) -> CipherFile:
+    """load_cipher as a text reader: the file decoded whole, its non-blank
+    lines right-stripped; a `table` line owns the lines up to the next `keys`
+    or `table` line, and its block goes through the per-token parser."""
+    lines = [ln.rstrip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("cipher "):
+        raise ValueError(f"{path}: expected a 'cipher ...' header line")
+    _, kind, *head = lines[0].split()
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: unknown cipher kind {kind!r}")
+    params = _parse_kv(head, f"{path} header", {"n", "r", "seed"}, ("n",))
+    keys, tables = {}, {}
+    marks = [i for i, ln in enumerate(lines) if ln.startswith(("keys ", "table "))]
+    for i, end in zip([0, *marks], [*marks, len(lines)]):
+        word, *toks = lines[i].split()
+        if word == "table":
+            what = f"{path} table {toks[0]}"
+            shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
+            m, n = shape["m"], shape["n"]
+            _check_width(m, f"{what}: input width")
+            _check_width(n, f"{what}: output width")
+            tables[toks[0]] = VectorFunction(
+                m, n, parse_word_block_direct(lines[i + 1:end], m, n, what))
+        elif end > i + 1:
+            raise ValueError(f"{path}: unexpected line {lines[i + 1]!r}")
+        elif word == "keys":
+            keys = _parse_kv(toks, f"{path} keys", {"k1", "k2", "k", "s"})
+    if "etable" not in tables:
+        raise ValueError(f"{path}: cipher file must carry the encryption table")
+    return CipherFile(kind, params, keys, tables)
+
+
+def keyed_rounds_direct(n: int, rounds: int, sbox, master: int, x: int) -> int:
+    """The keyed rounds y -> rotl1(S(y ^ k_i)) on x, per definition, without
+    the final substitution."""
+    kb = (rounds - 1) * n
+    y = x
+    for i in range(1, rounds):
+        y = int(sbox[y ^ ((master >> (kb - i * n)) & ((1 << n) - 1))])
+        y = ((y << 1) | (y >> (n - 1))) & ((1 << n) - 1)
+    return y
+
+
+def keyed_match_counts_direct(table, n: int, kb: int, a: int, alpha: int) -> list:
+    """Per key k of a keyed family G(x || k), the number of data words x
+    with G(x ^ a || k) ^ G(x || k) = alpha."""
+    return [sum(1 for x in range(1 << n)
+                if int(table[((x ^ a) << kb) | k]) ^ int(table[(x << kb) | k]) == alpha)
+            for k in range(1 << kb)]
+
+
+def certificate_valid_direct(table, n: int, kb: int, j: int, a: int, forbidden: int) -> bool:
+    """Whether bit j (1 = most significant of n) of G(x ^ a || k) ^ G(x || k)
+    avoids the value `forbidden` for every x and k."""
+    return all(((int(table[((x ^ a) << kb) | k]) ^ int(table[(x << kb) | k])) >> (n - j)) & 1
+               != forbidden for x in range(1 << n) for k in range(1 << kb))
+
+
+def butterfly_sampler_direct(table, n: int, width: int) -> tuple:
+    """(outcomes, cumulative masses) of the marginal law of the leading
+    `width` bits, from an int64 Walsh butterfly: the signs +-1 as 2^width
+    rows of 2^(n - width) columns, each stage h turning the rows r and r + h
+    of every 2h-row block into their sum and difference; a row's mass is its
+    sum of squares times 2^(n - width)."""
+    b = (1 - 2 * np.asarray(table, dtype=np.int64)).reshape(1 << width, -1)
+    h = 1
+    while h < len(b):
+        v = b.reshape(-1, 2, h, b.shape[1])
+        b = np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1).reshape(b.shape)
+        h *= 2
+    masses = (b * b).sum(axis=1) << (n - width)
+    support = np.flatnonzero(masses)
+    return support, np.cumsum(masses[support])
+
+
+def marginal_draws_direct(table, n: int, width: int, seed_key, count: int) -> np.ndarray:
+    """`count` outcomes of the marginal law: uniform integers from the
+    sampler's seeded stream, searched against the reference cumulative masses."""
+    outcomes, cum = butterfly_sampler_direct(table, n, width)
+    u = seeded_rng(seed_key).integers(0, int(cum[-1]), size=count, dtype=np.int64)
+    return outcomes[np.searchsorted(cum, u, side="right")]
 
 
 def chi_square_statistic(observed, expected) -> float:

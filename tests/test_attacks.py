@@ -34,7 +34,12 @@ from bvattack.ciphers import (
 from bvattack.experiments import planted_vector
 from bvattack.rng import seeded_rng
 
-from oracles import chained_impossible_search, key_match_counts_direct
+from oracles import (
+    certificate_valid_direct,
+    chained_impossible_search,
+    key_match_counts_direct,
+    keyed_match_counts_direct,
+)
 
 TRIALS = 30
 
@@ -345,6 +350,50 @@ def test_keyed_family_sweeps_stay_within_two_tables():
     bound = 2 * G.table.nbytes
     assert _traced_peak(impossible_certificate_valid, G, ImpossibleCertificate(1, 3, 1)) <= bound
     assert _traced_peak(differential_match_counts, G, 3, 3) <= bound
+
+
+def test_keyed_family_build_stays_within_two_tables():
+    """The 24-bit family of the n = 8 toy cipher, built in uint8 words, makes
+    no table-sized temporary beside the table it returns."""
+    pub = ToyCipher.generate(8, "weak", seed=372).public
+    G = toy_reduced_family(pub)
+    assert G.table.dtype == np.uint8 and G.m == 24
+    assert _traced_peak(toy_reduced_family, pub) <= 2 * G.table.nbytes
+
+
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**30), st.data())
+def test_keyed_family_sweeps_match_oracles(n, rounds, key, data):
+    """Match counts and certificate checks on the uint8 family agree with the
+    per-cell references."""
+    G = toy_reduced_family(ToyCipher.generate(n, "strong", seed=(key, 373), rounds=rounds).public)
+    kb = G.m - n
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    alpha = data.draw(st.integers(0, (1 << n) - 1))
+    assert differential_match_counts(G, a, alpha).tolist() == keyed_match_counts_direct(
+        G.table, n, kb, a, alpha)
+    from bvattack.attacks import ImpossibleCertificate
+    for j in range(1, n + 1):
+        for forbidden in (0, 1):
+            assert impossible_certificate_valid(G, ImpossibleCertificate(j, a, forbidden)) == \
+                certificate_valid_direct(G.table, n, kb, j, a, forbidden)
+
+
+def test_key_guess_blocks_leave_the_reports_unchanged(monkeypatch):
+    """However the key-guess matrix is cut into blocks of guesses, the
+    counters, the sieve and the ledgers come out the same."""
+    import bvattack.attacks as attacks
+
+    runs = []
+    for cells in (attacks._GUESS_CELLS, 1, 3 * 40 + 1):
+        monkeypatch.setattr(attacks, "_GUESS_CELLS", cells)
+        tc = ToyCipher.generate(4, "weak", seed=374)
+        runs.append((
+            differential_attack(tc.public, tc.encrypt_table(), seed=375, q=4, pairs=40),
+            small_probability_attack(tc.public, tc.encrypt_table(), seed=376, q=2, l=4),
+            impossible_attack(tc.public, tc.encrypt_table(), seed=377, pairs=40),
+        ))
+    assert runs[0][0].found and runs[0][1].found and runs[0][2].certificate_valid
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_keyed_family_sweeps_reject_directions_outside_the_data_half():

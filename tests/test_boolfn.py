@@ -33,6 +33,7 @@ from oracles import (
     boolean_structures_direct,
     derivative_value_counts,
     hex_lines_direct,
+    load_function_direct,
     parse_word_block_direct,
     restricted_mass_direct,
     vector_structures_direct,
@@ -206,6 +207,49 @@ def test_vector_component_convention():
         F.component(3)
 
 
+@pytest.mark.parametrize("n,dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16),
+                                     (16, np.uint16), (17, np.uint32), (24, np.uint32)])
+def test_vector_table_word_type(n, dtype):
+    """Words are held in the narrowest unsigned type for n bits, every bit is
+    kept, and components come out as uint8 bits."""
+    words = [0, (1 << n) - 1, 1 << (n - 1), 1, 0x5555555 & ((1 << n) - 1), 3 % (1 << n), 0, 1]
+    F = VectorFunction(3, n, np.array(words))
+    assert F.table.dtype == dtype and F.table.tolist() == words
+    for j in range(1, n + 1):
+        c = F.component(j).table
+        assert c.dtype == np.uint8 and c.tolist() == [(w >> (n - j)) & 1 for w in words], j
+    # an integer table of any type is range-checked in its own type, then narrowed
+    for src in (np.int8, np.uint16, np.int32, np.uint64):
+        if (1 << n) - 1 <= np.iinfo(src).max:
+            assert VectorFunction(3, n, np.array(words, dtype=src)).table.dtype == dtype
+    with pytest.raises(ValueError, match="fit"):
+        VectorFunction(3, n, np.array([1 << n] + words[1:], dtype=np.uint64))
+    with pytest.raises(ValueError, match="fit"):
+        VectorFunction(3, n, np.array([-1] + words[1:], dtype=np.int32))
+    # a table already in the word type is kept, not copied
+    narrow = np.array(words, dtype=dtype)
+    assert np.shares_memory(VectorFunction(3, n, narrow).table, narrow)
+    # a non-integer table goes through int64 first
+    assert VectorFunction(3, n, np.array(words, dtype=float)).table.tolist() == words
+
+
+@given(st.integers(1, 5), st.integers(6, 10), st.integers(0, 2**30))
+def test_vector_structures_of_wide_words_match_oracle(m, n, key):
+    """The exhaustive readout on uint8 and uint16 word tables, with planted
+    structures so that there is something to find."""
+    rng = seeded_rng(key, 8)
+    a = int(rng.integers(1, 1 << m))
+    alpha = int(rng.integers(0, 1 << n))
+    xs = np.arange(1 << m)
+    table = rng.integers(0, 1 << n, size=1 << m)
+    reps = xs[xs < (xs ^ a)]
+    table[reps ^ a] = table[reps] ^ alpha
+    F = VectorFunction(m, n, table)
+    assert F.table.dtype == np.min_scalar_type((1 << n) - 1)
+    got = vector_structures_exhaustive(F)
+    assert got == vector_structures_direct(F.table, m, n) and (a, alpha) in got
+
+
 def test_callables():
     assert [AND2(x) for x in range(4)] == [0, 0, 0, 1]
     F = VectorFunction(2, 3, np.array([5, 1, 7, 0]))
@@ -281,12 +325,81 @@ def test_load_accepts_every_int_base16_token(tmp_path):
     assert load_function(path).table.tolist() == [15, 1, 16, 3]
 
 
+def _load_outcome(load, path):
+    """What loading a table file gives: the function's kind, widths and
+    words, or the error's type and message."""
+    try:
+        fn = load(path)
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(fn).__name__, getattr(fn, "m", fn.n), fn.n, fn.table.tolist()
+
+
+# A saved 4 -> 5-bit table file and the edits of it that no longer read as a
+# canonical file, each still accepted or refused as the text reader does.
+_VEC_FILE = b"vecfn m=4 n=5\n" + format_word_block(np.arange(16) * 2 % 32, 5)
+_FILE_EDITS = {
+    "canonical": _VEC_FILE,
+    "no final newline": _VEC_FILE[:-1],
+    "blank lines": b"\n  \n" + _VEC_FILE.replace(b"\n", b"\n\n\t \n"),
+    "header indented": b"  \t" + _VEC_FILE.replace(b"\n", b"   \n", 1),
+    "crlf": _VEC_FILE.replace(b"\n", b"\r\n"),
+    "cr": _VEC_FILE.replace(b"\n", b"\r"),
+    "vertical tab": _VEC_FILE.replace(b" 02", b"\x0b02"),
+    "form feed in header": _VEC_FILE.replace(b"m=4", b"\x0cm=4"),
+    "file separator": _VEC_FILE.replace(b"\n", b"\x1c", 2),
+    "unit separator": _VEC_FILE.replace(b" 02", b"\x1f02"),
+    "0x": _VEC_FILE.replace(b"1e", b"0x1e"),
+    "plus": _VEC_FILE.replace(b" 02 ", b" +2 "),
+    "underscore": _VEC_FILE.replace(b" 04 ", b" 0_4 "),
+    "upper case": _VEC_FILE.replace(b"1e", b"1E"),
+    "arabic digit": _VEC_FILE.replace(b" 06 ", " \u0666 ".encode()),
+    "no-break space": _VEC_FILE.replace(b" 08 ", "\u00a008 ".encode()),
+    "line separator": _VEC_FILE.replace(b"\n", "\u2028".encode(), 2),
+    "invalid utf-8": _VEC_FILE.replace(b"0a", b"\xff\xfe"),
+    "latin-1 byte in header": _VEC_FILE.replace(b"vecfn", b"vecfn\xe9"),
+    "wide token": _VEC_FILE.replace(b"1e", b"01e"),
+    "too wide": _VEC_FILE.replace(b"1e", b"3f"),
+    "missing token": _VEC_FILE.replace(b" 02", b""),
+    "header only": b"vecfn m=4 n=5\n",
+    "boolean": b"boolfn n=2\n0 1 1 0\n",
+    "boolean, blank first": b"\n\nboolfn n=2\n0 1\n1\n0",
+    "empty": b"",
+    "blank": b" \n\t\n",
+    "unknown header": b"fn n=2\n0 1 1 0\n",
+}
+
+
+@pytest.mark.parametrize("edit", list(_FILE_EDITS))
+def test_load_function_reads_as_the_text_reader(tmp_path, edit):
+    """Cut up as bytes or, for any other file, decoded as text, a function
+    file loads as the whole-text reader loads it, errors included."""
+    path = tmp_path / "f.txt"
+    path.write_bytes(_FILE_EDITS[edit])
+    want = _load_outcome(load_function_direct, path)
+    assert _load_outcome(load_function, path) == want
+    if edit == "canonical":
+        assert want[0] == "VectorFunction"
+
+
+@given(st.integers(0, len(_VEC_FILE)), st.integers(0, len(_VEC_FILE)),
+       st.binary(max_size=3) | st.sampled_from([b"\r", b"\x0b", b"\x1e", b"\x1f", b"\xc2\x85",
+                                                 b"\n\n", b"  ", b"\t"]))
+def test_edited_function_file_reads_as_the_text_reader(tmp_path_factory, i, j, insert):
+    """Any span of the saved file replaced by a few bytes loads as the
+    whole-text reader loads the edited file."""
+    i, j = min(i, j), max(i, j)
+    path = tmp_path_factory.mktemp("edit") / "f.txt"
+    path.write_bytes(_VEC_FILE[:i] + insert + _VEC_FILE[j:])
+    assert _load_outcome(load_function, path) == _load_outcome(load_function_direct, path)
+
+
 @given(st.integers(1, 6), st.integers(1, 24), st.integers(0, 2**30))
 def test_word_block_matches_per_word_formatting(m, bits, key):
     words = random_vector_function(m, bits, seeded_rng(key, 10)).table
     block = format_word_block(words, bits).decode()
     assert block == "".join(f"{line}\n" for line in hex_lines_direct(words, bits))
-    assert parse_word_block(block.splitlines(), m, bits, "block").tolist() == words.tolist()
+    assert parse_word_block(block, m, bits, "block").tolist() == words.tolist()
 
 
 # --- canonical decode against the per-token reference -----------------------------
@@ -326,25 +439,29 @@ _MUTATIONS = ("non-hex", "upper", "short", "long", "double-space", "tab", "trail
               "too-wide", "byte")
 
 
-def _parse_outcome(parse, text: str, m: int, bits: int):
-    """The words parsed from text's non-blank lines, as load_function passes
-    them, or the ValueError message."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _parse_outcome(parse, block, m: int, bits: int, dtype):
+    """The words parsed from a block, or the ValueError message; parsed words
+    must come in `dtype`."""
     try:
-        vals = parse(lines, m, bits, "block")
+        vals = parse(block, m, bits, "block")
     except ValueError as exc:
         return str(exc)
-    assert vals.dtype == np.int64
+    assert vals.dtype == dtype
     return vals.tolist()
 
 
 def _assert_decode_matches_reference(m, bits, key, kind, i):
+    """The block as text and as its UTF-8 bytes parses as the per-token
+    reference parses its non-blank lines, into the narrow word type."""
     words = random_vector_function(m, bits, seeded_rng(key, 11)).table
     text = format_word_block(words, bits).decode()
     if kind is not None:
         text = _mutate(text, kind, i, bits)
-    want = _parse_outcome(parse_word_block_direct, text, m, bits)
-    assert _parse_outcome(parse_word_block, text, m, bits) == want
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    want = _parse_outcome(parse_word_block_direct, lines, m, bits, np.int64)
+    narrow = np.min_scalar_type((1 << bits) - 1)
+    assert _parse_outcome(parse_word_block, text, m, bits, narrow) == want
+    assert _parse_outcome(parse_word_block, text.encode(), m, bits, narrow) == want
     if kind is None:
         assert want == words.tolist()
 

@@ -10,7 +10,13 @@ from bvattack.boolfn import BooleanFunction, _wht, random_boolean_function, wals
 from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger
 from bvattack.rng import seeded_rng
 
-from oracles import full_spectrum_draws, marginal_masses_direct, sample_distribution_direct
+from oracles import (
+    butterfly_sampler_direct,
+    full_spectrum_draws,
+    marginal_draws_direct,
+    marginal_masses_direct,
+    sample_distribution_direct,
+)
 
 # chi-square seeds are pinned; if an implementation change shifts the stream,
 # re-pin once after confirming the distribution is otherwise healthy
@@ -214,3 +220,48 @@ def test_table_draws_across_block_boundaries(count):
         full = full_spectrum_draws(f, (42,), count)
         assert got.tolist() == (full >> (f.n - s.n)).tolist(), f.n
         assert s._index and shape(s), f.n
+
+
+# --- narrow butterflies ----------------------------------------------------------------
+
+
+def _extreme_or_random(n: int, kind: str, key: int) -> BooleanFunction:
+    """A random, constant or affine function of n bits; the constant and
+    affine ones put a butterfly entry at +-2^width, the bound its type must
+    hold."""
+    rng = seeded_rng(key, 44)
+    if kind == "random":
+        return random_boolean_function(n, rng)
+    c = int(rng.integers(0, 2))
+    a = int(rng.integers(0, 1 << n)) if kind == "affine" else 0
+    return BooleanFunction(n, (np.bitwise_count(np.arange(1 << n) & a) & 1) ^ c)
+
+
+def _assert_sampler_equals_int64_reference(f: BooleanFunction, width: int, key: int) -> None:
+    s = BvSampler(f, (key,), width=width)
+    outcomes, cum = butterfly_sampler_direct(f.table, f.n, width)
+    assert s.outcomes.tolist() == outcomes.tolist()
+    assert s._cum.tolist() == cum.tolist()
+    want = marginal_draws_direct(f.table, f.n, width, (key,), 1 << 13)
+    assert s.draw(1 << 13).tolist() == want.tolist()
+
+
+@given(st.integers(1, 16), st.integers(0, 2), st.sampled_from(("random", "constant", "affine")),
+       st.integers(0, 2**30))
+def test_narrow_butterfly_equals_int64_reference(width, extra, kind, key):
+    """The sampler's int8, int16 or int32 butterfly gives the outcomes, the
+    cumulative masses and the draws of an int64 reference butterfly."""
+    f = _extreme_or_random(min(16, width + extra), kind, key)
+    _assert_sampler_equals_int64_reference(f, width, key)
+
+
+@pytest.mark.parametrize("width", [6, 7, 8, 14, 15, 16])
+@pytest.mark.parametrize("kind", ["constant", "affine"])
+def test_butterfly_type_switch_points(width, kind):
+    """Around width 6/7 and 14/15, where int8 and int16 stop holding
+    2^width, constant and affine functions reach the bound exactly."""
+    for n in (width, width + 1):
+        f = _extreme_or_random(n, kind, 45)
+        _, cum = butterfly_sampler_direct(f.table, n, width)
+        assert len(cum) == 1  # all the mass on one outcome: one entry is +-2^width
+        _assert_sampler_equals_int64_reference(f, width, 45)

@@ -27,7 +27,13 @@ from bvattack.ciphers import (
 )
 from bvattack.rng import seeded_rng
 
-from oracles import feistel3_encrypt_direct, toy_encrypt_direct, vector_structures_direct
+from oracles import (
+    feistel3_encrypt_direct,
+    keyed_rounds_direct,
+    load_cipher_direct,
+    toy_encrypt_direct,
+    vector_structures_direct,
+)
 
 
 # --- oracle wrapper -----------------------------------------------------------
@@ -268,6 +274,18 @@ def test_keyed_rounds_are_rows_of_the_all_keys_matrix(n, rounds, key, data):
     assert np.array_equal(y, pub.reduced_encrypt_all_keys()[:, keys])
 
 
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**30))
+def test_keyed_family_matches_direct_rounds(n, rounds, key):
+    """The all-keys family, in uint8 words, cell by cell against the rounds
+    run per definition."""
+    pub = ToyCipher.generate(n, "strong", seed=(key, 10), rounds=rounds).public
+    G = toy_reduced_family(pub)
+    kb = pub.key_bits
+    assert G.table.dtype == np.uint8
+    assert G.table.tolist() == [keyed_rounds_direct(n, rounds, pub.sbox, k, x)
+                                for x in range(1 << n) for k in range(1 << kb)]
+
+
 def test_weak_family_has_exact_joint_structure():
     tc = ToyCipher.generate(4, "weak", seed=11)
     G = toy_reduced_family(tc.public)
@@ -416,3 +434,69 @@ def test_cipher_file_accessors(tmp_path):
     assert cf.n == 3
     with pytest.raises(ValueError):
         cf.table("nonexistent")
+
+
+def _cipher_outcome(load, path):
+    """What loading a cipher file gives: kind, header values, keys and
+    tables, or the error's type and message."""
+    try:
+        cf = load(path)
+    except (ValueError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+    tables = {name: (fn.m, fn.n, fn.table.tolist()) for name, fn in cf.tables.items()}
+    return cf.kind, cf.params, cf.keys, tables
+
+
+def _toy_file(tmp_path) -> bytes:
+    path = tmp_path / "toy.cipher"
+    save_cipher(path, ToyCipher.generate(3, "weak", seed=380))
+    return path.read_bytes()
+
+
+_CIPHER_EDITS = {
+    "canonical": lambda b: b,
+    "blank lines": lambda b: b"\n \n" + b.replace(b"\n", b"\n\t\n"),
+    "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+    "cr": lambda b: b.replace(b"\n", b"\r"),
+    "keys last": lambda b: b.split(b"\n", 2)[0] + b"\n" + b.split(b"\n", 2)[2]
+    + b.split(b"\n", 2)[1] + b"\n",
+    "trailing spaces": lambda b: b.replace(b"\n", b"  \n"),
+    "indented table line": lambda b: b.replace(b"\ntable etable", b"\n table etable"),
+    "unexpected line": lambda b: b.replace(b"\nkeys", b"\nwhat is this\nkeys"),
+    "line under keys": lambda b: b.replace(b"\ntable", b"\n0 1\ntable", 1),
+    "nameless table": lambda b: b.replace(b"table etable m=3 n=3", b"table"),
+    "bare table word": lambda b: b.replace(b"table etable m=3 n=3", b"table \t "),
+    "0x and plus": lambda b: b.replace(b" 1 ", b" 0x1 ").replace(b" 2 ", b" +2 "),
+    "arabic digit": lambda b: b.replace(b" 3 ", " \u0663 ".encode()),
+    "file separator": lambda b: b.replace(b"\ntable", b"\x1ctable"),
+    "vertical tab": lambda b: b.replace(b"\n", b"\x0b", 3),
+    "invalid utf-8": lambda b: b.replace(b" 5 ", b" \xff "),
+    "no etable": lambda b: b[:b.index(b"table etable")],
+    "missing token": lambda b: b[:-3] + b"\n",
+}
+
+
+@pytest.mark.parametrize("edit", list(_CIPHER_EDITS))
+def test_load_cipher_reads_as_the_text_reader(tmp_path, edit):
+    """Cut up as bytes or, for any other file, decoded as text, a cipher file
+    loads as the whole-text reader loads it, errors included."""
+    path = tmp_path / "edited.cipher"
+    path.write_bytes(_CIPHER_EDITS[edit](_toy_file(tmp_path)))
+    want = _cipher_outcome(load_cipher_direct, path)
+    assert _cipher_outcome(load_cipher, path) == want
+    if edit == "canonical":
+        assert want[0] == "toy"
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6),
+       st.binary(max_size=3) | st.sampled_from([b"\r", b"\x0b", b"\x1e", b"\xc2\x85", b"\n\n",
+                                                 b"\ntable x m=1 n=1\n", b"\nkeys k=1\n"]))
+def test_edited_cipher_file_reads_as_the_text_reader(tmp_path_factory, i, j, insert):
+    """Any span of a saved cipher file replaced by a few bytes loads as the
+    whole-text reader loads the edited file."""
+    tmp = tmp_path_factory.mktemp("edit")
+    data = _toy_file(tmp)
+    i, j = sorted((i % (len(data) + 1), j % (len(data) + 1)))
+    path = tmp / "edited.cipher"
+    path.write_bytes(data[:i] + insert + data[j:])
+    assert _cipher_outcome(load_cipher, path) == _cipher_outcome(load_cipher_direct, path)
