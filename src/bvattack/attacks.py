@@ -222,12 +222,16 @@ def _guess_differences(oracle: OracleFunction, inv_last: np.ndarray, a: int, pai
     return np.concatenate(values)
 
 
+def _check_pairs(pairs: int) -> None:
+    if pairs < 1:
+        raise InsufficientDataError("key counting needs at least one plaintext pair")
+
+
 def rank_last_round_keys(oracle: OracleFunction, inv_last: np.ndarray, a: int, alpha: int,
                          pairs: int, rng: np.random.Generator) -> KeyCounterTable:
     """Whole-word key counting: for each final-round key guess s, count the
     pairs whose one-round partial decryption difference equals alpha."""
-    if pairs <= 0:
-        raise InsufficientDataError("key counting needs at least one plaintext pair")
+    _check_pairs(pairs)
     counts = _guess_differences(oracle, inv_last, a, pairs, rng,
                                 lambda d: np.count_nonzero(d == alpha, axis=1))
     return KeyCounterTable(tuple(counts.tolist()), pairs, 1)
@@ -265,6 +269,7 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
         raise ValueError(f"coverage parameter q must be positive, got {q}")
     n = public.n
     pairs = 8 * n if pairs is None else int(pairs)
+    _check_pairs(pairs)  # before the search, whatever it answers
     p = _budgeted_sample_count(n, p, pairs)
 
     G = _toy_family(public, etable, G)

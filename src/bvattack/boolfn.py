@@ -298,8 +298,8 @@ _HEX_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 _SEPARATOR = np.zeros(256, dtype=bool)  # byte -> whether it may follow a canonical word
 _SEPARATOR[np.frombuffer(b" \n", dtype=np.uint8)] = True
 # ASCII bytes other than "\n" that str.splitlines breaks a line at, or that
-# str.strip strips and bytes.strip does not: a file that holds one is cut up
-# as text
+# str.strip strips and bytes.strip does not: a file that holds one is
+# rewritten
 _ODD_BYTES = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _BLANK = re.compile(rb"[ \t\n]*")  # the whitespace left in a file without them
 
@@ -337,20 +337,21 @@ def _decode_canonical(raw, count: int, digits: int, dtype) -> np.ndarray | None:
 
 
 def parse_word_block(block, m: int, bits: int, what: str) -> np.ndarray:
-    """The 2^m words of a word block (text, or bytes as a file holds them),
+    """The 2^m words of a word block (bytes as a file holds them, or text),
     checked to fit in `bits` and held in the narrowest unsigned type for
     `bits`-bit words; both widths are checked first.  A canonical block, as
     format_word_block writes it, decodes in one vectorised pass; any other
-    block is decoded as UTF-8 if it is bytes and goes token by token through
-    int(t, 16), which gives the same words on canonical text, so both paths
-    accept the same blocks with the same errors."""
+    block is decoded as UTF-8 and goes token by token through int(t, 16),
+    which gives the same words on canonical text, so both paths accept the
+    same blocks with the same errors."""
     _check_width(m, f"{what}: input width")
     _check_width(bits, f"{what}: output width")
     count, dtype = 1 << m, _word_dtype(bits)
-    raw = block.encode() if isinstance(block, str) else block
-    vals = _decode_canonical(raw, count, max(1, (bits + 3) // 4), dtype)
+    if isinstance(block, str):
+        block = block.encode()
+    vals = _decode_canonical(block, count, max(1, (bits + 3) // 4), dtype)
     if vals is None:
-        toks = (block if isinstance(block, str) else str(block, "utf-8")).split()
+        toks = str(block, "utf-8").split()
         if len(toks) != count:
             raise ValueError(f"{what}: expected {count} entries, got {len(toks)}")
         try:
@@ -364,22 +365,20 @@ def parse_word_block(block, m: int, bits: int, what: str) -> np.ndarray:
     return vals.astype(dtype, copy=False)
 
 
-def _read_sections(path, marks: tuple[str, ...] = ()) -> list[tuple[str, str | memoryview]]:
+def _read_sections(path, marks: tuple[str, ...] = ()) -> list[tuple[str, memoryview]]:
     """A table file as (line, block) sections: its first non-blank line, and
     each later line that starts with one of `marks` once right-stripped, each
-    with the rest of the file up to the next such line as its block.  An
-    ASCII file whose lines end in "\\n" alone is cut up as bytes, so each
-    block reaches parse_word_block undecoded, as a memoryview of the file.
-    Any other file is decoded as Path.read_text decodes it (with its errors)
-    and cut up by str.splitlines; on the files both ways accept, they give
-    the same lines and blocks of the same tokens."""
+    with the rest of the file up to the next such line as its block, a
+    memoryview of the file that reaches parse_word_block undecoded.  A file
+    that is not ASCII, or that holds a byte of _ODD_BYTES, is first rewritten:
+    decoded as Path.read_text decodes it (with its errors), split by
+    str.splitlines, blank lines dropped and each line right-stripped, joined
+    by "\\n" and encoded as UTF-8.  So every file is cut at "\\n" alone, into
+    the lines and tokens its text holds."""
     data = Path(path).read_bytes()
     if not data.isascii() or any(c in data for c in _ODD_BYTES):
-        lines = [ln for ln in io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
-                 if ln.strip()]
-        starts = [i for i, ln in enumerate(lines) if i == 0 or ln.rstrip().startswith(marks)]
-        return [(lines[i], "\n".join(lines[i + 1:j]))
-                for i, j in zip(starts, starts[1:] + [len(lines)])]
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
+        data = "\n".join(ln.rstrip() for ln in text.splitlines() if ln.strip()).encode()
     first = _BLANK.match(data).end()
     if first == len(data):
         return []
@@ -398,7 +397,7 @@ def _read_sections(path, marks: tuple[str, ...] = ()) -> list[tuple[str, str | m
     for i, j in zip(starts, starts[1:] + [len(data)]):
         end = data.find(b"\n", i, j)
         end = j if end < 0 else end
-        out.append((data[i:end].decode("ascii"), view[end + 1:j]))
+        out.append((data[i:end].decode(), view[end + 1:j]))
     return out
 
 

@@ -253,7 +253,7 @@ def weak_sbox(n: int, seed: int) -> np.ndarray:
 
 
 def _round_keys(master, n: int, rounds: int) -> list:
-    # round i takes the i-th n-bit slice of master (an int or int array), most significant first
+    # round i takes the i-th n-bit slice of master (an int), most significant first
     kb = (rounds - 1) * n
     return [(master >> (kb - i * n)) & ((1 << n) - 1) for i in range(1, rounds)]
 
@@ -296,16 +296,6 @@ class ToyCipherPublic:
     def _round_table(self) -> np.ndarray:
         """y -> rotl1(S(y)) as one table, in the n-bit word type."""
         return rotl1(self.sbox, self.n).astype(_word_dtype(self.n))
-
-    def keyed_rounds(self, keys) -> np.ndarray:
-        """Matrix Y[x, i] = keyed rounds y -> rotl1(S(y ^ k_j)) on x under master
-        key keys[i], in the n-bit word type: keys on the last axis, so with
-        every key in order the flattened matrix is G(x || k)."""
-        round_fn = self._round_table()
-        y = np.arange(1 << self.n, dtype=round_fn.dtype)[:, None]
-        for ki in _round_keys(np.asarray(keys, dtype=np.int64)[None, :], self.n, self.rounds):
-            y = round_fn[y ^ ki.astype(round_fn.dtype)]
-        return y
 
     def reduced_encrypt_all_keys(self) -> np.ndarray:
         """Matrix Y[x, k] = value of the keyed rounds on x under key k, in the
@@ -383,8 +373,11 @@ class ToyCipher:
         return self.public.rounds
 
     def encrypt_table(self) -> VectorFunction:
-        reduced = self.public.keyed_rounds([self.master_key])[:, 0]
-        return VectorFunction(self.n, self.n, self.public.last_sbox[reduced] ^ self.last_key)
+        round_fn = self.public._round_table()
+        y = np.arange(1 << self.n, dtype=round_fn.dtype)
+        for k in _round_keys(self.master_key, self.n, self.rounds):
+            y = round_fn[y ^ k]
+        return VectorFunction(self.n, self.n, self.public.last_sbox[y] ^ self.last_key)
 
     def decrypt(self, c: int) -> int:
         n = self.n
@@ -493,8 +486,7 @@ def _parse_kv(tokens, what: str, want_ints, required=()) -> dict:
 
 def _first_line(block) -> str | None:
     """The first non-blank line of a block, right-stripped, or None."""
-    text = block if isinstance(block, str) else str(block, "ascii")
-    return next((ln.rstrip() for ln in text.splitlines() if ln.strip()), None)
+    return next((ln.rstrip() for ln in str(block, "utf-8").splitlines() if ln.strip()), None)
 
 
 def load_cipher(path) -> CipherFile:

@@ -252,7 +252,7 @@ def load_cipher_direct(path) -> CipherFile:
     return CipherFile(kind, params, keys, tables)
 
 
-def keyed_rounds_direct(n: int, rounds: int, sbox, master: int, x: int) -> int:
+def reduced_encrypt_direct(n: int, rounds: int, sbox, master: int, x: int) -> int:
     """The keyed rounds y -> rotl1(S(y ^ k_i)) on x, per definition, without
     the final substitution."""
     kb = (rounds - 1) * n

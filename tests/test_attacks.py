@@ -176,6 +176,26 @@ def test_differential_attack_validation():
         differential_attack(tc.public, tc.encrypt_table(), seed=1, q=4, pairs=0)
 
 
+def test_differential_attack_refuses_zero_pairs_before_tabulating(monkeypatch):
+    # strong: the search would answer No, so only an early check refuses it
+    from bvattack.ciphers import ToyCipherPublic
+
+    calls = []
+    build = ToyCipherPublic.reduced_encrypt_all_keys
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", counted)
+    for preset, seed in (("weak", 334), ("strong", 332)):
+        tc = ToyCipher.generate(4, preset, seed=seed)
+        for pairs in (0, -1):
+            with pytest.raises(InsufficientDataError):
+                differential_attack(tc.public, tc.encrypt_table(), seed=333, q=4, pairs=pairs)
+    assert calls == []
+
+
 def test_match_counts_against_manual_loop():
     tc = ToyCipher.generate(3, "strong", seed=335)
     pub = tc.public

@@ -29,8 +29,8 @@ from bvattack.rng import seeded_rng
 
 from oracles import (
     feistel3_encrypt_direct,
-    keyed_rounds_direct,
     load_cipher_direct,
+    reduced_encrypt_direct,
     toy_encrypt_direct,
     vector_structures_direct,
 )
@@ -266,12 +266,15 @@ def test_reduced_family_indexing(n, key):
 
 
 @given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 2**30), st.data())
-def test_keyed_rounds_are_rows_of_the_all_keys_matrix(n, rounds, key, data):
+def test_encrypt_table_is_a_column_of_the_all_keys_matrix(n, rounds, key, data):
+    """The one-key walk of encrypt_table against the all-keys build."""
     pub = ToyCipher.generate(n, "strong", seed=(key, 9), rounds=rounds).public
-    keys = data.draw(st.lists(st.integers(0, (1 << pub.key_bits) - 1), min_size=1, max_size=5))
-    y = pub.keyed_rounds(keys)
-    assert y.shape == (1 << n, len(keys))
-    assert np.array_equal(y, pub.reduced_encrypt_all_keys()[:, keys])
+    y = pub.reduced_encrypt_all_keys()
+    for _ in range(5):
+        k = data.draw(st.integers(0, (1 << pub.key_bits) - 1))
+        s = data.draw(st.integers(0, (1 << n) - 1))
+        table = ToyCipher(pub, "strong", 0, k, s).encrypt_table().table
+        assert np.array_equal(table, pub.last_sbox[y[:, k]] ^ s)
 
 
 @given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**30))
@@ -282,7 +285,7 @@ def test_keyed_family_matches_direct_rounds(n, rounds, key):
     G = toy_reduced_family(pub)
     kb = pub.key_bits
     assert G.table.dtype == np.uint8
-    assert G.table.tolist() == [keyed_rounds_direct(n, rounds, pub.sbox, k, x)
+    assert G.table.tolist() == [reduced_encrypt_direct(n, rounds, pub.sbox, k, x)
                                 for x in range(1 << n) for k in range(1 << kb)]
 
 
@@ -466,6 +469,9 @@ _CIPHER_EDITS = {
     "line under keys": lambda b: b.replace(b"\ntable", b"\n0 1\ntable", 1),
     "nameless table": lambda b: b.replace(b"table etable m=3 n=3", b"table"),
     "bare table word": lambda b: b.replace(b"table etable m=3 n=3", b"table \t "),
+    "no-break space table word": lambda b: b.replace(b"table etable m=3 n=3", b"table \xc2\xa0"),
+    "unit separator table word": lambda b: b.replace(b"table etable m=3 n=3", b"table \x1f"),
+    "both table word": lambda b: b.replace(b"table etable m=3 n=3", b"table \xc2\xa0\x1f"),
     "0x and plus": lambda b: b.replace(b" 1 ", b" 0x1 ").replace(b" 2 ", b" +2 "),
     "arabic digit": lambda b: b.replace(b" 3 ", " \u0663 ".encode()),
     "file separator": lambda b: b.replace(b"\ntable", b"\x1ctable"),

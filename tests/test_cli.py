@@ -197,6 +197,17 @@ def test_over_budget_pairs_exit_two_on_a_no_answer(capsys, tmp_path):
         assert "pair count" in capsys.readouterr().err
 
 
+def test_zero_pairs_exit_two_whatever_the_search_answers(capsys, toy_file, tmp_path):
+    # a weak cipher's search answers Yes and a strong one's No; both are refused
+    strong = str(tmp_path / "strong.txt")
+    assert run(capsys, "gen-cipher", "--kind", "toy", "--n", "4", "--seed", "3",
+               "--preset", "strong", "--out", strong)[0] == 0
+    for path in (toy_file, strong):
+        assert main(["attack-diff", path, "--seed", "1", "--q", "2", "--pairs", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "at least one plaintext pair" in err
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["lsfind", "/nonexistent/f.txt", "--seed", "1"]) == 2
     assert main(["attack-em", "/nonexistent/c.txt", "--seed", "1"]) == 2

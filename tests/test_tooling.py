@@ -7,6 +7,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import types
@@ -44,6 +45,37 @@ def test_exported_names_resolve():
     for mod in mods:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def _unresolved_readme_names(text: str) -> list[str]:
+    """The Class.attr names of `text` whose class the package does not
+    define or whose attribute it lacks, and the bvattack.<module>.<name>
+    names that do not resolve."""
+    classes = {}
+    for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
+        if path.stem != "__main__":
+            mod = importlib.import_module(f"bvattack.{path.stem}")
+            classes.update((name, obj) for name, obj in vars(mod).items()
+                           if inspect.isclass(obj) and obj.__module__ == mod.__name__)
+    bad = [f"{cls}.{attr}" for cls, attr in re.findall(r"\b([A-Z][a-z]\w*)\.(\w+)", text)
+           if not hasattr(classes.get(cls), attr)]
+    for mod_name, attr in re.findall(r"\bbvattack\.(\w+)\.(\w+)", text):
+        try:
+            found = hasattr(importlib.import_module(f"bvattack.{mod_name}"), attr)
+        except ImportError:
+            found = False
+        if not found:
+            bad.append(f"bvattack.{mod_name}.{attr}")
+    return bad
+
+
+def test_readme_names_resolve():
+    # a rename or deletion leaves no stale name in the README's prose
+    assert _unresolved_readme_names(
+        "ToyCipherPublic.keyed_rounds, ToyCipherPublic.key_bits, G.n, README.md, "
+        "bvattack.bv.MAX_DRAWS, bvattack.bv.walsh_spectrum, bvattack.nope.x") == [
+        "ToyCipherPublic.keyed_rounds", "bvattack.bv.walsh_spectrum", "bvattack.nope.x"]
+    assert _unresolved_readme_names((ROOT / "README.md").read_text()) == []
 
 
 def _unused_imports(source: str) -> list[str]:
