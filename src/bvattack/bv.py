@@ -15,6 +15,13 @@ the table changes the speed of a draw, never its result.  A table draw works
 through u in cache-sized blocks with reused buffers and writes the outcomes
 back over u, so the uniforms' own array is the only full-length one it makes.
 
+A search needs only the first outcome (its pivot) and the set of distinct
+outcomes, so `sample_set` runs the same blocked lookup on the same uniforms
+but marks hits on the support indices instead of writing outcomes back, and
+stops once every outcome has been hit: later blocks cannot change the set.
+It still draws and charges every uniform, so the stream and the ledger move
+exactly as a full draw moves them.
+
 With width < n only the leading `width` bits of w are drawn, from their exact
 marginal law: a butterfly along the 2^width data rows of the table, then each
 row's sum of squares shifted left by n - width (Parseval on the key axis).
@@ -111,7 +118,8 @@ class BvSampler:
     transform (over the leading `width` bits only) when built, then per draw
     of `count` outcomes either a binary search over the support for each, or,
     from 2^12 draws and one per table entry on, the index table, built by the
-    first such draw and kept, and applied block by block in place."""
+    first such draw and kept, applied block by block.  draw writes each
+    block's outcomes in place; sample_set only marks them, until saturated."""
 
     __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng", "_bits", "_index")
 
@@ -143,6 +151,34 @@ class BvSampler:
 
     def draw(self, count: int = 1) -> np.ndarray:
         """Sample `count` outcomes; charges one quantum query per outcome."""
+        u = self._uniforms(count)
+        for ub, i in self._lookup(u):
+            np.take(self.outcomes, i, out=ub, mode="clip")
+        return u
+
+    def sample_set(self, count: int) -> tuple[int, list[int]]:
+        """(first outcome, distinct outcomes ascending) of draw(count), from
+        the same uniforms and at the same charge of `count` quantum queries.
+        The lookup stops at the first block after which every support outcome
+        has been hit, since later blocks cannot change the set."""
+        if count == 0:
+            raise ValueError("a sample set needs at least one sample, or its pivot is undefined")
+        u = self._uniforms(count)
+        hit = np.zeros(len(self.outcomes), dtype=bool)
+        # hit.all() costs O(support), at most one block's lookup
+        saturable = len(hit) <= _BLOCK
+        first = None
+        for _, i in self._lookup(u):
+            if first is None:
+                first = int(i[0])
+            hit[i] = True
+            if saturable and hit.all():
+                break
+        return int(self.outcomes[first]), self.outcomes[hit].tolist()
+
+    def _uniforms(self, count: int) -> np.ndarray:
+        """The `count` uniforms of one draw, charged as `count` quantum queries,
+        building the index table first if the draw is large enough to repay it."""
         check_draw_budget(count)
         total = int(self._cum[-1])
         u = self._rng.integers(0, total, size=count, dtype=np.int64)
@@ -150,12 +186,21 @@ class BvSampler:
             self._index = _index_table(self._cum, self._bits)
         if self.ledger is not None:
             self.ledger.add_quantum(count)
+        return u
+
+    def _lookup(self, u: np.ndarray):
+        """Yield (ub, i) per block of u: the block's uniforms, a view of u, and
+        the support index of each one's outcome.  i is a buffer the next block
+        overwrites, so it is used before the generator resumes."""
         if not self._index:
-            return self.outcomes[np.searchsorted(self._cum, u, side="right")]
+            for start in range(0, len(u), _BLOCK):
+                ub = u[start:start + _BLOCK]
+                yield ub, np.searchsorted(self._cum, ub, side="right")
+            return
         lo, shift, steps = self._index
-        size = min(count, _BLOCK)
+        size = min(len(u), _BLOCK)
         idx, word, ge = np.empty(size, np.intp), np.empty(size, np.int64), np.empty(size, bool)
-        for start in range(0, count, _BLOCK):
+        for start in range(0, len(u), _BLOCK):
             ub = u[start:start + _BLOCK]
             k = len(ub)
             # c holds each u's bucket, then the cumulative mass at its index
@@ -168,5 +213,4 @@ class BvSampler:
             for _ in range(steps):
                 np.take(self._cum, i, out=c, mode="clip")
                 i += np.greater_equal(ub, c, out=g)
-            np.take(self.outcomes, i, out=ub, mode="clip")
-        return u
+            yield ub, i

@@ -9,8 +9,10 @@ the function's structure-free differential uniformity.
 
 Every output bit is solved one way: one eliminator over a . (w ^ w0) = 0 for
 the distinct samples w and the first sample w0 holds the directions with
-a . w constant.  The boolean search splits it by the row (w0, 0) or (w0, 1),
-the vector search intersects it across output bits.
+a . w constant.  The sampler's `sample_set` returns just that pair, so the p
+samples themselves are never written out.  The boolean search splits the
+eliminator by the row (w0, 0) or (w0, 1), the vector search intersects it
+across output bits.
 
 Sample streams are keyed (seed,) for a single boolean function and (seed, j)
 for output bit j of a vector function, so runs replay exactly.
@@ -19,8 +21,6 @@ for output bit j of a vector function, so runs replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .boolfn import BooleanFunction, VectorFunction
 from .bv import BvSampler, QueryLedger
@@ -60,31 +60,23 @@ def search_shape(m: int, width: int | None, p: int | None) -> tuple[int, int]:
     return w, p
 
 
-def _distinct(width: int, ws: np.ndarray) -> list[int]:
-    """The distinct samples, ascending; p can be huge, the distinct samples
-    are few and lie below 2^width (a table width here, so the hit mask takes
-    at most 16 MiB)."""
-    hit = np.zeros(1 << width, dtype=bool)
-    hit[ws] = True
-    return np.flatnonzero(hit).tolist()
-
-
-def _absorb_samples(e: Eliminator, ws: np.ndarray, w0: int = 0) -> Eliminator:
+def _absorb_samples(e: Eliminator, distinct: list[int], w0: int = 0) -> Eliminator:
     """Absorb a row (w ^ w0, 0) per distinct sample w, ascending in w, until
     full rank: a homogeneous system stays consistent, so later rows change
     nothing, and the order of the rows changes only the rows, not their span."""
-    for w in _distinct(e.width, ws):
+    for w in distinct:
         e.absorb(w ^ w0)
         if e.rank == e.width:
             break
     return e
 
 
-def _constancy(width: int, ws: np.ndarray) -> tuple[Eliminator, int]:
+def _constancy(width: int, samples: tuple[int, list[int]]) -> tuple[Eliminator, int]:
     """The eliminator over a . (w ^ w0) = 0 for every sample w, and the pivot
-    w0 = ws[0]: its members a have a . w = a . w0 for every sample."""
-    w0 = int(ws[0])
-    return _absorb_samples(Eliminator(width), ws, w0), w0
+    w0, from a sampler's (pivot, distinct samples) pair: its members a have
+    a . w = a . w0 for every sample."""
+    w0, distinct = samples
+    return _absorb_samples(Eliminator(width), distinct, w0), w0
 
 
 def _solution_with(e: Eliminator, w: int, c: int) -> AffineSolutionSet:
@@ -163,7 +155,7 @@ def find_boolean_structures(
     leading solve_width input bits, as in find_vector_structures.
     """
     width, p = search_shape(f.n, solve_width, p)
-    cset, w0 = _constancy(width, BvSampler(f, (seed,), ledger, width).draw(p))
+    cset, w0 = _constancy(width, BvSampler(f, (seed,), ledger, width).sample_set(p))
     zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
     found = not (zero_set.is_trivial and one_set.is_trivial)
     return BooleanStructureResult(found, zero_set, one_set, p)
@@ -193,7 +185,7 @@ def find_vector_structures(
     elim = Eliminator(width)
     for j in range(1, F.n + 1):
         sampler = BvSampler(F.component(j), (seed, j), ledger, width)
-        cset, pivot = _constancy(width, sampler.draw(p))
+        cset, pivot = _constancy(width, sampler.sample_set(p))
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
             break
@@ -228,8 +220,7 @@ def find_common_zero_structure(
     _, p = search_shape(F.m, None, p)
     elim = Eliminator(F.m)
     for j in range(1, F.n + 1):
-        ws = BvSampler(F.component(j), (seed, j), ledger).draw(p)
-        _absorb_samples(elim, ws)
+        _absorb_samples(elim, BvSampler(F.component(j), (seed, j), ledger).sample_set(p)[1])
         if elim.rank == F.m:
             break
 

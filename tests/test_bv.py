@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bvattack.boolfn import BooleanFunction, _wht, random_boolean_function, walsh_spectrum
+from bvattack.experiments import inner_product_function, planted_boolean
 from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger
 from bvattack.rng import seeded_rng
 
@@ -125,6 +126,10 @@ def test_draw_budget_checked_before_drawing():
     s._rng = NoDraws()
     with pytest.raises(ValueError, match="budget"):
         s.draw(MAX_DRAWS + 1)
+    # a sample set of no samples has no pivot
+    for count, match in ((0, "pivot"), (-1, "budget"), (MAX_DRAWS + 1, "budget")):
+        with pytest.raises(ValueError, match=match):
+            s.sample_set(count)
     assert led.quantum == 0
 
 
@@ -265,3 +270,101 @@ def test_butterfly_type_switch_points(width, kind):
         _, cum = butterfly_sampler_direct(f.table, n, width)
         assert len(cum) == 1  # all the mass on one outcome: one entry is +-2^width
         _assert_sampler_equals_int64_reference(f, width, 45)
+
+
+# --- sample sets: the pivot and the distinct outcomes of a draw -----------------------
+
+
+def _sample_set_function(kind: str, n: int, key: int) -> BooleanFunction:
+    """A random, affine, bent (n rounded up to even) or planted function of n
+    bits, or the 10-bit point function x1...x10: outcome 0 has mass
+    (2^10 - 2)^2 and every other one mass 4, so no draw here sees them all,
+    and crowded masses keep it on the binary search."""
+    rng = seeded_rng(key, 80)
+    x = np.arange(1 << n)
+    if kind == "random":
+        return random_boolean_function(n, rng)
+    if kind == "affine":
+        a, c = int(rng.integers(0, 1 << n)), int(rng.integers(0, 2))
+        return BooleanFunction(n, (np.bitwise_count(x & a) & 1) ^ c)
+    if kind == "bent":
+        return inner_product_function(n + (n & 1))
+    if kind == "planted":
+        return planted_boolean(n, rng)[0]
+    return fn(10, [0] * 1023 + [1])
+
+
+def _draw_set(f: BooleanFunction, key, width, count: int) -> tuple[int, list[int]]:
+    out = BvSampler(f, key, width=width).draw(count)
+    return int(out[0]), sorted(set(out.tolist()))
+
+
+SET_COUNTS = [1, 2, 100, TABLE_DRAWS - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+@given(st.sampled_from(["random", "affine", "bent", "planted", "point"]), st.integers(1, 10),
+       st.integers(0, 2**30), st.sampled_from(SET_COUNTS), st.data())
+def test_sample_set_is_pivot_and_distinct_of_draw(kind, n, key, count, data):
+    """For one key, sample_set gives the first outcome and the sorted distinct
+    outcomes of draw, at full and truncated width, on both lookups."""
+    f = _sample_set_function(kind, n, key)
+    width = data.draw(st.sampled_from([None, f.n]) | st.integers(1, f.n))
+    s = BvSampler(f, (key, 81), width=width)
+    assert s.sample_set(count) == _draw_set(f, (key, 81), width, count)
+
+
+def _counting_lookups(monkeypatch) -> list:
+    """Patch BvSampler._lookup to record how many blocks each call yields."""
+    blocks = []
+    lookup = BvSampler._lookup
+
+    def counted(self, u):
+        blocks.append(0)
+        for block in lookup(self, u):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(BvSampler, "_lookup", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_sample_set_stops_once_saturated(count, monkeypatch):
+    """A sample set stops at the first block after which every outcome has
+    shown, and scans every block when some never shows; either way it is
+    the draw's pivot and distinct set."""
+    blocks = _counting_lookups(monkeypatch)
+    every = -(-count // _BLOCK)
+    # (function, blocks scanned, lookup): one outcome, saturated at once; two
+    # of 256 outcomes whose first block misses 7 and 1 (pinned seeds), so they
+    # saturate in the second; the point function, never saturated
+    cases = [(_sample_set_function("affine", 6, 1), 1, lambda s: s._index)]
+    for seed, missed in ((0, 7), (35, 1)):
+        f = random_boolean_function(8, seeded_rng(seed, 70))
+        assert len(_draw_set(f, (71,), None, _BLOCK)[1]) == 256 - missed
+        assert len(_draw_set(f, (71,), None, 2 * _BLOCK)[1]) == 256
+        cases.append((f, min(2, every), lambda s: s._index))
+    cases.append((_sample_set_function("point", 10, 0), every, lambda s: s._index == ()))
+    for f, scanned, lookup in cases:
+        s = BvSampler(f, (71,))
+        want = _draw_set(f, (71,), None, count)
+        del blocks[:]
+        assert s.sample_set(count) == want, f.n
+        assert blocks == [scanned] and lookup(s), f.n
+
+
+def test_sample_set_charges_every_draw_and_keeps_the_stream(monkeypatch):
+    """A sample set charges its whole count and moves the stream past all of
+    it, also when it stops after the first block."""
+    blocks = _counting_lookups(monkeypatch)
+    f = _sample_set_function("affine", 6, 2)
+    count = 2 * _BLOCK + 3
+    led = QueryLedger()
+    s, ref = BvSampler(f, (82,), led), BvSampler(f, (82,))
+    assert s.sample_set(count)[1] == s.outcomes.tolist()
+    assert blocks == [1] and led.quantum == count
+    s.sample_set(5)
+    assert led.quantum == count + 5
+    ref.draw(count)
+    ref.draw(5)
+    assert s._rng.bit_generator.state == ref._rng.bit_generator.state

@@ -211,12 +211,19 @@ PINNED_REPORTS = [
     ("T5", 3, "default", "4a1ea857e8e2ef417be9f2cbc12043b813370ab04f481fd4f17a3e848e20c565"),
     ("T6", 3, "default", "338fd39cd434316142feda6ada240ed7014c6a6550bce9d2668f0739d6cd2a3e"),
     ("T7", 4, "default", "96b1f5d5662a6541f8c28df745e95641782a553c1f3e41d181c735a1afa6b417"),
+    # the shape the t7-sampling benchmark runs: 279,936 draws per output bit
+    ("T7", 6, "default", "586bb9732fe4251d9123b3651bdfc91df0cca763c88e02e902da9b6abecc2257"),
     ("T8", 4, "default", "fd05c1183ecb830337500bf22cd3f11513c10228963f436c99b2c702835874bf"),
 ]
 
 
-@pytest.mark.parametrize("which,n,variant,digest", PINNED_REPORTS,
-                         ids=[f"{w}-{v}" for w, _, v, _ in PINNED_REPORTS])
+# each shape is named by experiment and variant, a second shape of one pair by its n too
+REPORT_IDS = []
+for _w, _n, _v, _ in PINNED_REPORTS:
+    REPORT_IDS.append(f"{_w}-{_v}" if f"{_w}-{_v}" not in REPORT_IDS else f"{_w}-{_v}-n{_n}")
+
+
+@pytest.mark.parametrize("which,n,variant,digest", PINNED_REPORTS, ids=REPORT_IDS)
 def test_report_bytes_pinned(which, n, variant, digest):
     res = run_experiment(ExperimentConfig(which=which, n=n, trials=30, seed=7, variant=variant))
     text = json.dumps(res.to_dict(), sort_keys=True)

@@ -107,9 +107,9 @@ def test_boolean_sets_equal_reference_solve(kind, n, key, data):
 @given(st.sampled_from(["random", "affine", "constant", "bent", "planted"]), st.integers(1, 8),
        st.integers(0, 2**30), st.data())
 def test_constancy_equals_elimination_over_every_difference(kind, n, key, data):
-    """_constancy absorbs only the distinct samples, each XORed with the pivot
-    after the distinct set is found; the rank, the pivot and both canonical
-    sets must be those of eliminating w ^ w0 over all p samples."""
+    """_constancy absorbs only the sampler's distinct samples, each XORed with
+    its pivot; the rank, the pivot and both canonical sets must be those of
+    eliminating w ^ w0 over all p samples of the same key's draw."""
     if kind == "planted":
         f = planted_boolean(n, seeded_rng(key, 51))[0]
     else:
@@ -118,7 +118,7 @@ def test_constancy_equals_elimination_over_every_difference(kind, n, key, data):
     # small draws take the binary search, from 2^12 on the index table
     p = data.draw(st.integers(1, 40) | st.integers(1 << 12, 1 << 13))
     ws = BvSampler(f, (key, 52), width=width).draw(p)
-    cset, w0 = _constancy(width, ws)
+    cset, w0 = _constancy(width, BvSampler(f, (key, 52), width=width).sample_set(p))
     rank, pivot, rows = constancy_direct(width, ws)
     assert (cset.rank, w0) == (rank, pivot)
     for c in (0, 1):
