@@ -175,29 +175,25 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     return rng.integers(0, 1 << n, size=pairs, dtype=np.int64)
 
 
-def _toy_family(public: ToyCipherPublic, etable: VectorFunction,
-                G: VectorFunction | None = None) -> VectorFunction:
-    """The keyed family G(x || k) of a toy attack, tabulated here unless the
-    caller passes it, after checking that the encryption table maps the
-    cipher's n-bit blocks."""
-    if (etable.m, etable.n) != (public.n, public.n):
-        raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {public.n} to {public.n}")
-    return toy_reduced_family(public) if G is None else G
-
-
-def _budgeted_sample_count(n: int, p: int | None, pairs: int) -> int:
-    """p resolved for a search over n data bits, checked with the pair count
-    against the per-call budget before the keyed family is tabulated."""
+def _toy_family(public: ToyCipherPublic, etable: VectorFunction, p: int | None, pairs: int,
+                G: VectorFunction | None = None) -> tuple[int, VectorFunction]:
+    """The front half of a toy attack: p resolved for a search over the n data
+    bits, p and the pair count checked against the per-call budget, the
+    encryption table checked to map n-bit blocks, and only then the keyed
+    family G(x || k), tabulated here unless the caller passes it."""
+    n = public.n
     _, p = search_shape(n, n, p)
     check_draw_budget(p)
     check_draw_budget(pairs, "pair count")
-    return p
+    if (etable.m, etable.n) != (n, n):
+        raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {n} to {n}")
+    return p, toy_reduced_family(public) if G is None else G
 
 
-# Cells per block of the key-guess matrix: at most 2 MiB of int64
-# differences, unless one guess alone has more pairs (up to MAX_DRAWS).  The
-# default pair counts, at most 8n, put all 2^n guesses of n <= 8 bits in one
-# block.
+# Cells per block of the key-guess matrix, unless one guess alone has more
+# pairs (up to MAX_DRAWS): at most 2 MiB of int64 indices c ^ s, while the
+# differences are n-bit words, 256 KiB at n <= 8.  The default pair counts,
+# at most 8n, put all 2^n guesses of n <= 8 bits in one block.
 _GUESS_CELLS = 1 << 18
 
 
@@ -270,9 +266,7 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     n = public.n
     pairs = 8 * n if pairs is None else int(pairs)
     _check_pairs(pairs)  # before the search, whatever it answers
-    p = _budgeted_sample_count(n, p, pairs)
-
-    G = _toy_family(public, etable, G)
+    p, G = _toy_family(public, etable, p, pairs, G)
     ledger = QueryLedger()
     res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
     if not res.found:
@@ -343,9 +337,7 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
     n = public.n
     p = (n ** 3) * (l ** 2) * (q ** 2) if p is None else int(p)
     pairs = l * l
-    p = _budgeted_sample_count(n, p, pairs)
-
-    G = _toy_family(public, etable)
+    p, G = _toy_family(public, etable, p, pairs)
     ledger = QueryLedger()
     res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
     if not res.found:
@@ -407,13 +399,12 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
 def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:
     """Exhaustive sweep of the keyed family G over every plaintext and key:
     the certified derivative bit must never take the forbidden value."""
+    if not 1 <= cert.j <= G.n or cert.forbidden not in (0, 1):
+        raise ValueError(f"certificate needs j in [1, {G.n}] and a forbidden bit, "
+                         f"got j={cert.j}, forbidden={cert.forbidden}")
     d = derivative_table(G, cert.a, G.n)
     d &= 1 << (G.n - cert.j)  # in place: the certified bit, or 0
-    if cert.forbidden == 1:
-        return not d.any()
-    if cert.forbidden == 0:
-        return bool(d.all())
-    return True  # a value that is not a bit never shows
+    return not d.any() if cert.forbidden else bool(d.all())
 
 
 @dataclass(frozen=True)
@@ -442,9 +433,7 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     pairs = 4 * n if pairs is None else int(pairs)
     if pairs < 0:
         raise ValueError(f"pairs cannot be negative, got {pairs}")
-    p = _budgeted_sample_count(n, p, pairs)
-
-    G = _toy_family(public, etable)
+    p, G = _toy_family(public, etable, p, pairs)
     ledger = QueryLedger()
     res = find_impossible_differential(G, n, seed, p=p, ledger=ledger)
     all_keys = tuple(range(1 << n))

@@ -14,6 +14,11 @@ Secrets are derived from explicit seeds.  Attack code only sees published
 artifacts (encryption tables, public permutations, algorithm descriptions);
 the OracleFunction wrapper charges the query ledger on every classical read.
 
+Every table a cipher holds (round functions, the permutation, the S-boxes
+and the inverse last S-box) is a read-only word table that VectorFunction
+checked and narrowed: uint8 up to 8 bits, uint16 up to 16, uint32 above.
+Every constructor rejects a width n < 1 before it builds any table.
+
 Cipher files are plain text: a `cipher <kind> key=value...` header line, an
 optional `keys ...` line (omitted in challenge files), then one
 `table <name> m=.. n=..` line per table followed by the table's entries as a
@@ -31,7 +36,6 @@ from .boolfn import (
     VectorFunction,
     _check_width,
     _read_sections,
-    _word_dtype,
     format_word_block,
     parse_word_block,
 )
@@ -94,12 +98,11 @@ def rotr1(v: int, n: int) -> int:
 
 
 def _bijection(t, n: int, name: str) -> np.ndarray:
-    """t as a read-only int64 table, checked to be a bijection on n-bit words."""
-    arr = np.ascontiguousarray(t, dtype=np.int64)
+    """t as a read-only n-bit word table, checked to be a bijection on n-bit words."""
+    arr = np.asarray(t)
     if arr.shape != (1 << n,) or not np.array_equal(np.sort(arr), np.arange(1 << n)):
         raise ValueError(f"{name} must be a bijection on n-bit words")
-    arr.setflags(write=False)
-    return arr
+    return VectorFunction(n, n, arr).table
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +121,7 @@ class Feistel3:
     def __init__(self, n: int, p1, p2, p3) -> None:
         _check_width(2 * n, "Feistel block width 2n")
         self.n = n
-        tables = []
-        for t in (p1, p2, p3):
-            arr = np.ascontiguousarray(t, dtype=np.int64)
-            if arr.shape != (1 << n,) or arr.min(initial=0) < 0 or arr.max(initial=0) >= (1 << n):
-                raise ValueError("round function table must map n bits to n bits")
-            arr.setflags(write=False)
-            tables.append(arr)
-        self.p1, self.p2, self.p3 = tables
+        self.p1, self.p2, self.p3 = (VectorFunction(n, n, t).table for t in (p1, p2, p3))
 
     @classmethod
     def random(cls, n: int, seed) -> "Feistel3":
@@ -167,6 +163,8 @@ def feistel_branch_oracle(encrypt: VectorFunction, s0: int, s1: int) -> VectorFu
     if encrypt.m != encrypt.n or encrypt.n % 2:
         raise ValueError("expected a table on 2n-bit blocks")
     n = encrypt.n // 2
+    if not (0 <= s0 < (1 << n) and 0 <= s1 < (1 << n)):
+        raise ValueError(f"left-half constants must be {n}-bit words, got {s0} and {s1}")
     if s0 == s1:
         raise ValueError("left-half constants must differ")
     mask = (1 << n) - 1
@@ -259,8 +257,9 @@ def _round_keys(master, n: int, rounds: int) -> list:
 
 
 def _check_toy_shape(n: int, rounds: int) -> None:
-    """At least one keyed round, and the n * rounds-bit keyed family that the
-    attacks tabulate within the table cap."""
+    """A word width n, at least one keyed round, and the n * rounds-bit keyed
+    family that the attacks tabulate within the table cap."""
+    _check_width(n, "n")
     if rounds < 2:
         raise ValueError("need at least one keyed round plus the final round")
     if n * rounds > MAX_WIDTH:
@@ -294,8 +293,9 @@ class ToyCipherPublic:
         return inv
 
     def _round_table(self) -> np.ndarray:
-        """y -> rotl1(S(y)) as one table, in the n-bit word type."""
-        return rotl1(self.sbox, self.n).astype(_word_dtype(self.n))
+        """y -> rotl1(S(y)) as one table, in the S-box's n-bit word type (at
+        n = 8 the bit that v << 1 drops from a uint8 word is masked off anyway)."""
+        return rotl1(self.sbox, self.n)
 
     def reduced_encrypt_all_keys(self) -> np.ndarray:
         """Matrix Y[x, k] = value of the keyed rounds on x under key k, in the

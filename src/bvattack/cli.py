@@ -283,8 +283,6 @@ def _cmd_verify_theorems(args) -> tuple[dict, int]:
 
 def _cmd_gen_cipher(args) -> tuple[dict, int]:
     n, kind = args.n, args.kind
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     if kind == "feistel3":
         cipher = Feistel3.random(n, seed=args.seed)
     elif kind == "even-mansour":

@@ -457,6 +457,38 @@ def test_toy_attacks_reject_mismatched_etable():
             attack(tc.public, wide, seed=1, **kw)
 
 
+def test_certificate_check_rejects_bits_it_cannot_certify(monkeypatch):
+    """A certificate whose j is not an output bit of G, or whose forbidden
+    value is not a bit, is refused before the sweep reads G."""
+    import bvattack.attacks as attacks
+    from bvattack.attacks import ImpossibleCertificate
+
+    G = toy_reduced_family(ToyCipher.generate(4, "weak", seed=358).public)
+
+    def unreachable(*args):
+        raise AssertionError("the sweep ran on a malformed certificate")
+
+    monkeypatch.setattr(attacks, "derivative_table", unreachable)
+    for j, forbidden in ((0, 1), (-1, 0), (G.n + 1, 1), (1, 2), (1, -1), (G.n, 5)):
+        with pytest.raises(ValueError, match="certificate needs"):
+            impossible_certificate_valid(G, ImpossibleCertificate(j, 5, forbidden))
+
+
+def test_small_probability_no_report_charges_only_the_search():
+    from bvattack.lsfind import find_vector_structures
+
+    tc = ToyCipher.generate(4, "strong", seed=3)
+    rep = small_probability_attack(tc.public, tc.encrypt_table(), seed=1, q=1, l=2)
+    assert not rep.found
+    assert (rep.a, rep.target_diff, rep.recovered_last_key, rep.counter) == (None,) * 4
+    assert (rep.p, rep.pairs) == (4 ** 3 * 2 ** 2, 4)
+    ledger = QueryLedger()
+    find_vector_structures(toy_reduced_family(tc.public), p=rep.p, seed=1, ledger=ledger,
+                           solve_width=4)
+    assert rep.queries == ledger.snapshot()
+    assert rep.queries["classical"] == 0
+
+
 def test_impossible_attack_validation():
     tc = ToyCipher.generate(4, "weak", seed=357)
     with pytest.raises(ValueError):

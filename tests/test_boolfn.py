@@ -256,6 +256,22 @@ def test_callables():
     assert [F(x) for x in range(4)] == [5, 1, 7, 0]
 
 
+def test_functions_compare_by_shape_and_table():
+    f = BooleanFunction(2, [0, 1, 1, 0])
+    assert f == BooleanFunction(2, np.array([0, 1, 1, 0], dtype=np.int64))
+    assert f != BooleanFunction(2, [0, 1, 1, 1])
+    assert f != BooleanFunction(3, [0, 1, 1, 0, 0, 1, 1, 0])
+    F = VectorFunction(2, 3, [5, 1, 7, 0])
+    assert F == VectorFunction(2, 3, np.array([5, 1, 7, 0], dtype=np.uint16))
+    assert F != VectorFunction(2, 3, [5, 1, 7, 1])
+    assert F != VectorFunction(2, 4, [5, 1, 7, 0])  # same words, other output width
+    assert F != VectorFunction(3, 3, [5, 1, 7, 0, 5, 1, 7, 0])
+    g = VectorFunction(2, 1, [0, 1, 1, 0])
+    for a, b in ((f, g), (g, f), (f, 1), (F, "F"), (F, F.table)):
+        assert type(a).__eq__(a, b) is NotImplemented
+    assert f != g and g != f and f != 1 and F != "F"
+
+
 # --- file round-trips ----------------------------------------------------------
 
 

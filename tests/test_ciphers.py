@@ -124,6 +124,34 @@ def test_feistel_validation():
         feistel_branch_oracle(VectorFunction(4, 4, np.arange(16)), 1, 1)  # s0 == s1
 
 
+def test_feistel_round_tables_follow_the_word_table_rule():
+    z = np.zeros(8, dtype=np.int64)
+    with pytest.raises(ValueError, match="fit in 3 output bits"):
+        Feistel3(3, z, np.arange(8), np.arange(1, 9))
+    with pytest.raises(ValueError, match="fit in 3 output bits"):
+        Feistel3(3, z - 1, z, z)
+    with pytest.raises(ValueError, match="2\\^3 entries"):
+        Feistel3(3, z, z[:4], z)
+
+
+class _UnreadTable:
+    """A 2n-bit encryption table whose entries must not be read."""
+
+    m = n = 8
+
+    @property
+    def table(self):
+        raise AssertionError("a row was read before the constants were checked")
+
+
+def test_branch_oracle_rejects_constants_outside_the_half_width():
+    for s0, s1 in ((-1, 2), (16, 2), (2, -1), (2, 16), (-1, -1)):
+        with pytest.raises(ValueError, match="4-bit words"):
+            feistel_branch_oracle(_UnreadTable(), s0, s1)
+    F = feistel_branch_oracle(VectorFunction(8, 8, np.arange(256)), 0, 15)
+    assert (F.m, F.n) == (5, 4)
+
+
 # --- Even-Mansour ----------------------------------------------------------------
 
 
@@ -316,6 +344,53 @@ def test_toy_public_compares_and_hashes_by_identity():
     b = ToyCipher.generate(4, "weak", seed=3).public
     assert a == a and a != b
     assert len({a, b}) == 2
+
+
+def test_every_cipher_constructor_rejects_widths_below_one():
+    s = np.arange(1, dtype=np.int64)
+    for n in (0, -1):
+        for build in (lambda: Feistel3.random(n, seed=1),
+                      lambda: Feistel3(n, s, s, s),
+                      lambda: EvenMansour.random(n, seed=1),
+                      lambda: EvenMansour(n, s, 0, 0),
+                      lambda: ToyCipher.generate(n, "weak", seed=1),
+                      lambda: ToyCipher.generate(n, "strong", seed=1),
+                      lambda: ToyCipher.generate(n, "strong", seed=1, rounds=2),
+                      lambda: ToyCipherPublic(n, 3, s, s)):
+            with pytest.raises(ValueError, match=r"must be in \[1, 24\]"):
+                build()
+
+
+@pytest.mark.parametrize("n, dtype", [(3, np.uint8), (8, np.uint8), (12, np.uint16)])
+def test_cipher_tables_are_read_only_word_tables(n, dtype):
+    """Round functions, permutation, S-boxes and the inverse last S-box are
+    held in the n-bit word type, with the values they were built from."""
+    tc = ToyCipher.generate(n, "strong", seed=(n, 30), rounds=2)
+    em = EvenMansour.random(n, seed=(n, 31))
+    fe = Feistel3.random(n, seed=(n, 32))
+    assert fe.p1.tolist() == seeded_rng((n, 32), 1).integers(0, 1 << n, size=1 << n).tolist()
+    assert em.perm.tolist() == random_permutation(n, seeded_rng((n, 31), 1)).tolist()
+    assert tc.public.last_sbox.tolist() == random_permutation(n, seeded_rng((n, 30), 12)).tolist()
+    for t in (tc.public.sbox, tc.public.last_sbox, em.perm, fe.p1, fe.p2, fe.p3):
+        assert t.dtype == dtype and not t.flags.writeable
+    inv = tc.public.inverse_last()
+    assert inv.dtype == dtype
+    assert inv[tc.public.last_sbox].tolist() == list(range(1 << n))
+
+
+@pytest.mark.parametrize("preset", ["weak", "strong"])
+def test_uint8_round_table_at_n8_equals_the_integer_rule(preset):
+    """At n = 8 the S-box is uint8, so v << 1 drops the bit that rotl1 wraps
+    round; the round table and the encryption table still equal the rule run
+    on Python integers."""
+    tc = ToyCipher.generate(8, preset, seed=33)
+    pub = tc.public
+    assert pub.sbox.dtype == np.uint8
+    assert pub._round_table().tolist() == [reduced_encrypt_direct(8, 2, pub.sbox, 0, y)
+                                           for y in range(256)]
+    assert tc.encrypt_table().table.tolist() == [
+        toy_encrypt_direct(8, pub.rounds, pub.sbox, pub.last_sbox, tc.master_key, tc.last_key, x)
+        for x in range(256)]
 
 
 # --- cipher files -------------------------------------------------------------------

@@ -447,6 +447,30 @@ def test_gen_cipher_guards(capsys, tmp_path):
                  "--rounds", "1", "--out", out]) == 2
 
 
+def test_gen_cipher_rejects_widths_below_one_without_writing(capsys, tmp_path):
+    for kind in ("toy", "feistel3", "even-mansour"):
+        for n in ("0", "-1"):
+            out = tmp_path / f"{kind}{n}.cipher"
+            assert main(["gen-cipher", "--kind", kind, "--n", n, "--seed", "1",
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "must be in [1, 24]" in captured.err
+            assert not out.exists()
+
+
+def test_width_and_trial_guards_exit_two(capsys, tmp_path):
+    for argv in (["distinguish-feistel", "--n", "13", "--target", "feistel", "--seed", "1"],
+                 ["distinguish-feistel", "--n", "4", "--target", "feistel", "--seed", "1",
+                  "--trials", "0"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    out = tmp_path / "em.cipher"
+    assert main(["gen-cipher", "--kind", "even-mansour", "--n", "21", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert "too wide" in capsys.readouterr().err and not out.exists()
+
+
 def test_gen_cipher_checks_toy_width_before_building_tables(capsys, tmp_path, monkeypatch):
     from bvattack import ciphers
 
