@@ -309,8 +309,16 @@ def format_word_block(words, bits: int) -> bytes:
     words = np.asarray(words)
     digits = max(1, (bits + 3) // 4)
     out = np.empty((len(words), digits + 1), dtype=np.uint8)
+    # each nibble in one reused buffer of the word type, gathered by take: on
+    # a 2-core VM a 2^18-word block took 0.50, 0.94, 2.8 and 3.3 ms at 4, 7, 18
+    # and 24 bits, against 0.92, 1.7, 4.9 and 5.9 ms for _HEX_DIGITS[(words >> s)
+    # & 15] (two temporaries and a fancy index per digit); 2^4 and 2^7 words
+    # were no slower, so one gather serves every width
+    nib = np.empty(len(words), dtype=words.dtype)
     for k in range(digits):
-        out[:, k] = _HEX_DIGITS[(words >> (4 * (digits - 1 - k))) & 15]
+        np.right_shift(words, 4 * (digits - 1 - k), out=nib)
+        nib &= 15
+        out[:, k] = _HEX_DIGITS.take(nib)
     out[:, digits] = ord(" ")
     out[15::16, digits] = ord("\n")
     out[-1, digits] = ord("\n")

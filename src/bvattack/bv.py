@@ -16,11 +16,15 @@ through u in cache-sized blocks with reused buffers and writes the outcomes
 back over u, so the uniforms' own array is the only full-length one it makes.
 
 A search needs only the first outcome (its pivot) and the set of distinct
-outcomes, so `sample_set` runs the same blocked lookup on the same uniforms
-but marks hits on the support indices instead of writing outcomes back, and
-stops once every outcome has been hit: later blocks cannot change the set.
-It still draws and charges every uniform, so the stream and the ledger move
-exactly as a full draw moves them.
+outcomes, so `sample_set` marks hits on the support indices instead of
+writing outcomes back, and draws its uniforms in growing blocks: it stops
+after the first block that leaves every outcome hit, since later draws cannot
+change the set.  The uniforms range over [0, 4^n), a power of two, so numpy's
+bounded draw never rejects: each uniform takes one 64-bit PCG64 output when
+4^n > 2^32, and one 32-bit half of an output (the buffered half first) when
+4^n <= 2^32.  So blocks of any sizes give the values of one call, and the
+stream jumps past the undrawn tail (PCG64's O(log k) `advance`) to exactly
+where `draw(count)` leaves it.  The ledger is charged the whole `count`.
 
 With width < n only the leading `width` bits of w are drawn, from their exact
 marginal law: a butterfly along the 2^width data rows of the table, then each
@@ -85,13 +89,25 @@ class QueryLedger:
 # array.
 _MIN_TABLE_DRAW_BITS = 12
 
-# A table draw maps u to outcomes this many draws at a time, through three
-# block-sized buffers (about 0.5 MiB together) that stay in cache across the
-# lookup and the correction passes, and writes each block's outcomes back over
-# its uniforms.  Measured on a 2-core VM (2 MiB L2), median of 40 T7-shaped
-# draws of 279,936 from 64 outcomes, uniforms included: 2.8 ms in blocks of
-# 2^12, 2.3 ms at 2^15, 3.3 ms at 2^17, 5.8 ms as one block.
+# A lookup maps uniforms to outcomes at most this many at a time, through three
+# buffers (about 0.5 MiB together at this size) that stay in cache across the
+# table lookup and its correction passes; a draw writes each block's outcomes
+# back over its uniforms.  Measured on a 2-core VM (2 MiB L2), median of 40
+# T7-shaped draws of 279,936 from 64 outcomes, uniforms included: 2.8 ms in
+# blocks of 2^12, 2.3 ms at 2^15, 3.3 ms at 2^17, 5.8 ms as one block.
 _BLOCK = 1 << 15
+
+# A sample set draws its first block at about eight uniforms per outcome and at
+# least 2^9 (each of T7's sample sets at n = 6 showed its 31 or 32 outcomes
+# within 335), then blocks eight times larger up to _BLOCK, so the check for
+# unseen outcomes after a block costs at most an eighth of the block's lookup.
+def _set_blocks(count: int, support: int):
+    """The sizes of the blocks in which a sample set draws `count` uniforms."""
+    size = min(_BLOCK, 1 << max(9, support.bit_length() + 3))
+    while count > 0:
+        yield min(size, count)
+        count -= size
+        size = min(8 * size, _BLOCK)
 
 
 def _index_table(cum: np.ndarray, bits: int) -> tuple:
@@ -119,7 +135,8 @@ class BvSampler:
     of `count` outcomes either a binary search over the support for each, or,
     from 2^12 draws and one per table entry on, the index table, built by the
     first such draw and kept, applied block by block.  draw writes each
-    block's outcomes in place; sample_set only marks them, until saturated."""
+    block's outcomes in place; sample_set only marks them, drawing block by
+    block until saturated, and then moves the stream past the rest."""
 
     __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng", "_bits", "_index")
 
@@ -132,17 +149,29 @@ class BvSampler:
         # sign +-1, and each of the width stages maps a pair (x, y) to
         # (x + y, x - y), which at most doubles the largest magnitude (a
         # constant column reaches 2^width).  So int8 holds width <= 6, int16
-        # width <= 14, and int32 the rest up to the 24-bit cap.  A row's sum of
-        # squares, at most 2^(n + width) <= 2^48, is accumulated in int64.
-        t = f.table.astype(np.int8 if width <= 6 else np.int16 if width <= 14 else np.int32)
+        # width <= 14, and int32 the rest up to the 24-bit cap; a square, at
+        # most 4^width, fits int16, int32 and int64 in turn.
+        narrow = 0 if width <= 6 else 1 if width <= 14 else 2
+        t = f.table.astype((np.int8, np.int16, np.int32)[narrow])
         t *= -2
         t += 1
         rows = _wht(t.reshape(1 << width, -1))
-        masses = np.einsum("ij,ij->i", rows, rows, dtype=np.int64) << (f.n - width)
+        # A row's sum of squares is at most 2^(n + width), which a constant
+        # function reaches, so int32 holds it when n + width <= 30; at width
+        # == n the squares are the masses.  Square-then-sum beat the int64
+        # einsum only over rows of 2^5 columns or more (2-core VM: 0.06 against
+        # 0.21 ms at n = 18, width 6, but 0.27 against 0.13 ms over 4 columns).
+        square = (np.int16, np.int32, np.int64)[narrow]
+        if width == f.n:
+            masses = np.square(rows.ravel(), dtype=square)
+        elif f.n + width <= 30 and f.n - width >= 5:
+            masses = np.square(rows, dtype=square).sum(axis=1, dtype=np.int32)
+        else:
+            masses = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
         support = np.flatnonzero(masses)
         self.n = width
         self.outcomes = support.astype(np.int64)
-        self._cum = np.cumsum(masses[support], dtype=np.int64)
+        self._cum = np.cumsum(masses[support], dtype=np.int64) << (f.n - width)
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
         # about four buckets per outcome, at most one per value of u
@@ -151,58 +180,92 @@ class BvSampler:
 
     def draw(self, count: int = 1) -> np.ndarray:
         """Sample `count` outcomes; charges one quantum query per outcome."""
-        u = self._uniforms(count)
-        for ub, i in self._lookup(u):
+        total = self._charge(count)
+        u = self._rng.integers(0, total, size=count, dtype=np.int64)
+        for ub, i in self._lookup(u[start:start + _BLOCK] for start in range(0, count, _BLOCK)):
             np.take(self.outcomes, i, out=ub, mode="clip")
         return u
 
     def sample_set(self, count: int) -> tuple[int, list[int]]:
-        """(first outcome, distinct outcomes ascending) of draw(count), from
-        the same uniforms and at the same charge of `count` quantum queries.
-        The lookup stops at the first block after which every support outcome
-        has been hit, since later blocks cannot change the set."""
+        """(first outcome, distinct outcomes ascending) of draw(count), at the
+        same charge of `count` quantum queries and with the stream left where
+        draw(count) leaves it.  The uniforms are drawn in the blocks of
+        `_set_blocks`, and drawing stops after the first block that leaves
+        every support outcome hit, since later blocks cannot change the set;
+        the stream then moves past the undrawn rest."""
         if count == 0:
             raise ValueError("a sample set needs at least one sample, or its pivot is undefined")
-        u = self._uniforms(count)
+        total = self._charge(count)
         hit = np.zeros(len(self.outcomes), dtype=bool)
         # hit.all() costs O(support), at most one block's lookup
         saturable = len(hit) <= _BLOCK
+        blocks = (self._rng.integers(0, total, size=k, dtype=np.int64)
+                  for k in _set_blocks(count, len(hit)))
         first = None
-        for _, i in self._lookup(u):
+        drawn = 0
+        for ub, i in self._lookup(blocks):
             if first is None:
                 first = int(i[0])
             hit[i] = True
+            drawn += len(ub)
             if saturable and hit.all():
                 break
+        self._skip(count - drawn, total)
         return int(self.outcomes[first]), self.outcomes[hit].tolist()
 
-    def _uniforms(self, count: int) -> np.ndarray:
-        """The `count` uniforms of one draw, charged as `count` quantum queries,
-        building the index table first if the draw is large enough to repay it."""
+    def _charge(self, count: int) -> int:
+        """Check `count` against the budget, charge it as `count` quantum
+        queries, build the index table first if a draw that large repays it,
+        and return the uniforms' range 4^n, a power of two."""
         check_draw_budget(count)
-        total = int(self._cum[-1])
-        u = self._rng.integers(0, total, size=count, dtype=np.int64)
         if self._index is None and count >= 1 << max(self._bits, _MIN_TABLE_DRAW_BITS):
             self._index = _index_table(self._cum, self._bits)
         if self.ledger is not None:
             self.ledger.add_quantum(count)
-        return u
+        return int(self._cum[-1])
 
-    def _lookup(self, u: np.ndarray):
-        """Yield (ub, i) per block of u: the block's uniforms, a view of u, and
-        the support index of each one's outcome.  i is a buffer the next block
-        overwrites, so it is used before the generator resumes."""
+    def _skip(self, rest: int, total: int) -> None:
+        """Move the stream past `rest` uniforms from [0, total) without drawing
+        them, to where drawing them would leave it: `rest` 64-bit outputs when
+        total > 2^32, else `rest` 32-bit halves, the buffered half first."""
+        if rest == 0:
+            return
+        bits = self._rng.bit_generator
+        if total > 1 << 32:
+            # advance clears the 32-bit buffer, which 64-bit draws leave alone
+            kept = bits.state
+            bits.advance(rest)
+            state = bits.state
+            state.update(has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
+            bits.state = state
+            return
+        if bits.state["has_uint32"]:
+            self._rng.integers(0, total, size=1, dtype=np.int64)
+            rest -= 1
+        full, odd = divmod(rest, 2)
+        if full > 1:
+            # advance also zeroes the buffer's stale upper half, which the last
+            # whole output, drawn for real below, writes back
+            bits.advance(full - 1)
+            rest = 2 + odd
+        self._rng.integers(0, total, size=rest, dtype=np.int64)
+
+    def _lookup(self, blocks):
+        """Yield (ub, i) per block ub of uniforms: the block and the support
+        index of each one's outcome.  i is a buffer that a later block
+        overwrites, so it is used before the generator resumes; the buffers
+        grow to the largest block yet."""
         if not self._index:
-            for start in range(0, len(u), _BLOCK):
-                ub = u[start:start + _BLOCK]
+            for ub in blocks:
                 yield ub, np.searchsorted(self._cum, ub, side="right")
             return
         lo, shift, steps = self._index
-        size = min(len(u), _BLOCK)
-        idx, word, ge = np.empty(size, np.intp), np.empty(size, np.int64), np.empty(size, bool)
-        for start in range(0, len(u), _BLOCK):
-            ub = u[start:start + _BLOCK]
+        size = 0
+        for ub in blocks:
             k = len(ub)
+            if k > size:
+                size = k
+                idx, word, ge = np.empty(k, np.intp), np.empty(k, np.int64), np.empty(k, bool)
             # c holds each u's bucket, then the cumulative mass at its index
             i, c, g = idx[:k], word[:k], ge[:k]
             # every index lies in [0, len(cum)), so "clip" clips nothing; it

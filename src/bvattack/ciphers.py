@@ -413,6 +413,15 @@ class CipherFile:
             raise ValueError(f"cipher file is missing table {name!r}")
         return self.tables[name]
 
+    def even_mansour(self) -> tuple[VectorFunction, VectorFunction]:
+        """(perm, etable) of an Even-Mansour file, perm checked to be a
+        bijection as EvenMansour checks it."""
+        if self.kind != "even-mansour":
+            raise ValueError(f"not an Even-Mansour cipher file (kind={self.kind!r})")
+        perm = self.table("perm")
+        _bijection(perm.table, self.n, "perm")
+        return perm, self.table("etable")
+
     def toy_public(self) -> ToyCipherPublic:
         if self.kind != "toy":
             raise ValueError(f"not a toy cipher file (kind={self.kind!r})")
@@ -422,7 +431,14 @@ class CipherFile:
                                self.table("sbox").table, self.table("last_sbox").table)
 
 
-_KINDS = ("feistel3", "even-mansour", "toy")
+# The tables of each kind of file, each as a multiple k of the header n: the
+# table maps k * n bits to k * n bits.
+_TABLE_WIDTHS = {
+    "feistel3": {"p1": 1, "p2": 1, "p3": 1, "etable": 2},
+    "even-mansour": {"perm": 1, "etable": 1},
+    "toy": {"sbox": 1, "last_sbox": 1, "etable": 1},
+}
+_KINDS = tuple(_TABLE_WIDTHS)
 _FEISTEL_SECRETS = ("p1", "p2", "p3")  # round functions, left out of challenge files
 
 
@@ -491,7 +507,9 @@ def _first_line(block) -> str | None:
 
 def load_cipher(path) -> CipherFile:
     """Read a cipher file written by save_cipher.  A `table` line owns the
-    lines after it, up to the next `keys` or `table` line, as its word block."""
+    lines after it, up to the next `keys` or `table` line, as its word block,
+    and each table must be one its kind names, at the shape that the header's
+    n gives it in `_TABLE_WIDTHS`."""
     sections = _read_sections(path, ("keys ", "table "))
     if not sections or not sections[0][0].rstrip().startswith("cipher "):
         raise ValueError(f"{path}: expected a 'cipher ...' header line")
@@ -509,6 +527,12 @@ def load_cipher(path) -> CipherFile:
             shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
             m, n = shape["m"], shape["n"]
             tables[toks[0]] = VectorFunction(m, n, parse_word_block(block, m, n, what))
+            k = _TABLE_WIDTHS[kind].get(toks[0])
+            if k is None:
+                raise ValueError(f"{what}: a {kind} file has no such table")
+            if m != k * params["n"] or n != m:
+                raise ValueError(f"{what}: {toks[0]} maps {m} to {n} bits, not {k * params['n']} "
+                                 f"to {k * params['n']} as a {kind} file of n={params['n']}")
         elif (extra := _first_line(block)) is not None:  # the header and keys own no lines
             raise ValueError(f"{path}: unexpected line {extra!r}")
         elif word == "keys":

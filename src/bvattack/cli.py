@@ -183,10 +183,7 @@ def _cmd_distinguish_feistel(args) -> tuple[dict, int]:
 
 
 def _cmd_attack_em(args) -> tuple[dict, int]:
-    cf = load_cipher(args.cipher)
-    if cf.kind != "even-mansour":
-        raise ValueError(f"attack-em expects an Even-Mansour file, got kind {cf.kind!r}")
-    perm, etable = cf.table("perm"), cf.table("etable")
+    perm, etable = load_cipher(args.cipher).even_mansour()
     rep = recover_em_key(perm, etable, seed=args.seed, p=args.p)
     queries = dict(rep.queries)
     k2 = None

@@ -243,6 +243,14 @@ def load_cipher_direct(path) -> CipherFile:
             _check_width(n, f"{what}: output width")
             tables[toks[0]] = VectorFunction(
                 m, n, parse_word_block_direct(lines[i + 1:end], m, n, what))
+            names = {"feistel3": ("p1", "p2", "p3", "etable"), "even-mansour": ("perm", "etable"),
+                     "toy": ("sbox", "last_sbox", "etable")}[kind]
+            if toks[0] not in names:
+                raise ValueError(f"{what}: a {kind} file has no such table")
+            width = params["n"] * (2 if (kind, toks[0]) == ("feistel3", "etable") else 1)
+            if (m, n) != (width, width):
+                raise ValueError(f"{what}: {toks[0]} maps {m} to {n} bits, not {width} to {width} "
+                                 f"as a {kind} file of n={params['n']}")
         elif end > i + 1:
             raise ValueError(f"{path}: unexpected line {lines[i + 1]!r}")
         elif word == "keys":
@@ -278,21 +286,38 @@ def certificate_valid_direct(table, n: int, kb: int, j: int, a: int, forbidden: 
                != forbidden for x in range(1 << n) for k in range(1 << kb))
 
 
-def butterfly_sampler_direct(table, n: int, width: int) -> tuple:
-    """(outcomes, cumulative masses) of the marginal law of the leading
-    `width` bits, from an int64 Walsh butterfly: the signs +-1 as 2^width
-    rows of 2^(n - width) columns, each stage h turning the rows r and r + h
-    of every 2h-row block into their sum and difference; a row's mass is its
-    sum of squares times 2^(n - width)."""
-    b = (1 - 2 * np.asarray(table, dtype=np.int64)).reshape(1 << width, -1)
+def _butterfly_direct(b: np.ndarray) -> np.ndarray:
+    """int64 Walsh butterfly along the rows of b: each stage h turns the rows
+    r and r + h of every 2h-row block into their sum and difference."""
     h = 1
     while h < len(b):
         v = b.reshape(-1, 2, h, b.shape[1])
         b = np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1).reshape(b.shape)
         h *= 2
+    return b
+
+
+def butterfly_sampler_direct(table, n: int, width: int) -> tuple:
+    """(outcomes, cumulative masses) of the marginal law of the leading
+    `width` bits, from an int64 Walsh butterfly: the signs +-1 as 2^width
+    rows of 2^(n - width) columns; a row's mass is its sum of squares times
+    2^(n - width)."""
+    b = _butterfly_direct((1 - 2 * np.asarray(table, dtype=np.int64)).reshape(1 << width, -1))
     masses = (b * b).sum(axis=1) << (n - width)
     support = np.flatnonzero(masses)
     return support, np.cumsum(masses[support])
+
+
+def row_masses_einsum(table, width: int, cols: int = 1 << 12) -> np.ndarray:
+    """Each of the 2^width rows' sum of squares, unshifted, in int64: the
+    int64 butterfly and an int64 einsum, `cols` columns at a time so that a
+    2^24-entry table needs no full-size int64 copy."""
+    t = np.asarray(table).reshape(1 << width, -1)
+    masses = np.zeros(1 << width, dtype=np.int64)
+    for start in range(0, t.shape[1], cols):
+        b = _butterfly_direct(1 - 2 * t[:, start:start + cols].astype(np.int64))
+        masses += np.einsum("ij,ij->i", b, b, dtype=np.int64)
+    return masses
 
 
 def marginal_draws_direct(table, n: int, width: int, seed_key, count: int) -> np.ndarray:

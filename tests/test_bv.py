@@ -8,7 +8,7 @@ from scipy import stats
 
 from bvattack.boolfn import BooleanFunction, _wht, random_boolean_function, walsh_spectrum
 from bvattack.experiments import inner_product_function, planted_boolean
-from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger
+from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger, _set_blocks
 from bvattack.rng import seeded_rng
 
 from oracles import (
@@ -16,6 +16,7 @@ from oracles import (
     full_spectrum_draws,
     marginal_draws_direct,
     marginal_masses_direct,
+    row_masses_einsum,
     sample_distribution_direct,
 )
 
@@ -272,6 +273,22 @@ def test_butterfly_type_switch_points(width, kind):
         _assert_sampler_equals_int64_reference(f, width, 45)
 
 
+@pytest.mark.parametrize("n, width", [
+    (24, 6), (23, 7), (18, 12), (16, 14),  # n + width = 30: the int32 sum's bound
+    (24, 7), (19, 12), (17, 14), (16, 15),  # n + width = 31: summed in int64
+    (6, 6), (7, 7), (14, 14), (15, 15), (16, 16),  # width == n: the squares themselves
+])
+def test_row_masses_at_their_type_bounds(n, width):
+    """A constant function puts the largest row mass there is, 2^(n + width),
+    on row 0; every build keeps it exact, as an int64 einsum does."""
+    f = BooleanFunction(n, np.full(1 << n, (n + width) & 1, dtype=np.uint8))
+    s = BvSampler(f, (46,), width=width)
+    masses = row_masses_einsum(f.table, width)
+    assert masses[0] == 1 << (n + width) and not masses[1:].any()
+    assert s.outcomes.tolist() == [0]
+    assert s._cum.tolist() == [int(masses[0]) << (n - width)] == [4 ** n]
+
+
 # --- sample sets: the pivot and the distinct outcomes of a draw -----------------------
 
 
@@ -328,29 +345,77 @@ def _counting_lookups(monkeypatch) -> list:
     return blocks
 
 
-@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_set_blocks_schedule():
+    """The first block holds about eight draws per outcome and at least 2^9,
+    each next one eight times more up to _BLOCK, and the last one ends at
+    the count."""
+    assert list(_set_blocks(100_000, 32)) == [512, 4096, _BLOCK, _BLOCK, 29_856]
+    assert list(_set_blocks(5000, 1)) == [512, 4096, 392]
+    assert list(_set_blocks(5000, 256)) == [4096, 904]
+    assert list(_set_blocks(70_000, 5000)) == [_BLOCK, _BLOCK, 4464]
+    assert list(_set_blocks(300, 64)) == [300]
+    assert list(_set_blocks(1, 1 << 20)) == [1]
+
+
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 3 * _BLOCK])
 def test_sample_set_stops_once_saturated(count, monkeypatch):
-    """A sample set stops at the first block after which every outcome has
-    shown, and scans every block when some never shows; either way it is
-    the draw's pivot and distinct set."""
+    """A sample set draws and looks up the blocks of _set_blocks, and stops at
+    the first one after which every outcome has shown, or scans every block
+    when some outcome never shows; either way it is the draw's pivot and
+    distinct set."""
     blocks = _counting_lookups(monkeypatch)
-    every = -(-count // _BLOCK)
-    # (function, blocks scanned, lookup): one outcome, saturated at once; two
-    # of 256 outcomes whose first block misses 7 and 1 (pinned seeds), so they
-    # saturate in the second; the point function, never saturated
-    cases = [(_sample_set_function("affine", 6, 1), 1, lambda s: s._index)]
-    for seed, missed in ((0, 7), (35, 1)):
-        f = random_boolean_function(8, seeded_rng(seed, 70))
-        assert len(_draw_set(f, (71,), None, _BLOCK)[1]) == 256 - missed
-        assert len(_draw_set(f, (71,), None, 2 * _BLOCK)[1]) == 256
-        cases.append((f, min(2, every), lambda s: s._index))
-    cases.append((_sample_set_function("point", 10, 0), every, lambda s: s._index == ()))
-    for f, scanned, lookup in cases:
+    # (function, outcomes its first block misses, lookup): one outcome, none
+    # missed; 128 and 256 outcomes whose first blocks of 2^11 and 2^12 draws
+    # miss 25 and 38 (pinned seeds), so they saturate in a later block or
+    # never; the point function, which never saturates
+    cases = [(_sample_set_function("affine", 6, 1), 0, lambda s: s._index)]
+    for n, missed in ((7, 25), (8, 38)):
+        cases.append((random_boolean_function(n, seeded_rng(0, 70)), missed, lambda s: s._index))
+    cases.append((_sample_set_function("point", 10, 0), None, lambda s: s._index == ()))
+    for f, missed, lookup in cases:
+        out = BvSampler(f, (71,)).draw(count).tolist()
         s = BvSampler(f, (71,))
-        want = _draw_set(f, (71,), None, count)
+        support = len(s.outcomes)
+        seen = [len(set(out[:end])) for end in np.cumsum(list(_set_blocks(count, support)))]
+        # the first saturating block, or every block
+        scanned = seen.index(support) + 1 if support in seen else len(seen)
+        if missed is None:
+            assert seen[-1] < support
+        else:
+            assert support - seen[0] == missed, f.n
         del blocks[:]
-        assert s.sample_set(count) == want, f.n
+        assert s.sample_set(count) == (out[0], sorted(set(out))), f.n
         assert blocks == [scanned] and lookup(s), f.n
+
+
+def _set_and_state(s: BvSampler, key, pre: int, count: int, full: bool):
+    """(pivot, distinct, generator state, next draws) after `pre` 32-bit
+    draws, which may leave a half-word buffered, and then either a sample set
+    of `count` or a full draw of `count` from a fresh stream for `key`."""
+    s._rng = seeded_rng(key)
+    s._rng.integers(0, 1 << 32, size=pre, dtype=np.int64)
+    if full:
+        out = s.draw(count).tolist()
+        got = out[0], sorted(set(out))
+    else:
+        got = s.sample_set(count)
+    return got, s._rng.bit_generator.state, s.draw(3).tolist()
+
+
+@given(st.one_of(st.integers(1, 16), st.integers(17, 18)),
+       st.sampled_from(("random", "constant", "affine")), st.integers(0, 3),
+       st.integers(0, 2**30), st.data())
+def test_sample_set_leaves_the_stream_where_draw_does(n, kind, pre, key, data):
+    """Around each of the first three block boundaries, a sample set gives the
+    pivot, the distinct set, the whole generator state and the next output of
+    a full draw, on the 32-bit stream (4^n <= 2^32) and the 64-bit one, with
+    0 to 3 earlier half-word draws."""
+    f = _extreme_or_random(n, kind, key)
+    s = BvSampler(f, (key, 83), width=data.draw(st.integers(1, n)))
+    ends = np.cumsum(list(_set_blocks(MAX_DRAWS, len(s.outcomes))))[:3].tolist()
+    for count in sorted({1, 2, 3} | {end + d for end in ends for d in (-1, 0, 1)}):
+        want = _set_and_state(s, (key, 83), pre, count, True)
+        assert _set_and_state(s, (key, 83), pre, count, False) == want, count
 
 
 def test_sample_set_charges_every_draw_and_keeps_the_stream(monkeypatch):

@@ -514,6 +514,45 @@ def test_cipher_file_accessors(tmp_path):
         cf.table("nonexistent")
 
 
+@pytest.mark.parametrize("cipher", [Feistel3.random(2, seed=1), EvenMansour.random(3, seed=2),
+                                    ToyCipher.generate(3, "weak", seed=3)],
+                         ids=["feistel3", "even-mansour", "toy"])
+def test_cipher_file_tables_fit_the_kind_and_header(tmp_path, cipher):
+    """Each kind names its tables and binds them to the header n: n to n
+    bits, and 2n to 2n for a Feistel etable; a header n that is not theirs
+    or a table the kind does not name is refused, as the text reader refuses
+    it."""
+    path = tmp_path / "c.txt"
+    save_cipher(path, cipher)
+    text = path.read_text()
+    assert load_cipher(path).n == cipher.n
+    etable = text[text.index("table etable"):]
+    for edit, message in ((text.replace(f" n={cipher.n}", f" n={cipher.n + 1}", 1), " bits, not "),
+                          (text + etable.replace("table etable", "table extra", 1),
+                           "table extra: a .* file has no such table")):
+        path.write_text(edit)
+        with pytest.raises(ValueError, match=message):
+            load_cipher(path)
+        with pytest.raises(ValueError, match=message):
+            load_cipher_direct(path)
+
+
+def test_even_mansour_view_checks_the_permutation(tmp_path):
+    em = EvenMansour(2, [2, 0, 3, 1], k1=1, k2=3)
+    path = tmp_path / "em.txt"
+    save_cipher(path, em)
+    perm, etable = load_cipher(path).even_mansour()
+    assert perm.table.tolist() == [2, 0, 3, 1]
+    assert etable.table.tolist() == em.encrypt_table().table.tolist()
+    path.write_text(path.read_text().replace("\n2 0 3 1\n", "\n2 0 2 1\n"))
+    with pytest.raises(ValueError, match="perm must be a bijection"):
+        load_cipher(path).even_mansour()
+    toy = tmp_path / "toy.txt"
+    save_cipher(toy, ToyCipher.generate(3, "weak", seed=4))
+    with pytest.raises(ValueError, match="not an Even-Mansour"):
+        load_cipher(toy).even_mansour()
+
+
 def _cipher_outcome(load, path):
     """What loading a cipher file gives: kind, header values, keys and
     tables, or the error's type and message."""

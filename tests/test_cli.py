@@ -255,6 +255,25 @@ def test_malformed_cipher_files_exit_two(capsys, tmp_path, monkeypatch):
     assert err.count("error:") == 3 and "n * rounds" in err
 
 
+def test_attack_em_reads_the_file_as_an_even_mansour_cipher(capsys, tmp_path):
+    """An even-mansour file whose perm is no bijection, or whose header n is
+    not its tables' width, exits 2 with no report."""
+    path = tmp_path / "em.txt"
+    assert main(["gen-cipher", "--kind", "even-mansour", "--n", "4", "--seed", "50",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    perm = text.split("table perm m=4 n=4\n")[1].split("\n")[0]
+    zero = tmp_path / "zero_perm.txt"
+    zero.write_text(text.replace(perm, " ".join(["0"] * 16), 1))
+    wide = tmp_path / "n9.txt"
+    wide.write_text(text.replace(" n=4", " n=9", 1))  # the header's n only
+    for bad, message in ((zero, "perm must be a bijection"), (wide, "perm maps 4 to 4 bits")):
+        assert main(["attack-em", str(bad), "--seed", "52"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err, bad.name
+
+
 def test_toy_attacks_reject_mismatched_etable(capsys, tmp_path, monkeypatch, toy_file):
     from bvattack.ciphers import ToyCipher, ToyCipherPublic, save_cipher
 
