@@ -157,17 +157,16 @@ class BvSampler:
         t += 1
         rows = _wht(t.reshape(1 << width, -1))
         # A row's sum of squares is at most 2^(n + width), which a constant
-        # function reaches, so int32 holds it when n + width <= 30; at width
-        # == n the squares are the masses.  Square-then-sum beat the int64
-        # einsum only over rows of 2^5 columns or more (2-core VM: 0.06 against
-        # 0.21 ms at n = 18, width 6, but 0.27 against 0.13 ms over 4 columns).
-        square = (np.int16, np.int32, np.int64)[narrow]
+        # function reaches, so the einsum sums in int32 when n + width <= 30
+        # (2-core VM: 0.12 against 0.22 ms in int64 at n = 18, width 6).  At
+        # width == n each row is one entry and its square is its mass, which
+        # the einsum took longer to give (the whole build at n = 18: 13.1-13.5
+        # ms with it, 8.0-8.1 ms without).
         if width == f.n:
-            masses = np.square(rows.ravel(), dtype=square)
-        elif f.n + width <= 30 and f.n - width >= 5:
-            masses = np.square(rows, dtype=square).sum(axis=1, dtype=np.int32)
+            masses = np.square(rows.ravel(), dtype=(np.int16, np.int32, np.int64)[narrow])
         else:
-            masses = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
+            masses = np.einsum("ij,ij->i", rows, rows,
+                               dtype=np.int32 if f.n + width <= 30 else np.int64)
         support = np.flatnonzero(masses)
         self.n = width
         self.outcomes = support.astype(np.int64)

@@ -509,7 +509,7 @@ def load_cipher(path) -> CipherFile:
     """Read a cipher file written by save_cipher.  A `table` line owns the
     lines after it, up to the next `keys` or `table` line, as its word block,
     and each table must be one its kind names, at the shape that the header's
-    n gives it in `_TABLE_WIDTHS`."""
+    n gives it in `_TABLE_WIDTHS`, which is checked before the block is read."""
     sections = _read_sections(path, ("keys ", "table "))
     if not sections or not sections[0][0].rstrip().startswith("cipher "):
         raise ValueError(f"{path}: expected a 'cipher ...' header line")
@@ -526,13 +526,16 @@ def load_cipher(path) -> CipherFile:
             what = f"{path} table {toks[0]}"
             shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
             m, n = shape["m"], shape["n"]
-            tables[toks[0]] = VectorFunction(m, n, parse_word_block(block, m, n, what))
+            # the widths, then the table's name and shape, before its block
+            _check_width(m, f"{what}: input width")
+            _check_width(n, f"{what}: output width")
             k = _TABLE_WIDTHS[kind].get(toks[0])
             if k is None:
                 raise ValueError(f"{what}: a {kind} file has no such table")
             if m != k * params["n"] or n != m:
                 raise ValueError(f"{what}: {toks[0]} maps {m} to {n} bits, not {k * params['n']} "
                                  f"to {k * params['n']} as a {kind} file of n={params['n']}")
+            tables[toks[0]] = VectorFunction(m, n, parse_word_block(block, m, n, what))
         elif (extra := _first_line(block)) is not None:  # the header and keys own no lines
             raise ValueError(f"{path}: unexpected line {extra!r}")
         elif word == "keys":

@@ -241,8 +241,6 @@ def load_cipher_direct(path) -> CipherFile:
             m, n = shape["m"], shape["n"]
             _check_width(m, f"{what}: input width")
             _check_width(n, f"{what}: output width")
-            tables[toks[0]] = VectorFunction(
-                m, n, parse_word_block_direct(lines[i + 1:end], m, n, what))
             names = {"feistel3": ("p1", "p2", "p3", "etable"), "even-mansour": ("perm", "etable"),
                      "toy": ("sbox", "last_sbox", "etable")}[kind]
             if toks[0] not in names:
@@ -251,6 +249,8 @@ def load_cipher_direct(path) -> CipherFile:
             if (m, n) != (width, width):
                 raise ValueError(f"{what}: {toks[0]} maps {m} to {n} bits, not {width} to {width} "
                                  f"as a {kind} file of n={params['n']}")
+            tables[toks[0]] = VectorFunction(
+                m, n, parse_word_block_direct(lines[i + 1:end], m, n, what))
         elif end > i + 1:
             raise ValueError(f"{path}: unexpected line {lines[i + 1]!r}")
         elif word == "keys":

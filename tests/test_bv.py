@@ -274,8 +274,8 @@ def test_butterfly_type_switch_points(width, kind):
 
 
 @pytest.mark.parametrize("n, width", [
-    (24, 6), (23, 7), (18, 12), (16, 14),  # n + width = 30: the int32 sum's bound
-    (24, 7), (19, 12), (17, 14), (16, 15),  # n + width = 31: summed in int64
+    (24, 6), (23, 7), (18, 12), (16, 14),  # n + width = 30: the row mass fits int32
+    (24, 7), (19, 12), (17, 14), (16, 15),  # n + width = 31: it does not
     (6, 6), (7, 7), (14, 14), (15, 15), (16, 16),  # width == n: the squares themselves
 ])
 def test_row_masses_at_their_type_bounds(n, width):

@@ -527,8 +527,19 @@ def test_cipher_file_tables_fit_the_kind_and_header(tmp_path, cipher):
     text = path.read_text()
     assert load_cipher(path).n == cipher.n
     etable = text[text.index("table etable"):]
+    # the first table's block made malformed, which its own reading refuses
+    first = text.index("\n", text.index("table ")) + 1
+    broken = text[:first] + "zz " + text[first:]
+    path.write_text(broken)
+    with pytest.raises(ValueError, match="table .*: (expected|invalid)"):
+        load_cipher(path)
+    # a misnamed or mis-sized table is refused before its block is read, so a
+    # malformed block behind it gives the same error
     for edit, message in ((text.replace(f" n={cipher.n}", f" n={cipher.n + 1}", 1), " bits, not "),
+                          (broken.replace(f" n={cipher.n}", f" n={cipher.n + 1}", 1), " bits, not "),
                           (text + etable.replace("table etable", "table extra", 1),
+                           "table extra: a .* file has no such table"),
+                          (text + "table extra m=24 n=24\nzz\n",
                            "table extra: a .* file has no such table")):
         path.write_text(edit)
         with pytest.raises(ValueError, match=message):
