@@ -63,14 +63,8 @@ class BooleanFunction:
 
     def __init__(self, n: int, table) -> None:
         _check_width(n, "n")
-        t = np.ascontiguousarray(table, dtype=np.uint8)
-        if t.shape != (1 << n,):
-            raise ValueError(f"table must have 2^{n} entries, got shape {t.shape}")
-        if t.max(initial=0) > 1:
-            raise ValueError("truth table entries must be bits")
-        t.setflags(write=False)
         self.n = n
-        self.table = t
+        self.table = _word_table(table, n, 1, "truth table entries must be bits")
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])
@@ -90,14 +84,33 @@ def _word_dtype(bits: int) -> np.dtype:
     return np.min_scalar_type((1 << bits) - 1)
 
 
+def _word_table(table, m: int, n: int, range_error: str) -> np.ndarray:
+    """`table` as 2^m read-only n-bit words in `_word_dtype(n)`.  It is
+    range-checked in its own type and then narrowed, with no copy when it is
+    already narrow and contiguous, so no cast wraps or truncates an entry
+    before the check; a table that is not of an integer or bool type must
+    hold whole numbers."""
+    t = np.asarray(table)
+    if t.shape != (1 << m,):
+        raise ValueError(f"table must have 2^{m} entries, got shape {t.shape}")
+    if t.dtype.kind not in "biu" and not np.array_equal(t, np.floor(t)):
+        raise ValueError("table entries must be whole numbers")
+    # an unsigned table holds no negative entry, so component() pays one pass
+    if t.max() >= 1 << n or t.dtype.kind != "u" and t.min() < 0:
+        raise ValueError(range_error)
+    t = np.ascontiguousarray(t, dtype=_word_dtype(n))
+    t.setflags(write=False)
+    return t
+
+
 class VectorFunction:
     """A function {0,1}^m -> {0,1}^n held as a dense word table.
 
     The table is held in the narrowest unsigned type for n-bit words: uint8
-    up to 8 output bits, uint16 up to 16, uint32 up to 24.  An integer table
-    is range-checked in its own type and then narrowed, with no copy when it
-    is already narrow and contiguous; any other input is converted to int64
-    first.  component() returns uint8 bits.
+    up to 8 output bits, uint16 up to 16, uint32 up to 24.  The table is
+    range-checked in its own type and then narrowed, with no copy when it is
+    already narrow and contiguous; a float table must hold whole numbers.
+    component() returns uint8 bits.
     """
 
     __slots__ = ("m", "n", "table")
@@ -105,18 +118,9 @@ class VectorFunction:
     def __init__(self, m: int, n: int, table) -> None:
         _check_width(m, "m")
         _check_width(n, "n")
-        t = np.asarray(table)
-        if t.dtype.kind not in "iu":
-            t = t.astype(np.int64)
-        if t.shape != (1 << m,):
-            raise ValueError(f"table must have 2^{m} entries, got shape {t.shape}")
-        if int(t.min(initial=0)) < 0 or int(t.max(initial=0)) >= (1 << n):
-            raise ValueError(f"table entries must fit in {n} output bits")
-        t = np.ascontiguousarray(t, dtype=_word_dtype(n))
-        t.setflags(write=False)
         self.m = m
         self.n = n
-        self.table = t
+        self.table = _word_table(table, m, n, f"table entries must fit in {n} output bits")
 
     def __call__(self, x: int) -> int:
         return int(self.table[x])

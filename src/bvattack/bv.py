@@ -6,14 +6,10 @@ summing to exactly 4^n, so one uniform integer u from [0, 4^n), mapped to the
 first outcome whose cumulative mass exceeds u, reproduces the measurement law
 with no floating point anywhere.  One sample costs one quantum query to f.
 
-A draw finds that outcome by a binary search over the cumulative masses, or,
-once it is large enough to repay the build, through an index table over the
-top bits of u (the guide table of Chen and Asau, 1974): u's bucket gives the
-first outcome that can hold it, and a few passes step on past every
-cumulative mass at or below u.  Both find the same outcome for every u, so
-the table changes the speed of a draw, never its result.  A table draw works
-through u in cache-sized blocks with reused buffers and writes the outcomes
-back over u, so the uniforms' own array is the only full-length one it makes.
+A draw and a sample set find each outcome the same way, by a binary search
+over the cumulative masses.  A draw works through u in blocks of 2^15 and
+writes each block's outcomes back over u, so the uniforms' own array is the
+only full-length one it makes.
 
 A search needs only the first outcome (its pivot) and the set of distinct
 outcomes, so `sample_set` marks hits on the support indices instead of
@@ -79,22 +75,12 @@ class QueryLedger:
         return f"QueryLedger(quantum={self.quantum}, classical={self.classical})"
 
 
-# A draw builds the index table only if it takes at least one draw per entry
-# and at least 2^12 draws.  Measured on a 2-core VM with the blocked draw below
-# (medians of 200, table build included): below 2^11 draws one binary search
-# per draw beat building and using the table at every support size up to 256;
-# at 2^12 the table won from 4 outcomes on (112 against 119 us) and lost only
-# at 2 (108 against 96 us); from 2^13 on it won at every size up to 1024.  One
-# draw per entry also keeps the intp table no larger than the draw's own int64
-# array.
-_MIN_TABLE_DRAW_BITS = 12
-
-# A lookup maps uniforms to outcomes at most this many at a time, through three
-# buffers (about 0.5 MiB together at this size) that stay in cache across the
-# table lookup and its correction passes; a draw writes each block's outcomes
-# back over its uniforms.  Measured on a 2-core VM (2 MiB L2), median of 40
-# T7-shaped draws of 279,936 from 64 outcomes, uniforms included: 2.8 ms in
-# blocks of 2^12, 2.3 ms at 2^15, 3.3 ms at 2^17, 5.8 ms as one block.
+# A lookup maps uniforms to outcomes at most this many at a time, so its index
+# array is 256 KiB; a draw writes each block's outcomes back over its
+# uniforms.  The block size barely moves the binary search: on a 2-core Xeon
+# VM (2 MiB L2 per core), median of 40 T7-shaped draws of 279,936 from 49
+# outcomes, uniforms included: 11.1 ms in blocks of 2^12 or 2^15, 10.6 ms at
+# 2^17, 11.9 ms as one block.
 _BLOCK = 1 << 15
 
 # A sample set draws its first block at about eight uniforms per outcome and at
@@ -110,35 +96,14 @@ def _set_blocks(count: int, support: int):
         size = min(8 * size, _BLOCK)
 
 
-def _index_table(cum: np.ndarray, bits: int) -> tuple:
-    """Index table over the top `bits` bits of u in [0, cum[-1]), a power of two.
-
-    Returns (lo, shift, steps): bucket b = u >> shift starts at b << shift,
-    lo[b] = #{cum <= b << shift} is the first outcome any u in it can map to,
-    and steps is the most cum entries strictly inside one bucket, so `steps`
-    passes of idx += u >= cum[idx] reach the outcome the binary search finds.
-    Returns () when steps exceeds the binary search's depth.
-    """
-    shift = int(cum[-1]).bit_length() - 1 - bits
-    # cum <= b << shift exactly when ceil(cum / 2^shift) <= b; lo is intp, the
-    # gathers' own index type, so no gather casts its indices first
-    first = np.bincount(-(-cum >> shift), minlength=(1 << bits) + 1)[: 1 << bits]
-    lo = np.cumsum(first, dtype=np.intp)
-    inner = cum[cum & ((1 << shift) - 1) != 0] >> shift
-    steps = int(np.bincount(inner).max(initial=0))
-    return (lo, shift, steps) if steps <= len(cum).bit_length() else ()
-
-
 class BvSampler:
     """Measurement-outcome sampler for one boolean function: one Walsh
-    transform (over the leading `width` bits only) when built, then per draw
-    of `count` outcomes either a binary search over the support for each, or,
-    from 2^12 draws and one per table entry on, the index table, built by the
-    first such draw and kept, applied block by block.  draw writes each
-    block's outcomes in place; sample_set only marks them, drawing block by
-    block until saturated, and then moves the stream past the rest."""
+    transform (over the leading `width` bits only) when built, then one binary
+    search over the support per draw, applied block by block.  draw writes
+    each block's outcomes in place; sample_set only marks them, drawing block
+    by block until saturated, and then moves the stream past the rest."""
 
-    __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng", "_bits", "_index")
+    __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng")
 
     def __init__(self, f: BooleanFunction, seed_key, ledger: QueryLedger | None = None,
                  width: int | None = None) -> None:
@@ -173,14 +138,14 @@ class BvSampler:
         self._cum = np.cumsum(masses[support], dtype=np.int64) << (f.n - width)
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
-        # about four buckets per outcome, at most one per value of u
-        self._bits = min((len(support) - 1).bit_length() + 2, 2 * f.n)
-        self._index = None
 
     def draw(self, count: int = 1) -> np.ndarray:
         """Sample `count` outcomes; charges one quantum query per outcome."""
         total = self._charge(count)
         u = self._rng.integers(0, total, size=count, dtype=np.int64)
+        # u < cum[-1], so every index lies in [0, len(outcomes)) and "clip"
+        # clips nothing; it lets take write into `out` unbuffered, as "raise"
+        # does not
         for ub, i in self._lookup(u[start:start + _BLOCK] for start in range(0, count, _BLOCK)):
             np.take(self.outcomes, i, out=ub, mode="clip")
         return u
@@ -214,11 +179,8 @@ class BvSampler:
 
     def _charge(self, count: int) -> int:
         """Check `count` against the budget, charge it as `count` quantum
-        queries, build the index table first if a draw that large repays it,
-        and return the uniforms' range 4^n, a power of two."""
+        queries, and return the uniforms' range 4^n, a power of two."""
         check_draw_budget(count)
-        if self._index is None and count >= 1 << max(self._bits, _MIN_TABLE_DRAW_BITS):
-            self._index = _index_table(self._cum, self._bits)
         if self.ledger is not None:
             self.ledger.add_quantum(count)
         return int(self._cum[-1])
@@ -251,28 +213,7 @@ class BvSampler:
 
     def _lookup(self, blocks):
         """Yield (ub, i) per block ub of uniforms: the block and the support
-        index of each one's outcome.  i is a buffer that a later block
-        overwrites, so it is used before the generator resumes; the buffers
-        grow to the largest block yet."""
-        if not self._index:
-            for ub in blocks:
-                yield ub, np.searchsorted(self._cum, ub, side="right")
-            return
-        lo, shift, steps = self._index
-        size = 0
+        index of each one's outcome, the first whose cumulative mass exceeds
+        it."""
         for ub in blocks:
-            k = len(ub)
-            if k > size:
-                size = k
-                idx, word, ge = np.empty(k, np.intp), np.empty(k, np.int64), np.empty(k, bool)
-            # c holds each u's bucket, then the cumulative mass at its index
-            i, c, g = idx[:k], word[:k], ge[:k]
-            # every index lies in [0, len(cum)), so "clip" clips nothing; it
-            # lets take write into `out` unbuffered, as "raise" does not
-            np.right_shift(ub, shift, out=c)
-            np.take(lo, c, out=i, mode="clip")
-            # cum rises strictly and u < cum[-1], so idx stops at the answer
-            for _ in range(steps):
-                np.take(self._cum, i, out=c, mode="clip")
-                i += np.greater_equal(ub, c, out=g)
-            yield ub, i
+            yield ub, np.searchsorted(self._cum, ub, side="right")

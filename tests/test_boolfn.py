@@ -229,8 +229,27 @@ def test_vector_table_word_type(n, dtype):
     # a table already in the word type is kept, not copied
     narrow = np.array(words, dtype=dtype)
     assert np.shares_memory(VectorFunction(3, n, narrow).table, narrow)
-    # a non-integer table goes through int64 first
+    # a float table of whole numbers is accepted
     assert VectorFunction(3, n, np.array(words, dtype=float)).table.tolist() == words
+
+
+def test_tables_are_checked_before_they_are_narrowed():
+    """A table is range-checked in its own type and only then narrowed, and a
+    table that is not of an integer type must hold whole numbers, so no entry
+    wraps or truncates into range."""
+    # 256 and 257 would wrap to the bits 0 and 1 in uint8
+    with pytest.raises(ValueError, match="bits"):
+        BooleanFunction(1, np.array([256, 257]))
+    # 0.5 and 1.7 would truncate to 0 and 1
+    for table in ([0.5, 1.7], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="whole"):
+            BooleanFunction(1, np.array(table))
+        with pytest.raises(ValueError, match="whole"):
+            VectorFunction(1, 1, np.array(table))
+    with pytest.raises(ValueError, match="fit"):
+        VectorFunction(1, 8, np.array([0.0, 256.0]))
+    assert BooleanFunction(1, np.array([1.0, 0.0])).table.tolist() == [1, 0]
+    assert BooleanFunction(1, np.array([True, False])).table.dtype == np.uint8
 
 
 @given(st.integers(1, 5), st.integers(6, 10), st.integers(0, 2**30))

@@ -1,5 +1,7 @@
 """Measurement sampler: exact outcome law, determinism, query accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -137,14 +139,8 @@ def test_draw_budget_checked_before_drawing():
 # --- truncated sampler: the exact marginal law of the leading bits ------------
 
 
-# every support of at most 2^10 outcomes has an index table of at most 2^12
-# entries, so a draw of 2^12 or more builds and uses one, and a smaller draw
-# searches the cumulative masses
-TABLE_DRAWS = 1 << 12
-
-
 @given(st.integers(1, 10), st.integers(0, 2**30),
-       st.one_of(st.integers(1, 300), st.integers(TABLE_DRAWS - 2, 3 * TABLE_DRAWS)))
+       st.one_of(st.integers(1, 300), st.integers((1 << 12) - 2, 3 << 12)))
 def test_truncated_draws_are_full_draws_shifted(n, key, p):
     f = random_boolean_function(n, seeded_rng(key, 30))
     full = full_spectrum_draws(f, (key, 31), p)
@@ -153,7 +149,6 @@ def test_truncated_draws_are_full_draws_shifted(n, key, p):
         s = BvSampler(f, (key, 31), width=width)
         assert s.n == width
         assert s.draw(p).tolist() == (full >> (n - width)).tolist(), width
-        assert (s._index is not None) == (p >= TABLE_DRAWS), width
 
 
 @given(st.integers(1, 6), st.integers(0, 2**30))
@@ -183,24 +178,6 @@ def test_truncated_width_validation():
             BvSampler(f, (35,), width=width)
 
 
-def test_index_table_pinned_cases():
-    cases = [
-        # n = 1: one outcome; with 2n = 2 table bits u itself picks the bucket
-        (fn(1, [0, 1]), lambda lo, shift, steps: shift == 0 and steps == 0),
-        (fn(1, [1, 1]), lambda lo, shift, steps: shift == 0 and steps == 0),
-        # three cumulative masses fall strictly inside one bucket
-        (random_boolean_function(6, seeded_rng(0, 40)), lambda lo, shift, steps: steps == 3),
-        # x1...x8: 255 masses of 4 crowd 16 to a bucket, more passes than the
-        # binary search's 9 levels, so the draw keeps the binary search
-        (fn(8, [0] * 255 + [1]), None),
-    ]
-    for f, shape in cases:
-        s = BvSampler(f, (38,))
-        count = TABLE_DRAWS + 5
-        assert s.draw(count).tolist() == full_spectrum_draws(f, (38,), count).tolist(), f.n
-        assert s._index == () if shape is None else shape(*s._index), f.n
-
-
 def _top_bent(n: int) -> BooleanFunction:
     """x1 x2 + x3 x4 on the top four of n bits: the 16 outcomes are the
     multiples of 2^(n - 4), so the support is not arange."""
@@ -210,22 +187,42 @@ def _top_bent(n: int) -> BooleanFunction:
 
 @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
 def test_table_draws_across_block_boundaries(count):
-    """A table draw maps u to outcomes block by block; every block, the
-    short last one included, gives the full-spectrum reference's draws."""
+    """A draw maps u to outcomes block by block; every block, the short last
+    one included, gives the full-spectrum reference's draws."""
     cases = [
-        # the three-pass table, at full width
-        (random_boolean_function(6, seeded_rng(0, 40)), None, lambda s: s._index[2] == 3),
+        # n = 1: one outcome, u itself is one of 4 values
+        (fn(1, [0, 1]), None, lambda s: s.outcomes.tolist() == [1]),
+        (fn(1, [1, 1]), None, lambda s: s.outcomes.tolist() == [0]),
+        # a random function at full width
+        (random_boolean_function(6, seeded_rng(0, 40)), None, lambda s: s.n == 6),
         # the marginal law of the leading 5 of 9 bits
         (random_boolean_function(9, seeded_rng(0, 41)), 5, lambda s: s.n == 5),
         # 16 outcomes spaced 16 apart
         (_top_bent(8), None, lambda s: s.outcomes.tolist() == list(range(0, 256, 16))),
+        # x1...x8: one mass of 254^2 and 255 crowded masses of 4
+        (fn(8, [0] * 255 + [1]), None, lambda s: len(s.outcomes) == 256),
     ]
     for f, width, shape in cases:
         s = BvSampler(f, (42,), width=width)
         got = s.draw(count)
         full = full_spectrum_draws(f, (42,), count)
         assert got.tolist() == (full >> (f.n - s.n)).tolist(), f.n
-        assert s._index and shape(s), f.n
+        assert shape(s), f.n
+
+
+@pytest.mark.parametrize("n", [6, 12, 16])
+def test_large_draw_allocates_no_other_full_length_array(n):
+    """A draw writes each block's outcomes back over its uniforms, so at its
+    peak it holds the uniforms and at most a few blocks of indices."""
+    s = BvSampler(random_boolean_function(n, seeded_rng(n, 47)), (48,))
+    count = 1 << 20
+    tracemalloc.start()
+    try:
+        out = s.draw(count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == count and peak <= out.nbytes + 4 * _BLOCK * 8, peak
 
 
 # --- narrow butterflies ----------------------------------------------------------------
@@ -295,8 +292,7 @@ def test_row_masses_at_their_type_bounds(n, width):
 def _sample_set_function(kind: str, n: int, key: int) -> BooleanFunction:
     """A random, affine, bent (n rounded up to even) or planted function of n
     bits, or the 10-bit point function x1...x10: outcome 0 has mass
-    (2^10 - 2)^2 and every other one mass 4, so no draw here sees them all,
-    and crowded masses keep it on the binary search."""
+    (2^10 - 2)^2 and every other one mass 4, so no draw here sees them all."""
     rng = seeded_rng(key, 80)
     x = np.arange(1 << n)
     if kind == "random":
@@ -316,14 +312,14 @@ def _draw_set(f: BooleanFunction, key, width, count: int) -> tuple[int, list[int
     return int(out[0]), sorted(set(out.tolist()))
 
 
-SET_COUNTS = [1, 2, 100, TABLE_DRAWS - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+SET_COUNTS = [1, 2, 100, (1 << 12) - 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
 
 
 @given(st.sampled_from(["random", "affine", "bent", "planted", "point"]), st.integers(1, 10),
        st.integers(0, 2**30), st.sampled_from(SET_COUNTS), st.data())
 def test_sample_set_is_pivot_and_distinct_of_draw(kind, n, key, count, data):
     """For one key, sample_set gives the first outcome and the sorted distinct
-    outcomes of draw, at full and truncated width, on both lookups."""
+    outcomes of draw, at full and truncated width."""
     f = _sample_set_function(kind, n, key)
     width = data.draw(st.sampled_from([None, f.n]) | st.integers(1, f.n))
     s = BvSampler(f, (key, 81), width=width)
@@ -364,15 +360,15 @@ def test_sample_set_stops_once_saturated(count, monkeypatch):
     when some outcome never shows; either way it is the draw's pivot and
     distinct set."""
     blocks = _counting_lookups(monkeypatch)
-    # (function, outcomes its first block misses, lookup): one outcome, none
-    # missed; 128 and 256 outcomes whose first blocks of 2^11 and 2^12 draws
-    # miss 25 and 38 (pinned seeds), so they saturate in a later block or
-    # never; the point function, which never saturates
-    cases = [(_sample_set_function("affine", 6, 1), 0, lambda s: s._index)]
+    # (function, outcomes its first block misses): one outcome, none missed;
+    # 128 and 256 outcomes whose first blocks of 2^11 and 2^12 draws miss 25
+    # and 38 (pinned seeds), so they saturate in a later block or never; the
+    # point function, which never saturates
+    cases = [(_sample_set_function("affine", 6, 1), 0)]
     for n, missed in ((7, 25), (8, 38)):
-        cases.append((random_boolean_function(n, seeded_rng(0, 70)), missed, lambda s: s._index))
-    cases.append((_sample_set_function("point", 10, 0), None, lambda s: s._index == ()))
-    for f, missed, lookup in cases:
+        cases.append((random_boolean_function(n, seeded_rng(0, 70)), missed))
+    cases.append((_sample_set_function("point", 10, 0), None))
+    for f, missed in cases:
         out = BvSampler(f, (71,)).draw(count).tolist()
         s = BvSampler(f, (71,))
         support = len(s.outcomes)
@@ -385,7 +381,7 @@ def test_sample_set_stops_once_saturated(count, monkeypatch):
             assert support - seen[0] == missed, f.n
         del blocks[:]
         assert s.sample_set(count) == (out[0], sorted(set(out))), f.n
-        assert blocks == [scanned] and lookup(s), f.n
+        assert blocks == [scanned], f.n
 
 
 def _set_and_state(s: BvSampler, key, pre: int, count: int, full: bool):

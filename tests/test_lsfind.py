@@ -115,7 +115,7 @@ def test_constancy_equals_elimination_over_every_difference(kind, n, key, data):
     else:
         f = _reference_function(kind, n, seeded_rng(key, 51))
     width = data.draw(st.integers(1, f.n))
-    # small draws take the binary search, from 2^12 on the index table
+    # small draws fit in one sample-set block, draws from 2^12 on may span several
     p = data.draw(st.integers(1, 40) | st.integers(1 << 12, 1 << 13))
     ws = BvSampler(f, (key, 52), width=width).draw(p)
     cset, w0 = _constancy(width, BvSampler(f, (key, 52), width=width).sample_set(p))

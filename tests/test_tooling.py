@@ -141,6 +141,21 @@ def test_no_dead_private_helpers():
     assert _unreferenced_private_names(sources) == []
 
 
+def _draw_calls(source: str) -> list[int]:
+    """The lines of `source` that call a `.draw(...)` method."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "draw"]
+
+
+def test_no_module_calls_draw():
+    # the searches read sample sets, which stop once every outcome has shown;
+    # a full draw pays one binary search per uniform, so only tests call it
+    assert _draw_calls("s.draw(5)\nx = s.draw\ns.sample_set(5)\nf(draw=1)\n") == [1]
+    for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
+        assert _draw_calls(path.read_text()) == [], path.name
+
+
 def test_key_ranking_signature_matches_its_count_hook():
     # the hook reads the oracle and the pair count by position
     from bvattack.attacks import rank_last_round_keys
@@ -160,8 +175,8 @@ def test_table_file_signatures_match_their_byte_hooks():
 
 def test_draw_and_butterfly_return_what_the_hooks_read():
     # the draw hook counts len(r) and np.bincount(r) of a draw's result, so a
-    # draw returns all its outcomes as one 1-D int64 array, on both the binary
-    # search and the index table, across more than one table block
+    # draw returns all its outcomes as one 1-D int64 array, in one block or
+    # across more than one lookup block
     import numpy as np
 
     from bvattack.boolfn import _wht, random_boolean_function
