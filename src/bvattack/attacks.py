@@ -24,6 +24,7 @@ from .ciphers import (
     em_difference_oracle,
     feistel_branch_oracle,
     toy_reduced_family,
+    toy_zero_key_family,
 )
 from .lsfind import (
     find_boolean_structures,
@@ -175,19 +176,20 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     return rng.integers(0, 1 << n, size=pairs, dtype=np.int64)
 
 
-def _toy_family(public: ToyCipherPublic, etable: VectorFunction, p: int | None, pairs: int,
-                G: VectorFunction | None = None) -> tuple[int, VectorFunction]:
+def _toy_family(public: ToyCipherPublic, etable: VectorFunction, p: int | None,
+                pairs: int) -> tuple[int, VectorFunction]:
     """The front half of a toy attack: p resolved for a search over the n data
     bits, p and the pair count checked against the per-call budget, the
-    encryption table checked to map n-bit blocks, and only then the keyed
-    family G(x || k), tabulated here unless the caller passes it."""
+    encryption table checked to map n-bit blocks, and only then the slice G0
+    of the keyed family G(x || k) at first round key 0, which the search
+    reads with translated = n to sample G itself."""
     n = public.n
     _, p = search_shape(n, n, p)
     check_draw_budget(p)
     check_draw_budget(pairs, "pair count")
     if (etable.m, etable.n) != (n, n):
         raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {n} to {n}")
-    return p, toy_reduced_family(public) if G is None else G
+    return p, toy_zero_key_family(public)
 
 
 # Cells per block of the key-guess matrix, unless one guess alone has more
@@ -247,28 +249,27 @@ class DifferentialAttackReport:
 
 
 def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
-                        q: int, p: int | None = None, pairs: int | None = None,
-                        G: VectorFunction | None = None) -> DifferentialAttackReport:
+                        q: int, p: int | None = None,
+                        pairs: int | None = None) -> DifferentialAttackReport:
     """Two-phase differential key recovery against the toy cipher.
 
     Phase one samples the keyed-rounds family G(x || k) over data and key
-    jointly (the attacker's own model of the public algorithm; each
-    measurement still costs one quantum query) and solves for a data-half
-    difference whose output difference is constant for most keys.  Phase two
-    queries the real encryption table on `pairs` pairs with that difference
-    and ranks final-round keys by exact match count.  q is the key-coverage
-    target 1 - 1/q; it is recorded for verification and does not change the
-    defaults.  A caller that has tabulated toy_reduced_family(public) already
-    passes it as G.
+    jointly (the attacker's own model of the public algorithm, drawn from its
+    slice G0 at k1 = 0; each measurement still costs one quantum query) and
+    solves for a data-half difference whose output difference is constant
+    for most keys.  Phase two queries the real encryption table on `pairs`
+    pairs with that difference and ranks final-round keys by exact match
+    count.  q is the key-coverage target 1 - 1/q; it is recorded for
+    verification and does not change the defaults.
     """
     if q < 1:
         raise ValueError(f"coverage parameter q must be positive, got {q}")
     n = public.n
     pairs = 8 * n if pairs is None else int(pairs)
     _check_pairs(pairs)  # before the search, whatever it answers
-    p, G = _toy_family(public, etable, p, pairs, G)
+    p, G0 = _toy_family(public, etable, p, pairs)
     ledger = QueryLedger()
-    res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
+    res = find_vector_structures(G0, p=p, seed=seed, ledger=ledger, solve_width=n, translated=n)
     if not res.found:
         return DifferentialAttackReport(False, None, None, None, None, p, pairs, q,
                                         ledger.snapshot())
@@ -337,9 +338,9 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
     n = public.n
     p = (n ** 3) * (l ** 2) * (q ** 2) if p is None else int(p)
     pairs = l * l
-    p, G = _toy_family(public, etable, p, pairs)
+    p, G0 = _toy_family(public, etable, p, pairs)
     ledger = QueryLedger()
-    res = find_vector_structures(G, p=p, seed=seed, ledger=ledger, solve_width=n)
+    res = find_vector_structures(G0, p=p, seed=seed, ledger=ledger, solve_width=n, translated=n)
     if not res.found:
         return SmallProbabilityReport(False, None, None, None, None, p, l, q, pairs,
                                       ledger.snapshot())
@@ -376,19 +377,20 @@ class ImpossibleFindReport:
 
 
 def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
-                                 p: int | None = None,
-                                 ledger: QueryLedger | None = None) -> ImpossibleFindReport:
+                                 p: int | None = None, ledger: QueryLedger | None = None,
+                                 translated: int = 0) -> ImpossibleFindReport:
     """Per-bit impossible differential search on the keyed family G(x || k).
 
     Each output bit is a boolean structure search over the leading x_bits
     input bits.  A direction in its zero set certifies the derivative bit is
     constant 0, i.e. the value 1 is forbidden; one in its one set certifies
     0 is forbidden.  The first output bit with a nonzero candidate wins, with
-    its smallest candidate.
+    its smallest candidate.  translated = t searches the family that
+    translates G's input by t further key bits, as find_vector_structures.
     """
     x_bits, p = search_shape(G.m, x_bits, p)
     for j in range(1, G.n + 1):
-        res = find_boolean_structures(G.component(j), p, (seed, j), ledger, x_bits)
+        res = find_boolean_structures(G.component(j), p, (seed, j), ledger, x_bits, translated)
         cand = res.smallest_candidate()
         if cand is not None:
             a, i = cand
@@ -422,27 +424,28 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
                       pairs: int | None = None, p: int | None = None) -> ImpossibleSieveReport:
     """Certificate search plus final-round key sieve.
 
-    The found certificate is first brute-force checked against the
-    attacker's own model of the keyed rounds; a bogus one is flagged and no
-    sieving happens, so the true key can never be ruled out by a bad
-    certificate.  With a valid certificate, any key guess whose partial
-    decryption shows the forbidden bit on some pair is eliminated.
-    pairs=0 skips sieving and leaves every key alive.
+    The search reads the slice G0 of the keyed family at k1 = 0.  A found
+    certificate is then brute-force checked against the attacker's own model
+    of the keyed rounds, the whole family G, tabulated for this check only; a
+    bogus one is flagged and no sieving happens, so the true key can never be
+    ruled out by a bad certificate.  With a valid certificate, any key guess
+    whose partial decryption shows the forbidden bit on some pair is
+    eliminated.  pairs=0 skips sieving and leaves every key alive.
     """
     n = public.n
     pairs = 4 * n if pairs is None else int(pairs)
     if pairs < 0:
         raise ValueError(f"pairs cannot be negative, got {pairs}")
-    p, G = _toy_family(public, etable, p, pairs)
+    p, G0 = _toy_family(public, etable, p, pairs)
     ledger = QueryLedger()
-    res = find_impossible_differential(G, n, seed, p=p, ledger=ledger)
+    res = find_impossible_differential(G0, n, seed, p=p, ledger=ledger, translated=n)
     all_keys = tuple(range(1 << n))
     if not res.found:
         return ImpossibleSieveReport(False, None, None, all_keys, pairs, res.p,
                                      ledger.snapshot())
 
     cert = res.certificate
-    valid = impossible_certificate_valid(G, cert)
+    valid = impossible_certificate_valid(toy_reduced_family(public), cert)
     if not valid or pairs == 0:
         return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, res.p,
                                      ledger.snapshot())

@@ -27,13 +27,22 @@ marginal law: a butterfly along the 2^width data rows of the table, then each
 row's sum of squares shifted left by n - width (Parseval on the key axis).
 These masses still sum to 4^n and truncation keeps the support's order, so the
 same uniform draws yield exactly the full draws shifted right by n - width.
+
+A family F(z || k) = f(z ^ c(k)) on n + t bits, whose t key bits k only
+translate f's input (c is any map to n-bit words, such as the toy cipher's
+first round key: G(x || k1 || k') = G0(x ^ k1 || k')), has f's marginal law:
+a translation multiplies each Walsh coefficient by a sign, so each of F's 2^t
+columns per column of f carries f's squared row spectrum.  F's row masses are
+2^t times f's and its Parseval shift is n + t - width, so with `translated=t`
+the sampler built on f shifts by n - width + 2t and gives F's cumulative
+masses, uniforms, draws and stream, from a table 2^t times smaller.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _wht
+from .boolfn import MAX_WIDTH, BooleanFunction, _wht
 from .rng import seeded_rng
 
 __all__ = ["MAX_DRAWS", "QueryLedger", "BvSampler", "check_draw_budget"]
@@ -101,15 +110,21 @@ class BvSampler:
     transform (over the leading `width` bits only) when built, then one binary
     search over the support per draw, applied block by block.  draw writes
     each block's outcomes in place; sample_set only marks them, drawing block
-    by block until saturated, and then moves the stream past the rest."""
+    by block until saturated, and then moves the stream past the rest.
+    translated = t samples the family that translates f's input by t key
+    bits, whose law is f's (see above)."""
 
     __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng")
 
     def __init__(self, f: BooleanFunction, seed_key, ledger: QueryLedger | None = None,
-                 width: int | None = None) -> None:
+                 width: int | None = None, translated: int = 0) -> None:
         width = f.n if width is None else int(width)
         if not 1 <= width <= f.n:
             raise ValueError(f"width must be in [1, {f.n}], got {width}")
+        translated = int(translated)
+        if not 0 <= translated <= MAX_WIDTH - f.n:
+            raise ValueError(f"translated must be in [0, {MAX_WIDTH - f.n}] for a {f.n}-bit "
+                             f"function under the {MAX_WIDTH}-bit cap, got {translated}")
         # Every butterfly entry lies in [-2^width, 2^width]: each starts as a
         # sign +-1, and each of the width stages maps a pair (x, y) to
         # (x + y, x - y), which at most doubles the largest magnitude (a
@@ -134,8 +149,9 @@ class BvSampler:
                                dtype=np.int32 if f.n + width <= 30 else np.int64)
         support = np.flatnonzero(masses)
         self.n = width
-        self.outcomes = support.astype(np.int64)
-        self._cum = np.cumsum(masses[support], dtype=np.int64) << (f.n - width)
+        self.outcomes = support.astype(np.int64, copy=False)
+        self._cum = np.cumsum(masses[support], dtype=np.int64)
+        self._cum <<= f.n - width + 2 * translated
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
 

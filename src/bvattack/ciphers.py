@@ -55,6 +55,7 @@ __all__ = [
     "ToyCipher",
     "ToyCipherPublic",
     "toy_reduced_family",
+    "toy_zero_key_family",
     "CipherFile",
     "save_cipher",
     "load_cipher",
@@ -304,10 +305,15 @@ class ToyCipherPublic:
         to the whole row R[v], one column per value of its round key.  So the
         matrix grows by rows gathered from R, and the last gather is the only
         family-sized array the build makes."""
+        return self._keyed_rounds(1 << self.n)
+
+    def _keyed_rounds(self, first_keys: int) -> np.ndarray:
+        """The columns of reduced_encrypt_all_keys whose first round key is
+        below first_keys: the same gathers, from the first columns of R."""
         round_fn = self._round_table()
         v = np.arange(1 << self.n, dtype=round_fn.dtype)
         r = round_fn[v[:, None] ^ v]
-        y = r
+        y = r[:, :first_keys]
         for _ in range(self.rounds - 2):
             y = np.take(r, y, axis=0)
         return y.reshape(1 << self.n, -1)
@@ -316,12 +322,20 @@ class ToyCipherPublic:
 def toy_reduced_family(public: ToyCipherPublic) -> VectorFunction:
     """G(x || k) = keyed rounds of x under key k, data bits on top.
 
-    This is the function the differential searches sample; it is the
+    This is the function the differential searches target; it is the
     attacker's own model of the cipher, so building it costs no oracle
     queries.
     """
     return VectorFunction(public.n + public.key_bits, public.n,
                           public.reduced_encrypt_all_keys().reshape(-1))
+
+
+def toy_zero_key_family(public: ToyCipherPublic) -> VectorFunction:
+    """G0(x || k') = G(x || 0 || k'), the slice of toy_reduced_family at first
+    round key k1 = 0, 2^n times smaller.  The first keyed round XORs k1 into
+    the data, so G(x || k1 || k') = G0(x ^ k1 || k'): the searches sample G
+    from G0 with translated = n."""
+    return VectorFunction(public.key_bits, public.n, public._keyed_rounds(1).reshape(-1))
 
 
 class ToyCipher:

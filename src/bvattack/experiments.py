@@ -498,16 +498,10 @@ def _run_t6(cfg: ExperimentConfig) -> ExperimentResult:
     q = max(2, n)
     threshold = Fraction(1) - Fraction(1, q)
     planted = coverage_ok = recovered = 0
-    for t in range(cfg.trials):
-        # as _weak_toy_runs, but the family is tabulated once for attack and coverage
-        cipher = ToyCipher.generate(n, "weak", seed=(cfg.seed, 170, t))
-        G = toy_reduced_family(cipher.public)
-        rep = differential_attack(cipher.public, cipher.encrypt_table(), seed=(cfg.seed, 171, t),
-                                  q=q, G=G)
-        if not rep.found:
-            continue
+    for cipher, rep in _weak_toy_runs(cfg, 170, differential_attack, q=q):
         if rep.a == 3 and rep.alpha == 3:
             planted += 1
+        G = toy_reduced_family(cipher.public)
         if key_fraction_meeting(G, rep.a, rep.alpha, threshold) >= threshold:
             coverage_ok += 1
         if rep.recovered_last_key == cipher.last_key:
@@ -532,9 +526,11 @@ def _run_t7(cfg: ExperimentConfig) -> ExperimentResult:
         lam_right = rep.counter.rate(cipher.last_key)
         if lam_right >= Fraction(1, l):
             exceed += 1
-        for s in range(1 << n):
+        # int / int is the correctly rounded quotient, as float(Fraction) is
+        den = rep.counter.pairs * rep.counter.checks_per_pair
+        for s, count in enumerate(rep.counter.counts):
             if s != cipher.last_key:
-                wrong_sum += float(rep.counter.rate(s))
+                wrong_sum += count / den
                 wrong_cnt += 1
         if rep.recovered_last_key == cipher.last_key:
             recovered += 1

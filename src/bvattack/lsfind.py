@@ -143,6 +143,7 @@ def find_boolean_structures(
     seed: int = 0,
     ledger: QueryLedger | None = None,
     solve_width: int | None = None,
+    translated: int = 0,
 ) -> BooleanStructureResult:
     """Search for linear structures of a single boolean function.
 
@@ -152,10 +153,11 @@ def find_boolean_structures(
     one-system just yields the empty set.  A constant f makes every sample 0,
     so the zero system degenerates to the full space; that is a correct
     answer, not an error.  solve_width < n searches directions of the
-    leading solve_width input bits, as in find_vector_structures.
+    leading solve_width input bits, and translated = t searches the family
+    that translates f's input by t key bits, as in find_vector_structures.
     """
     width, p = search_shape(f.n, solve_width, p)
-    cset, w0 = _constancy(width, BvSampler(f, (seed,), ledger, width).sample_set(p))
+    cset, w0 = _constancy(width, BvSampler(f, (seed,), ledger, width, translated).sample_set(p))
     zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
     found = not (zero_set.is_trivial and one_set.is_trivial)
     return BooleanStructureResult(found, zero_set, one_set, p)
@@ -167,6 +169,7 @@ def find_vector_structures(
     seed: int = 0,
     ledger: QueryLedger | None = None,
     solve_width: int | None = None,
+    translated: int = 0,
 ) -> VectorStructureResult:
     """Search for a joint structure (a, alpha) of a vector function.
 
@@ -178,13 +181,16 @@ def find_vector_structures(
     solve_width < m samples the leading solve_width bits of each outcome
     from their exact marginal law and searches directions of that width
     only: how an attack targets the data half of a (data || key) input.
-    p defaults to 4 * effective width.
+    p defaults to 4 * effective width.  translated = t searches the family
+    F'(z || k) = F(z ^ c(k)) on t further key bits, drawing exactly what a
+    search of F' draws (see bvattack.bv): how the toy attacks search G
+    through its slice G0.
     """
     width, p = search_shape(F.m, solve_width, p)
     comps: list[ComponentEvidence] = []
     elim = Eliminator(width)
     for j in range(1, F.n + 1):
-        sampler = BvSampler(F.component(j), (seed, j), ledger, width)
+        sampler = BvSampler(F.component(j), (seed, j), ledger, width, translated)
         cset, pivot = _constancy(width, sampler.sample_set(p))
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:

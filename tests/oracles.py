@@ -14,7 +14,9 @@ parsing.  The sampler draws from the squared coefficients of the package's
 truncated (marginal-law) sampler must equal draw for draw.  The chained
 searches replay the package's own sampler streams through per-component
 `solve` and pairwise `intersect`, as the reference that the per-bit
-eliminator searches must equal field for field.
+eliminator searches must equal field for field.  The full-family toy attacks
+run the package's searches on the whole keyed family G, not on its slice G0
+with `translated`, and then rank or sieve the keys by plain loops.
 """
 
 import re
@@ -24,12 +26,31 @@ from pathlib import Path
 
 import numpy as np
 
-from bvattack.attacks import ImpossibleCertificate, ImpossibleFindReport
-from bvattack.boolfn import BooleanFunction, VectorFunction, _check_width, walsh_spectrum
-from bvattack.bv import BvSampler
-from bvattack.ciphers import _KINDS, CipherFile, _parse_kv
+from bvattack.attacks import (
+    DifferentialAttackReport,
+    ImpossibleCertificate,
+    ImpossibleFindReport,
+    ImpossibleSieveReport,
+    KeyCounterTable,
+    SmallProbabilityReport,
+    find_impossible_differential,
+)
+from bvattack.boolfn import (
+    MAX_WIDTH,
+    BooleanFunction,
+    VectorFunction,
+    _check_width,
+    walsh_spectrum,
+)
+from bvattack.bv import BvSampler, QueryLedger
+from bvattack.ciphers import _KINDS, CipherFile, _parse_kv, toy_reduced_family
 from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
-from bvattack.lsfind import ComponentEvidence, VectorStructureResult, ZeroStructureResult
+from bvattack.lsfind import (
+    ComponentEvidence,
+    VectorStructureResult,
+    ZeroStructureResult,
+    find_vector_structures,
+)
 from bvattack.rng import seeded_rng
 
 
@@ -403,3 +424,85 @@ def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindRep
         if cands:
             return ImpossibleFindReport(True, ImpossibleCertificate(j, *min(cands)), p)
     return ImpossibleFindReport(False, None, p)
+
+
+# Every toy cipher shape of n <= 7 and rounds <= 4 within the table cap
+# (the weak S-box needs n >= 3), as (preset, n, rounds).
+TOY_SHAPES = [(preset, n, rounds) for preset in ("weak", "strong")
+              for n in range(3 if preset == "weak" else 2, 8)
+              for rounds in range(2, min(4, MAX_WIDTH // n) + 1)]
+
+
+def _pair_differences_direct(public, etable, a: int, pairs: int, seed) -> list:
+    """Per final-round key guess s, the partial decryption differences
+    T^-1(c ^ s) ^ T^-1(c' ^ s) of the attack's pairs {x, x ^ a}: distinct
+    representatives x < x ^ a drawn from stream (seed, 0) while they last,
+    uniform x after that."""
+    n = public.n
+    rng = seeded_rng(seed, 0)
+    reps = np.array([x for x in range(1 << n) if x < x ^ a], dtype=np.int64)
+    if pairs <= len(reps):
+        xs = rng.choice(reps, size=pairs, replace=False).tolist()
+    else:
+        xs = rng.integers(0, 1 << n, size=pairs, dtype=np.int64).tolist()
+    inv, e = public.inverse_last(), etable.table
+    return [[int(inv[int(e[x]) ^ s]) ^ int(inv[int(e[x ^ a]) ^ s]) for x in xs]
+            for s in range(1 << n)]
+
+
+def differential_attack_full_family(public, etable, seed, q: int, p=None, pairs=None):
+    """differential_attack with its search on the whole keyed family G."""
+    n = public.n
+    p, pairs = (4 * n if p is None else p), (8 * n if pairs is None else pairs)
+    ledger = QueryLedger()
+    res = find_vector_structures(toy_reduced_family(public), p, seed, ledger, n)
+    if not res.found:
+        return DifferentialAttackReport(False, None, None, None, None, p, pairs, q,
+                                        ledger.snapshot())
+    diffs = _pair_differences_direct(public, etable, res.a, pairs, seed)
+    ledger.add_classical(2 * pairs)
+    counts = [sum(d == res.alpha for d in row) for row in diffs]
+    best = max(range(1 << n), key=counts.__getitem__)  # ties: the smallest key
+    return DifferentialAttackReport(True, res.a, res.alpha, best,
+                                    KeyCounterTable(tuple(counts), pairs, 1),
+                                    p, pairs, q, ledger.snapshot())
+
+
+def small_probability_attack_full_family(public, etable, seed, q: int, l: int, p=None):
+    """small_probability_attack with its search on the whole keyed family G."""
+    n = public.n
+    p, pairs = (n ** 3 * l ** 2 * q ** 2 if p is None else p), l * l
+    ledger = QueryLedger()
+    res = find_vector_structures(toy_reduced_family(public), p, seed, ledger, n)
+    if not res.found:
+        return SmallProbabilityReport(False, None, None, None, None, p, l, q, pairs,
+                                      ledger.snapshot())
+    b = res.alpha ^ ((1 << n) - 1)
+    diffs = _pair_differences_direct(public, etable, res.a, pairs, seed)
+    ledger.add_classical(2 * pairs)
+    counts = [sum(n - bin(d ^ b).count("1") for d in row) for row in diffs]
+    best = min(range(1 << n), key=counts.__getitem__)
+    return SmallProbabilityReport(True, res.a, b, best, KeyCounterTable(tuple(counts), pairs, n),
+                                  p, l, q, pairs, ledger.snapshot())
+
+
+def impossible_attack_full_family(public, etable, seed, pairs=None, p=None):
+    """impossible_attack with its search on the whole keyed family G, the
+    certificate checked by certificate_valid_direct."""
+    n = public.n
+    pairs = 4 * n if pairs is None else pairs
+    G = toy_reduced_family(public)
+    ledger = QueryLedger()
+    res = find_impossible_differential(G, n, seed, p=p, ledger=ledger)
+    every = tuple(range(1 << n))
+    if not res.found:
+        return ImpossibleSieveReport(False, None, None, every, pairs, res.p, ledger.snapshot())
+    cert = res.certificate
+    valid = certificate_valid_direct(G.table, n, public.key_bits, cert.j, cert.a, cert.forbidden)
+    if not valid or pairs == 0:
+        return ImpossibleSieveReport(True, cert, valid, every, pairs, res.p, ledger.snapshot())
+    diffs = _pair_differences_direct(public, etable, cert.a, pairs, seed)
+    ledger.add_classical(2 * pairs)
+    alive = tuple(s for s in every
+                  if all((d >> (n - cert.j)) & 1 != cert.forbidden for d in diffs[s]))
+    return ImpossibleSieveReport(True, cert, True, alive, pairs, res.p, ledger.snapshot())

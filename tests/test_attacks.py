@@ -37,8 +37,11 @@ from bvattack.rng import seeded_rng
 from oracles import (
     certificate_valid_direct,
     chained_impossible_search,
+    differential_attack_full_family,
+    impossible_attack_full_family,
     key_match_counts_direct,
     keyed_match_counts_direct,
+    small_probability_attack_full_family,
 )
 
 TRIALS = 30
@@ -181,13 +184,13 @@ def test_differential_attack_refuses_zero_pairs_before_tabulating(monkeypatch):
     from bvattack.ciphers import ToyCipherPublic
 
     calls = []
-    build = ToyCipherPublic.reduced_encrypt_all_keys
+    build = ToyCipherPublic._keyed_rounds  # behind both G and its slice G0
 
-    def counted(self):
+    def counted(self, first_keys):
         calls.append(self)
-        return build(self)
+        return build(self, first_keys)
 
-    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", counted)
+    monkeypatch.setattr(ToyCipherPublic, "_keyed_rounds", counted)
     for preset, seed in (("weak", 334), ("strong", 332)):
         tc = ToyCipher.generate(4, preset, seed=seed)
         for pairs in (0, -1):
@@ -336,17 +339,18 @@ def test_impossible_attack_tabulates_the_family_once(monkeypatch):
     from bvattack.ciphers import ToyCipherPublic
 
     calls = []
-    build = ToyCipherPublic.reduced_encrypt_all_keys
+    build = ToyCipherPublic._keyed_rounds
 
-    def counted(self):
-        calls.append(self)
-        return build(self)
+    def counted(self, first_keys):
+        calls.append((self, first_keys))
+        return build(self, first_keys)
 
-    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", counted)
+    monkeypatch.setattr(ToyCipherPublic, "_keyed_rounds", counted)
     tc = ToyCipher.generate(4, "weak", seed=355)
     rep = impossible_attack(tc.public, tc.encrypt_table(), seed=356)
-    assert rep.certificate_valid  # the certificate check ran on the same family
-    assert calls == [tc.public]
+    assert rep.certificate_valid
+    # the slice G0 (k1 = 0) for the search, then all 16 values of k1 for the check
+    assert calls == [(tc.public, 1), (tc.public, 16)]
 
 
 def _traced_peak(fn, *args) -> int:
@@ -437,13 +441,19 @@ def test_over_budget_arguments_fail_before_the_family_is_tabulated(monkeypatch):
 
     tc = ToyCipher.generate(7, "weak", seed=372, rounds=3)
     etable = tc.encrypt_table()
-    monkeypatch.setattr(bvattack.attacks, "toy_reduced_family", unreachable)
+    for builder in ("toy_reduced_family", "toy_zero_key_family"):
+        monkeypatch.setattr(bvattack.attacks, builder, unreachable)
     over = 1 << 23
     for attack, kw, what in ((small_probability_attack, {"q": 1, "l": 300}, "draw count"),
                              (differential_attack, {"q": 2, "p": over}, "draw count"),
                              (differential_attack, {"q": 2, "pairs": over}, "pair count"),
                              (impossible_attack, {"pairs": over}, "pair count")):
         with pytest.raises(ValueError, match=f"{what} .* per-call budget"):
+            attack(tc.public, etable, seed=1, **kw)
+    # within the budget, each attack reaches the trapped builder
+    for attack, kw in ((small_probability_attack, {"q": 1, "l": 2}),
+                       (differential_attack, {"q": 2}), (impossible_attack, {})):
+        with pytest.raises(AssertionError, match="tabulated"):
             attack(tc.public, etable, seed=1, **kw)
 
 
@@ -472,6 +482,29 @@ def test_certificate_check_rejects_bits_it_cannot_certify(monkeypatch):
     for j, forbidden in ((0, 1), (-1, 0), (G.n + 1, 1), (1, 2), (1, -1), (G.n, 5)):
         with pytest.raises(ValueError, match="certificate needs"):
             impossible_certificate_valid(G, ImpossibleCertificate(j, 5, forbidden))
+
+
+@pytest.mark.parametrize("which", ["T6", "T7", "T8"])
+def test_toy_attacks_equal_their_full_family_references(which):
+    """At the T6-T8 shapes, the attacks, which search the slice G0 with
+    translated = n, report what searching the whole keyed family G reports:
+    the same draws, ledgers, counters and sieves, on Yes and No answers."""
+    n, attack, reference, kws = {
+        "T6": (4, differential_attack, differential_attack_full_family,
+               ({"q": 4}, {"q": 4, "p": 3}, {"q": 2, "pairs": 40})),
+        "T7": (6, small_probability_attack, small_probability_attack_full_family,
+               ({"q": 6, "l": 6}, {"q": 1, "l": 2, "p": 5})),
+        "T8": (4, impossible_attack, impossible_attack_full_family,
+               ({}, {"p": 1}, {"pairs": 0}, {"pairs": 40})),
+    }[which]
+    found = set()
+    for t, preset in enumerate(("weak", "weak", "weak", "strong")):
+        tc = ToyCipher.generate(n, preset, seed=(380, int(which[1:]), t))
+        for kw in kws:
+            got = attack(tc.public, tc.encrypt_table(), seed=(381, t), **kw)
+            assert got == reference(tc.public, tc.encrypt_table(), (381, t), **kw), (t, kw)
+            found.add(got.found)
+    assert found == {True, False}
 
 
 def test_small_probability_no_report_charges_only_the_search():

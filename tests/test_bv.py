@@ -4,16 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bvattack.boolfn import BooleanFunction, _wht, random_boolean_function, walsh_spectrum
+from bvattack.boolfn import (
+    MAX_WIDTH,
+    BooleanFunction,
+    _wht,
+    random_boolean_function,
+    walsh_spectrum,
+)
+from bvattack.ciphers import ToyCipher, toy_reduced_family, toy_zero_key_family
 from bvattack.experiments import inner_product_function, planted_boolean
 from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger, _set_blocks
 from bvattack.rng import seeded_rng
 
 from oracles import (
+    TOY_SHAPES,
     butterfly_sampler_direct,
     full_spectrum_draws,
     marginal_draws_direct,
@@ -176,6 +184,43 @@ def test_truncated_width_validation():
     for width in (0, 5):
         with pytest.raises(ValueError, match="width"):
             BvSampler(f, (35,), width=width)
+
+
+# --- translated sampler: the keyed family from its zero-key slice ------------
+
+
+@pytest.mark.parametrize("preset,n,rounds", TOY_SHAPES)
+@settings(max_examples=3)
+@given(st.integers(0, 2**30), st.data())
+def test_zero_key_slice_samples_the_keyed_family(preset, n, rounds, key, data):
+    """G(x || k1 || k') = G0(x ^ k1 || k'), so a sampler on a component of G0
+    with translated = n has the outcomes, cumulative masses, draws, sample
+    sets and stream of the sampler on the same component of G."""
+    pub = ToyCipher.generate(n, preset, seed=(key, 36), rounds=rounds).public
+    j = data.draw(st.integers(1, n))
+    count = data.draw(st.integers(1, 3 * _BLOCK))
+    full = BvSampler(toy_reduced_family(pub).component(j), (key, j), width=n)
+    part = BvSampler(toy_zero_key_family(pub).component(j), (key, j), width=n, translated=n)
+    for got, want in ((part.outcomes, full.outcomes), (part._cum, full._cum),
+                      (part.draw(count), full.draw(count))):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert part.sample_set(count) == full.sample_set(count)
+    assert part._rng.bit_generator.state == full._rng.bit_generator.state
+
+
+def test_translated_is_checked_before_anything_is_allocated():
+    f = random_boolean_function(20, seeded_rng(37))
+    for t in (-1, MAX_WIDTH - 20 + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="translated must be in \\[0, 4\\]"):
+                BvSampler(f, (38,), width=8, translated=t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.table.nbytes // 16, t  # the signs' copy alone is the whole table
+    # the widest accepted family: uniforms from [0, 4^24)
+    assert int(BvSampler(f, (38,), width=8, translated=MAX_WIDTH - 20)._cum[-1]) == 4 ** MAX_WIDTH
 
 
 def _top_bent(n: int) -> BooleanFunction:

@@ -23,6 +23,7 @@ from bvattack.ciphers import (
     rotr1,
     save_cipher,
     toy_reduced_family,
+    toy_zero_key_family,
     weak_sbox,
 )
 from bvattack.rng import seeded_rng
@@ -315,6 +316,21 @@ def test_keyed_family_matches_direct_rounds(n, rounds, key):
     assert G.table.dtype == np.uint8
     assert G.table.tolist() == [reduced_encrypt_direct(n, rounds, pub.sbox, k, x)
                                 for x in range(1 << n) for k in range(1 << kb)]
+
+
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**30))
+def test_zero_key_slice_translates_into_the_keyed_family(n, rounds, key):
+    """G0 is G at first round key 0, cell by cell against the rounds run per
+    definition, and G(x || k1 || k') = G0(x ^ k1 || k') for every cell."""
+    pub = ToyCipher.generate(n, "strong", seed=(key, 12), rounds=rounds).public
+    G, G0 = toy_reduced_family(pub), toy_zero_key_family(pub)
+    kb = pub.key_bits - n  # the bits of k'
+    assert (G0.m, G0.n, G0.table.dtype) == (pub.key_bits, n, G.table.dtype)
+    assert G0.table.tolist() == [reduced_encrypt_direct(n, rounds, pub.sbox, k, x)
+                                 for x in range(1 << n) for k in range(1 << kb)]
+    x, k1, rest = np.ix_(*(np.arange(1 << b) for b in (n, n, kb)))
+    g0 = G0.table.reshape(1 << n, 1 << kb)
+    assert np.array_equal(G.table.reshape(1 << n, 1 << n, 1 << kb), g0[x ^ k1, rest])
 
 
 def test_weak_family_has_exact_joint_structure():

@@ -233,10 +233,11 @@ def test_attack_em_rejects_other_kinds(capsys, toy_file):
 def test_malformed_cipher_files_exit_two(capsys, tmp_path, monkeypatch):
     from bvattack.ciphers import ToyCipher, ToyCipherPublic, save_cipher
 
-    def unreachable(self):
+    def unreachable(self, *args):
         raise AssertionError("keyed family built before the width check")
 
-    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", unreachable)
+    for method in ("reduced_encrypt_all_keys", "_keyed_rounds"):  # G and its slice G0
+        monkeypatch.setattr(ToyCipherPublic, method, unreachable)
     no_shape = tmp_path / "em.txt"
     no_shape.write_text("cipher even-mansour n=2\ntable etable n=2\n0 1 2 3\n")
     assert main(["attack-em", str(no_shape), "--seed", "1"]) == 2
@@ -277,10 +278,11 @@ def test_attack_em_reads_the_file_as_an_even_mansour_cipher(capsys, tmp_path):
 def test_toy_attacks_reject_mismatched_etable(capsys, tmp_path, monkeypatch, toy_file):
     from bvattack.ciphers import ToyCipher, ToyCipherPublic, save_cipher
 
-    def unreachable(self):
+    def unreachable(self, *args):
         raise AssertionError("keyed family built before the etable check")
 
-    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", unreachable)
+    for method in ("reduced_encrypt_all_keys", "_keyed_rounds"):  # G and its slice G0
+        monkeypatch.setattr(ToyCipherPublic, method, unreachable)
     # the etable section of an n=5 toy file spliced into the n=4 one
     wide = tmp_path / "wide.txt"
     save_cipher(wide, ToyCipher.generate(5, seed=51))
@@ -291,6 +293,40 @@ def test_toy_attacks_reject_mismatched_etable(capsys, tmp_path, monkeypatch, toy
                  ["attack-impossible"]):
         assert main([argv[0], str(spliced), "--seed", "1", *argv[1:]]) == 2
     assert capsys.readouterr().err.count("etable maps 5 to 5 bits") == 3
+
+
+def test_toy_attack_outputs_equal_full_family_runs(capsys, tmp_path, monkeypatch):
+    """attack-diff, attack-smallprob and attack-impossible print the same
+    bytes and exit codes as when their searches read the whole keyed family G
+    instead of its slice G0 with translated = n."""
+    import bvattack.attacks as attacks
+    from bvattack.ciphers import toy_reduced_family
+
+    files = []
+    for preset, n, rounds in (("weak", 4, 3), ("strong", 4, 3), ("weak", 3, 2), ("weak", 5, 4)):
+        path = tmp_path / f"{preset}-{n}-{rounds}.txt"
+        assert main(["gen-cipher", "--kind", "toy", "--n", str(n), "--rounds", str(rounds),
+                     "--preset", preset, "--seed", "54", "--out", str(path)]) == 0
+        files.append(str(path))
+    capsys.readouterr()
+    calls = [[cmd, path, "--seed", str(seed), *extra] for path in files for seed in (1, 55)
+             for cmd, *extra in (("attack-diff", "--q", "4"), ("attack-diff", "--q", "2", "--p", "3"),
+                                 ("attack-smallprob", "--q", "2", "--l", "2"),
+                                 ("attack-impossible",), ("attack-impossible", "--p", "1"))]
+
+    def outputs():
+        return [(main(argv), capsys.readouterr().out) for argv in calls]
+
+    sliced = outputs()
+
+    def untranslated(search):
+        return lambda *args, translated, **kw: search(*args, **kw)
+
+    monkeypatch.setattr(attacks, "toy_zero_key_family", toy_reduced_family)
+    for name in ("find_vector_structures", "find_impossible_differential"):
+        monkeypatch.setattr(attacks, name, untranslated(getattr(attacks, name)))
+    assert outputs() == sliced
+    assert {code for code, _ in sliced} == {0, 1}
 
 
 def test_diff_attack_flow(capsys, toy_file):

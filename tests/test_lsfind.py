@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvattack.boolfn import (
@@ -11,8 +11,9 @@ from bvattack.boolfn import (
     random_boolean_function,
     random_vector_function,
 )
+from bvattack.attacks import find_impossible_differential
 from bvattack.bv import BvSampler, QueryLedger
-from bvattack.ciphers import random_permutation
+from bvattack.ciphers import ToyCipher, random_permutation, toy_reduced_family, toy_zero_key_family
 from bvattack.experiments import example_quadratic, inner_product_function, planted_boolean, planted_vector
 from bvattack.lsfind import (
     _constancy,
@@ -25,7 +26,13 @@ from bvattack.lsfind import (
 from bvattack.gf2 import AffineSolutionSet, Eliminator, LinearSystem, solve
 from bvattack.rng import seeded_rng
 
-from oracles import chained_vector_search, chained_zero_search, constancy_direct, solve_affine_direct
+from oracles import (
+    TOY_SHAPES,
+    chained_vector_search,
+    chained_zero_search,
+    constancy_direct,
+    solve_affine_direct,
+)
 
 
 def test_default_sample_count():
@@ -263,3 +270,24 @@ def test_trivial_component_stays_out_of_the_intersection():
     assert not res.found and led.quantum == 64
     assert res.intersection == AffineSolutionSet(4, False, 0, (0b0010, 0b0001))
     assert res == chained_vector_search(F, 32, (3, 47))
+
+
+@pytest.mark.parametrize("preset,n,rounds", TOY_SHAPES)
+@settings(max_examples=3)
+@given(st.integers(0, 2**30), st.data())
+def test_searches_on_the_zero_key_slice_equal_the_keyed_family(preset, n, rounds, key, data):
+    """With translated = n the searches read G0 = G(x || 0 || k') and answer,
+    field for field and at the same charge, what they answer on G."""
+    pub = ToyCipher.generate(n, preset, seed=(key, 48), rounds=rounds).public
+    p = data.draw(st.integers(1, 8 * n))
+    j = data.draw(st.integers(1, n))
+    runs = []
+    for F, t in ((toy_reduced_family(pub), 0), (toy_zero_key_family(pub), n)):
+        ledgers = [QueryLedger() for _ in range(3)]
+        runs.append((
+            find_vector_structures(F, p, (key, 49), ledgers[0], n, translated=t),
+            find_boolean_structures(F.component(j), p, (key, 50), ledgers[1], n, translated=t),
+            find_impossible_differential(F, n, (key, 51), p, ledgers[2], translated=t),
+            [led.snapshot() for led in ledgers],
+        ))
+    assert runs[1] == runs[0]

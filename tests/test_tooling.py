@@ -191,6 +191,15 @@ def test_draw_and_butterfly_return_what_the_hooks_read():
     # callers rely on the butterfly running in place on their own array
     b = np.ones((16, 3), dtype=np.int32)
     assert _wht(b) is b and b[0].tolist() == [16] * 3
+    # the build hook counts len(outcomes): the toy attacks build on the slice
+    # G0 with translated = n, and count the support of the keyed family G
+    from bvattack.ciphers import ToyCipher, toy_reduced_family, toy_zero_key_family
+
+    pub = ToyCipher.generate(4, "weak", seed=62).public
+    G, G0 = toy_reduced_family(pub), toy_zero_key_family(pub)
+    for j in range(1, 5):
+        support = len(BvSampler(G.component(j), (63,), width=4).outcomes)
+        assert len(BvSampler(G0.component(j), (63,), width=4, translated=4).outcomes) == support
 
 
 def test_benchmark_driver_names_resolve():
