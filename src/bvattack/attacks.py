@@ -23,7 +23,6 @@ from .ciphers import (
     ToyCipherPublic,
     em_difference_oracle,
     feistel_branch_oracle,
-    toy_reduced_family,
     toy_zero_key_family,
 )
 from .lsfind import (
@@ -228,8 +227,12 @@ def _check_pairs(pairs: int) -> None:
 def rank_last_round_keys(oracle: OracleFunction, inv_last: np.ndarray, a: int, alpha: int,
                          pairs: int, rng: np.random.Generator) -> KeyCounterTable:
     """Whole-word key counting: for each final-round key guess s, count the
-    pairs whose one-round partial decryption difference equals alpha."""
+    pairs whose one-round partial decryption difference equals alpha, once a
+    nonzero n-bit a and an n-bit alpha are checked (before any query)."""
     _check_pairs(pairs)
+    top = 1 << oracle.fn.n
+    if not (0 < a < top and 0 <= alpha < top):
+        raise ValueError(f"key ranking needs a nonzero n-bit a and n-bit alpha, got {a}, {alpha}")
     counts = _guess_differences(oracle, inv_last, a, pairs, rng,
                                 lambda d: np.count_nonzero(d == alpha, axis=1))
     return KeyCounterTable(tuple(counts.tolist()), pairs, 1)
@@ -283,7 +286,8 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
 
 def differential_match_counts(G: VectorFunction, a: int, alpha: int) -> np.ndarray:
     """Exhaustive per-key counts of x with F_k(x ^ a) = F_k(x) ^ alpha, over
-    the keyed family G(x || k) of toy_reduced_family."""
+    a keyed family G(x || k) with G.n data bits (on a toy slice G0, those of
+    the keys 0 || k', which every first round key k1 repeats)."""
     d = derivative_table(G, a, G.n)
     counts = np.zeros(d.shape[1], dtype=np.int64)
     for row in d:  # one row at a time, so no table-sized comparison exists
@@ -293,8 +297,8 @@ def differential_match_counts(G: VectorFunction, a: int, alpha: int) -> np.ndarr
 
 def key_fraction_meeting(G: VectorFunction, a: int, alpha: int,
                          threshold: Fraction) -> Fraction:
-    """Exact fraction of master keys of the keyed family G whose
-    differential probability meets the threshold."""
+    """Exact fraction of keys of the keyed family G (or of its slice G0, the
+    same fraction) whose differential probability meets the threshold."""
     counts = differential_match_counts(G, a, alpha)
     num, den = threshold.numerator, threshold.denominator
     good = int(np.count_nonzero(counts * den >= num * (1 << G.n)))
@@ -399,8 +403,9 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
 
 
 def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:
-    """Exhaustive sweep of the keyed family G over every plaintext and key:
-    the certified derivative bit must never take the forbidden value."""
+    """Exhaustive sweep of the keyed family G (or of its slice G0, the same
+    derivative values) over every plaintext and key: the certified derivative
+    bit must never take the forbidden value."""
     if not 1 <= cert.j <= G.n or cert.forbidden not in (0, 1):
         raise ValueError(f"certificate needs j in [1, {G.n}] and a forbidden bit, "
                          f"got j={cert.j}, forbidden={cert.forbidden}")
@@ -425,8 +430,8 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     """Certificate search plus final-round key sieve.
 
     The search reads the slice G0 of the keyed family at k1 = 0.  A found
-    certificate is then brute-force checked against the attacker's own model
-    of the keyed rounds, the whole family G, tabulated for this check only; a
+    certificate is then brute-force checked over every plaintext and key
+    against the same G0, the attacker's own model of the keyed rounds; a
     bogus one is flagged and no sieving happens, so the true key can never be
     ruled out by a bad certificate.  With a valid certificate, any key guess
     whose partial decryption shows the forbidden bit on some pair is
@@ -445,7 +450,7 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
                                      ledger.snapshot())
 
     cert = res.certificate
-    valid = impossible_certificate_valid(toy_reduced_family(public), cert)
+    valid = impossible_certificate_valid(G0, cert)
     if not valid or pairs == 0:
         return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, res.p,
                                      ledger.snapshot())

@@ -54,7 +54,6 @@ __all__ = [
     "weak_sbox",
     "ToyCipher",
     "ToyCipherPublic",
-    "toy_reduced_family",
     "toy_zero_key_family",
     "CipherFile",
     "save_cipher",
@@ -259,7 +258,7 @@ def _round_keys(master, n: int, rounds: int) -> list:
 
 def _check_toy_shape(n: int, rounds: int) -> None:
     """A word width n, at least one keyed round, and the n * rounds-bit keyed
-    family that the attacks tabulate within the table cap."""
+    family that the attacks sample (through its slice G0) within the table cap."""
     _check_width(n, "n")
     if rounds < 2:
         raise ValueError("need at least one keyed round plus the final round")
@@ -304,7 +303,8 @@ class ToyCipherPublic:
         is R itself (rows x, columns k_1), and each later one maps every cell v
         to the whole row R[v], one column per value of its round key.  So the
         matrix grows by rows gathered from R, and the last gather is the only
-        family-sized array the build makes."""
+        family-sized array the build makes.  Only tests read it whole; the toy
+        paths read its k1 = 0 columns (toy_zero_key_family)."""
         return self._keyed_rounds(1 << self.n)
 
     def _keyed_rounds(self, first_keys: int) -> np.ndarray:
@@ -319,22 +319,14 @@ class ToyCipherPublic:
         return y.reshape(1 << self.n, -1)
 
 
-def toy_reduced_family(public: ToyCipherPublic) -> VectorFunction:
-    """G(x || k) = keyed rounds of x under key k, data bits on top.
-
-    This is the function the differential searches target; it is the
-    attacker's own model of the cipher, so building it costs no oracle
-    queries.
-    """
-    return VectorFunction(public.n + public.key_bits, public.n,
-                          public.reduced_encrypt_all_keys().reshape(-1))
-
-
 def toy_zero_key_family(public: ToyCipherPublic) -> VectorFunction:
-    """G0(x || k') = G(x || 0 || k'), the slice of toy_reduced_family at first
-    round key k1 = 0, 2^n times smaller.  The first keyed round XORs k1 into
-    the data, so G(x || k1 || k') = G0(x ^ k1 || k'): the searches sample G
-    from G0 with translated = n."""
+    """G0(x || k') = G(x || 0 || k'), 2^n times smaller than the keyed family
+    G(x || k) = keyed rounds of x under key k (data bits on top) that the
+    differential searches target; it is the attacker's own model of the
+    cipher, so building it costs no oracle queries.  The first keyed round
+    XORs k1 into the data, so G(x || k1 || k') = G0(x ^ k1 || k'): the searches
+    sample G from G0 with translated = n, and the all-keys checks read G0, as
+    D_a G takes G0's derivative values under every k1."""
     return VectorFunction(public.key_bits, public.n, public._keyed_rounds(1).reshape(-1))
 
 

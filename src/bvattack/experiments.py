@@ -50,7 +50,7 @@ from .boolfn import (
     vector_structures_exhaustive,
     walsh_spectrum,
 )
-from .ciphers import EvenMansour, Feistel3, ToyCipher, random_permutation, toy_reduced_family
+from .ciphers import EvenMansour, Feistel3, ToyCipher, random_permutation, toy_zero_key_family
 from .lsfind import find_boolean_structures, find_vector_structures
 from .rng import seeded_rng
 
@@ -69,7 +69,7 @@ __all__ = [
     "inner_product_function",
 ]
 
-# width factor of a variant whose widest table differs from its experiment's
+# width factor of a variant whose widest function differs from its experiment's
 _VARIANT_WIDTH = {("T2", "strong-toy"): 3}
 _VARIANTS = ("default", "random", "bent", "strong-toy")
 # least n of a variant that needs more than one bit: every 1- and 2-bit
@@ -380,22 +380,24 @@ def _run_t2(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _strong_toy_family(n: int, seed: int, ci: int) -> tuple[VectorFunction, int]:
-    """Keyed family of strong-preset instance ci, redrawn (bump = 0, 1, ...)
-    until its S-box has no nonzero structure, and the number of redraws."""
+    """Slice G0 of strong-preset instance ci's keyed family, redrawn (bump = 0,
+    1, ...) until its S-box has no nonzero structure, and the redraw count."""
     for bump in itertools.count():
         inst = ToyCipher.generate(n, "strong", seed=(seed, 130, ci, bump))
         if len(vector_structures_exhaustive(VectorFunction(n, n, inst.public.sbox))) == 1:
-            return toy_reduced_family(inst.public), bump
+            return toy_zero_key_family(inst.public), bump
 
 
 def _run_t2_strong_toy(cfg: ExperimentConfig) -> ExperimentResult:
     """Strong-preset cipher variant: the joint search over data and key bits
-    should answer No, at a rate matching the exact spectral survival odds."""
+    should answer No, at a rate matching the exact spectral survival odds.
+    Each family is read through its slice G0 (translated = n, as in the
+    attacks); C_G(a << 2n) = 2^n C_G0(a << n) keeps every survival odd."""
     n = cfg.n
     p = 4 * n
-    Gs, bumps = zip(*(_strong_toy_family(n, cfg.seed, ci) for ci in range(min(cfg.trials, 20))))
-    check = _no_rate(cfg, Gs, lambda G: [walsh_spectrum(G.component(j)) for j in range(1, n + 1)],
-                     p, partial(find_vector_structures, solve_width=n), 131)
+    G0s, bumps = zip(*(_strong_toy_family(n, cfg.seed, ci) for ci in range(min(cfg.trials, 20))))
+    check = _no_rate(cfg, G0s, lambda G0: [walsh_spectrum(G0.component(j)) for j in range(1, n + 1)],
+                     p, partial(find_vector_structures, solve_width=n, translated=n), 131)
     details = {"variant": "strong-toy", "p": p, "exact_union_bound": check.bound,
                "rejected_sboxes": sum(bumps)}
     return ExperimentResult(cfg, (check,), details)
@@ -501,8 +503,8 @@ def _run_t6(cfg: ExperimentConfig) -> ExperimentResult:
     for cipher, rep in _weak_toy_runs(cfg, 170, differential_attack, q=q):
         if rep.a == 3 and rep.alpha == 3:
             planted += 1
-        G = toy_reduced_family(cipher.public)
-        if key_fraction_meeting(G, rep.a, rep.alpha, threshold) >= threshold:
+        G0 = toy_zero_key_family(cipher.public)
+        if key_fraction_meeting(G0, rep.a, rep.alpha, threshold) >= threshold:
             coverage_ok += 1
         if rep.recovered_last_key == cipher.last_key:
             recovered += 1
@@ -565,10 +567,10 @@ def _run_t8(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, tuple(checks), details)
 
 
-# name -> (runner, default (n, trials), widest table built in multiples of n).
+# name -> (runner, default (n, trials), widest function in multiples of n).
 # n is the function width for T1-T3, the half-block for T4 (2n-bit Feistel
 # blocks), the block width for T5 and the toy cipher width for T6-T8 (n + 2n-bit
-# keyed families); T1's corpus stays at most 8 bits wide whatever n is.
+# keyed families G, read through 2n-bit slices G0); T1's corpus is <= 8 bits.
 _EXPERIMENTS = {
     "T1": (_run_t1, (6, 400), 0),
     "T2": (_run_t2, (6, 500), 1),

@@ -14,9 +14,11 @@ parsing.  The sampler draws from the squared coefficients of the package's
 truncated (marginal-law) sampler must equal draw for draw.  The chained
 searches replay the package's own sampler streams through per-component
 `solve` and pairwise `intersect`, as the reference that the per-bit
-eliminator searches must equal field for field.  The full-family toy attacks
-run the package's searches on the whole keyed family G, not on its slice G0
-with `translated`, and then rank or sieve the keys by plain loops.
+eliminator searches must equal field for field.  The whole keyed family G
+of a toy cipher is the package's all-keys matrix as one function, checked
+cell by cell against `reduced_encrypt_direct`; the package itself reads only
+its slice G0.  The full-family toy attacks run the package's searches on G,
+not on G0 with `translated`, and then rank or sieve the keys by plain loops.
 """
 
 import re
@@ -43,7 +45,7 @@ from bvattack.boolfn import (
     walsh_spectrum,
 )
 from bvattack.bv import BvSampler, QueryLedger
-from bvattack.ciphers import _KINDS, CipherFile, _parse_kv, toy_reduced_family
+from bvattack.ciphers import _KINDS, CipherFile, _parse_kv
 from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
 from bvattack.lsfind import (
     ComponentEvidence,
@@ -290,6 +292,13 @@ def reduced_encrypt_direct(n: int, rounds: int, sbox, master: int, x: int) -> in
         y = int(sbox[y ^ ((master >> (kb - i * n)) & ((1 << n) - 1))])
         y = ((y << 1) | (y >> (n - 1))) & ((1 << n) - 1)
     return y
+
+
+def toy_reduced_family(public) -> VectorFunction:
+    """G(x || k) = keyed rounds of x under key k, data bits on top: the whole
+    keyed family, 2^n times the package's slice G0 = toy_zero_key_family."""
+    return VectorFunction(public.n + public.key_bits, public.n,
+                          public.reduced_encrypt_all_keys().reshape(-1))
 
 
 def keyed_match_counts_direct(table, n: int, kb: int, a: int, alpha: int) -> list:

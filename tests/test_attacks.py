@@ -21,7 +21,7 @@ from bvattack.attacks import (
     recover_em_key,
     small_probability_attack,
 )
-from bvattack.boolfn import VectorFunction, random_vector_function
+from bvattack.boolfn import VectorFunction, derivative_table, random_vector_function
 from bvattack.bv import QueryLedger
 from bvattack.ciphers import (
     EvenMansour,
@@ -29,12 +29,13 @@ from bvattack.ciphers import (
     OracleFunction,
     ToyCipher,
     random_permutation,
-    toy_reduced_family,
+    toy_zero_key_family,
 )
 from bvattack.experiments import planted_vector
 from bvattack.rng import seeded_rng
 
 from oracles import (
+    TOY_SHAPES,
     certificate_valid_direct,
     chained_impossible_search,
     differential_attack_full_family,
@@ -42,6 +43,7 @@ from oracles import (
     key_match_counts_direct,
     keyed_match_counts_direct,
     small_probability_attack_full_family,
+    toy_reduced_family,
 )
 
 TRIALS = 30
@@ -147,6 +149,19 @@ def test_rank_keys_needs_pairs():
     oracle = OracleFunction(tc.encrypt_table())
     with pytest.raises(InsufficientDataError):
         rank_last_round_keys(oracle, tc.public.inverse_last(), 3, 3, 0, seeded_rng(1))
+
+
+def test_rank_keys_checks_the_differential_before_querying():
+    """A zero direction (pairs {x, x} carry no difference) or a word outside
+    the n bits is refused before any pair is charged."""
+    tc = ToyCipher.generate(4, "weak", seed=322)
+    oracle = OracleFunction(tc.encrypt_table())
+    for a, alpha in ((0, 3), (16, 3), (-1, 3), (3, 16), (3, -1)):
+        with pytest.raises(ValueError, match="key ranking needs"):
+            rank_last_round_keys(oracle, tc.public.inverse_last(), a, alpha, 8, seeded_rng(1))
+        assert oracle.ledger.snapshot() == {"quantum": 0, "classical": 0}, (a, alpha)
+    rank_last_round_keys(oracle, tc.public.inverse_last(), 15, 0, 8, seeded_rng(1))
+    assert oracle.ledger.classical == 16
 
 
 # --- differential attack ---------------------------------------------------------------
@@ -349,8 +364,8 @@ def test_impossible_attack_tabulates_the_family_once(monkeypatch):
     tc = ToyCipher.generate(4, "weak", seed=355)
     rep = impossible_attack(tc.public, tc.encrypt_table(), seed=356)
     assert rep.certificate_valid
-    # the slice G0 (k1 = 0) for the search, then all 16 values of k1 for the check
-    assert calls == [(tc.public, 1), (tc.public, 16)]
+    # the slice G0 (k1 = 0), for the search and the certificate check alike
+    assert calls == [(tc.public, 1)]
 
 
 def _traced_peak(fn, *args) -> int:
@@ -441,8 +456,7 @@ def test_over_budget_arguments_fail_before_the_family_is_tabulated(monkeypatch):
 
     tc = ToyCipher.generate(7, "weak", seed=372, rounds=3)
     etable = tc.encrypt_table()
-    for builder in ("toy_reduced_family", "toy_zero_key_family"):
-        monkeypatch.setattr(bvattack.attacks, builder, unreachable)
+    monkeypatch.setattr(bvattack.attacks, "toy_zero_key_family", unreachable)
     over = 1 << 23
     for attack, kw, what in ((small_probability_attack, {"q": 1, "l": 300}, "draw count"),
                              (differential_attack, {"q": 2, "p": over}, "draw count"),
@@ -482,6 +496,36 @@ def test_certificate_check_rejects_bits_it_cannot_certify(monkeypatch):
     for j, forbidden in ((0, 1), (-1, 0), (G.n + 1, 1), (1, 2), (1, -1), (G.n, 5)):
         with pytest.raises(ValueError, match="certificate needs"):
             impossible_certificate_valid(G, ImpossibleCertificate(j, 5, forbidden))
+
+
+@pytest.mark.parametrize("preset,n,rounds", [s for s in TOY_SHAPES if s[1] <= 5])
+def test_all_keys_checks_on_the_zero_key_slice_equal_the_keyed_family(preset, n, rounds):
+    """Along a data difference, D_a G(x || k1 || k') = D_a G0(x ^ k1 || k'):
+    G's per-key match counts are G0's repeated for every k1, so key fractions
+    and certificate sweeps answer the same on G0 as on the whole family G."""
+    from bvattack.attacks import ImpossibleCertificate
+
+    pub = ToyCipher.generate(n, preset, seed=(390, n, rounds), rounds=rounds).public
+    G, G0 = toy_reduced_family(pub), toy_zero_key_family(pub)
+    fractions = set()
+    for a in range(1 << n):
+        # fixed output differences and one that key 0 shows at x = 0
+        for alpha in {1, 3 % (1 << n), (1 << n) - 1, int(derivative_table(G0, a, n)[0, 0])}:
+            counts = differential_match_counts(G0, a, alpha)
+            assert np.array_equal(np.tile(counts, 1 << n),
+                                  differential_match_counts(G, a, alpha)), (a, alpha)
+            for threshold in (Fraction(1, 1 << n), Fraction(1, 2), Fraction(1)):
+                f = key_fraction_meeting(G0, a, alpha, threshold)
+                assert f == key_fraction_meeting(G, a, alpha, threshold), (a, alpha, threshold)
+                fractions.add(f)
+        for j in range(1, n + 1):
+            for forbidden in (0, 1):
+                cert = ImpossibleCertificate(j, a, forbidden)
+                assert impossible_certificate_valid(G0, cert) == \
+                    impossible_certificate_valid(G, cert), cert
+    assert {Fraction(0), Fraction(1)} <= fractions
+    if rounds > 2 and n > 3:  # keys that differ in k' also differ in their counts
+        assert any(0 < f < 1 for f in fractions)
 
 
 @pytest.mark.parametrize("which", ["T6", "T7", "T8"])

@@ -15,7 +15,7 @@ from bvattack.boolfn import (
     random_boolean_function,
     walsh_spectrum,
 )
-from bvattack.ciphers import ToyCipher, toy_reduced_family, toy_zero_key_family
+from bvattack.ciphers import ToyCipher, toy_zero_key_family
 from bvattack.experiments import inner_product_function, planted_boolean
 from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger, _set_blocks
 from bvattack.rng import seeded_rng
@@ -28,6 +28,7 @@ from oracles import (
     marginal_masses_direct,
     row_masses_einsum,
     sample_distribution_direct,
+    toy_reduced_family,
 )
 
 # chi-square seeds are pinned; if an implementation change shifts the stream,

@@ -22,7 +22,6 @@ from bvattack.ciphers import (
     rotl1,
     rotr1,
     save_cipher,
-    toy_reduced_family,
     toy_zero_key_family,
     weak_sbox,
 )
@@ -33,6 +32,7 @@ from oracles import (
     load_cipher_direct,
     reduced_encrypt_direct,
     toy_encrypt_direct,
+    toy_reduced_family,
     vector_structures_direct,
 )
 

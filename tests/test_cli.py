@@ -300,7 +300,7 @@ def test_toy_attack_outputs_equal_full_family_runs(capsys, tmp_path, monkeypatch
     bytes and exit codes as when their searches read the whole keyed family G
     instead of its slice G0 with translated = n."""
     import bvattack.attacks as attacks
-    from bvattack.ciphers import toy_reduced_family
+    from oracles import toy_reduced_family
 
     files = []
     for preset, n, rounds in (("weak", 4, 3), ("strong", 4, 3), ("weak", 3, 2), ("weak", 5, 4)):

@@ -100,7 +100,8 @@ def test_config_rejects_widths_beyond_the_table_cap(monkeypatch):
     for cls, name in ((ex.Feistel3, "random"), (ex.EvenMansour, "random"),
                       (ex.ToyCipher, "generate")):
         monkeypatch.setattr(cls, name, unreachable)
-    # T4 tabulates 2n-bit blocks; T6-T8 and T2 strong-toy the n + 2n-bit keyed family
+    # T4 tabulates 2n-bit blocks; T6-T8 and T2 strong-toy sample the n + 2n-bit
+    # keyed family G (through its 2n-bit slice G0), so G's width is capped
     over = [("T2", 25, "default"), ("T2", 9, "strong-toy"), ("T3", 25, "default"),
             ("T4", 13, "default"), ("T5", 25, "default"), ("T5", 30, "default"),
             ("T6", 9, "default"), ("T7", 9, "default"), ("T8", 9, "default")]
@@ -206,6 +207,9 @@ PINNED_REPORTS = [
     ("T2", 4, "default", "d629475dfa406591279bd3c0ecfdbc6c839c60e52e63c15ebc9f529b0a06ab7f"),
     ("T2", 4, "bent", "3ebe04e841bb2d6019bc92b68d575f46c4576e5a762602cbec61b7be6d04743f"),
     ("T2", 3, "strong-toy", "64fe47174d73a2fae802f3451ec9af145a7d9df44e67409ac068c964ad75b4df"),
+    # wider keyed families, searched and bounded through their zero-key slices
+    ("T2", 5, "strong-toy", "8280d3c8944741f0c2dece1a7e310304e5827881d7f1260994f061d00df6386a"),
+    ("T2", 6, "strong-toy", "15c01c76d6922f591cd1b4c99f4c8ab1479c0b8e6ec04f28cdd06412545f0c72"),
     ("T3", 3, "default", "779cf17f522140fce77cfd131f00a80e310658bb178306dd2ab0c4a538ba5726"),
     ("T4", 3, "default", "5f89eb3ab1d934a8028f5e38a5f6bac1f2e6f2e889f155dd0b1714542f26348d"),
     ("T5", 3, "default", "4a1ea857e8e2ef417be9f2cbc12043b813370ab04f481fd4f17a3e848e20c565"),
@@ -230,19 +234,37 @@ def test_report_bytes_pinned(which, n, variant, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_t6_tabulates_each_family_once(monkeypatch):
+def _keyed_rounds_calls(monkeypatch, cfg: ExperimentConfig) -> list:
+    """(public, first_keys) of every keyed-family build while cfg runs."""
     from bvattack.ciphers import ToyCipherPublic
 
     calls = []
-    build = ToyCipherPublic.reduced_encrypt_all_keys
+    build = ToyCipherPublic._keyed_rounds
 
-    def counted(self):
-        calls.append(self)
-        return build(self)
+    def counted(self, first_keys):
+        calls.append((self, first_keys))
+        return build(self, first_keys)
 
-    monkeypatch.setattr(ToyCipherPublic, "reduced_encrypt_all_keys", counted)
-    run_experiment(ExperimentConfig(which="T6", n=3, trials=30, seed=7))
-    assert len(calls) == 30 and len(set(map(id, calls))) == 30
+    monkeypatch.setattr(ToyCipherPublic, "_keyed_rounds", counted)
+    run_experiment(cfg)
+    return calls
+
+
+def test_t6_tabulates_each_family_once(monkeypatch):
+    # per trial, the slice G0 for the attack's search and again for the coverage
+    # check of its found differential; the whole family G never
+    calls = _keyed_rounds_calls(monkeypatch, ExperimentConfig(which="T6", n=3, trials=30, seed=7))
+    assert [first_keys for _, first_keys in calls] == [1] * 60
+    publics = [public for public, _ in calls]
+    assert publics[0::2] == publics[1::2] and len(set(map(id, publics))) == 30
+
+
+def test_t2_strong_toy_tabulates_each_slice_once(monkeypatch):
+    # the slice G0 once per instance, for the search and the spectra
+    calls = _keyed_rounds_calls(monkeypatch, ExperimentConfig(which="T2", n=3, trials=30, seed=7,
+                                                              variant="strong-toy"))
+    assert [first_keys for _, first_keys in calls] == [1] * 20
+    assert len({id(public) for public, _ in calls}) == 20
 
 
 def test_quality_grid_detail_order():

@@ -13,7 +13,7 @@ from bvattack.boolfn import (
 )
 from bvattack.attacks import find_impossible_differential
 from bvattack.bv import BvSampler, QueryLedger
-from bvattack.ciphers import ToyCipher, random_permutation, toy_reduced_family, toy_zero_key_family
+from bvattack.ciphers import ToyCipher, random_permutation, toy_zero_key_family
 from bvattack.experiments import example_quadratic, inner_product_function, planted_boolean, planted_vector
 from bvattack.lsfind import (
     _constancy,
@@ -32,6 +32,7 @@ from oracles import (
     chained_zero_search,
     constancy_direct,
     solve_affine_direct,
+    toy_reduced_family,
 )
 
 

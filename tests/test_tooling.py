@@ -141,19 +141,33 @@ def test_no_dead_private_helpers():
     assert _unreferenced_private_names(sources) == []
 
 
-def _draw_calls(source: str) -> list[int]:
-    """The lines of `source` that call a `.draw(...)` method."""
+def _calls(source: str, names: set[str]) -> list[int]:
+    """The lines of `source` that call a function or method named in `names`."""
     return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "draw"]
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
 
 
 def test_no_module_calls_draw():
     # the searches read sample sets, which stop once every outcome has shown;
     # a full draw pays one binary search per uniform, so only tests call it
-    assert _draw_calls("s.draw(5)\nx = s.draw\ns.sample_set(5)\nf(draw=1)\n") == [1]
+    assert _calls("s.draw(5)\nx = s.draw\ns.sample_set(5)\nf(draw=1)\n", {"draw"}) == [1]
     for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
-        assert _draw_calls(path.read_text()) == [], path.name
+        assert _calls(path.read_text(), {"draw"}) == [], path.name
+
+
+def test_no_module_tabulates_the_whole_keyed_family():
+    # every toy path reads the zero-key slice G0, 2^n times smaller than the
+    # keyed family G; only tests (oracles.toy_reduced_family) and the benchmark
+    # build G
+    import bvattack.ciphers
+
+    whole = {"reduced_encrypt_all_keys", "toy_reduced_family"}
+    assert _calls("p.reduced_encrypt_all_keys()\ntoy_reduced_family(p)\nf = g.toy_reduced_family\n",
+                  whole) == [1, 2]
+    for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
+        assert _calls(path.read_text(), whole) == [], path.name
+    assert not hasattr(bvattack.ciphers, "toy_reduced_family")
 
 
 def test_key_ranking_signature_matches_its_count_hook():
@@ -193,7 +207,8 @@ def test_draw_and_butterfly_return_what_the_hooks_read():
     assert _wht(b) is b and b[0].tolist() == [16] * 3
     # the build hook counts len(outcomes): the toy attacks build on the slice
     # G0 with translated = n, and count the support of the keyed family G
-    from bvattack.ciphers import ToyCipher, toy_reduced_family, toy_zero_key_family
+    from bvattack.ciphers import ToyCipher, toy_zero_key_family
+    from oracles import toy_reduced_family
 
     pub = ToyCipher.generate(4, "weak", seed=62).public
     G, G0 = toy_reduced_family(pub), toy_zero_key_family(pub)
