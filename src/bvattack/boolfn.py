@@ -175,21 +175,45 @@ class WalshSpectrum:
 def _wht(b: np.ndarray) -> np.ndarray:
     """Integer Walsh-Hadamard butterfly along axis 0, in place on the caller's
     fresh integer array of 2^w rows (by c columns), which it returns.  The
-    dtype must hold 2^w * max|entry|, the largest sum a row can reach."""
-    h = 1
-    while h < len(b):
-        v = b.reshape(-1, 2 * h, *b.shape[1:])
-        x, y = v[:, :h], v[:, h:]
+    dtype must hold 2^w * max|entry|, the largest sum a row can reach.
+
+    Each radix-4 pass does two stages, at strides h and 2h, on the quarters
+    a0..a3 of every block of 4h rows: with s = a0 + a1 and d = a0 - a1 it
+    writes (s + t, d + u, s - t, d - u) for t = a2 + a3 and u = a2 - a3, and
+    every temporary holds a value after one stage, so no entry leaves the
+    bound above.  An odd w leaves one radix-2 stage, run last at h = 2^(w-1),
+    where both halves are contiguous.  A block of h rows is h * c contiguous
+    entries, so the passes work on the flat view, counting h in entries."""
+    f = b.reshape(-1)
+    h = f.size // len(b)
+    while 4 * h <= f.size:
+        v = f.reshape(-1, 4, h)
+        a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+        s = a0 + a1
+        d = a0 - a1
+        # out is passed by position: at 2^4 to 2^8 rows the cost of each
+        # numpy call, keyword parsing included, outweighs the arithmetic
+        np.add(a2, a3, a0)
+        np.subtract(a2, a3, a1)
+        np.subtract(s, a0, a2)
+        a0 += s
+        np.subtract(d, a1, a3)
+        a1 += d
+        h *= 4
+    if h < f.size:
+        x, y = f[:h], f[h:]
         left = x.copy()
         x += y
-        np.subtract(left, y, out=y)
-        h *= 2
+        np.subtract(left, y, y)
     return b
 
 
 def walsh_spectrum(f: BooleanFunction) -> WalshSpectrum:
     """Integer Walsh transform of f."""
-    return WalshSpectrum(f.n, _wht(1 - 2 * f.table.astype(np.int64)))
+    signs = f.table.astype(np.int64)
+    signs *= -2
+    signs += 1
+    return WalshSpectrum(f.n, _wht(signs))
 
 
 def autocorrelation(spec: WalshSpectrum) -> np.ndarray:

@@ -128,9 +128,11 @@ class BvSampler:
         # Every butterfly entry lies in [-2^width, 2^width]: each starts as a
         # sign +-1, and each of the width stages maps a pair (x, y) to
         # (x + y, x - y), which at most doubles the largest magnitude (a
-        # constant column reaches 2^width).  So int8 holds width <= 6, int16
-        # width <= 14, and int32 the rest up to the 24-bit cap; a square, at
-        # most 4^width, fits int16, int32 and int64 in turn.
+        # constant column reaches 2^width); the temporaries of _wht's radix-4
+        # passes hold values after one stage, so they keep the same bound.  So
+        # int8 holds width <= 6, int16 width <= 14, and int32 the rest up to
+        # the 24-bit cap; a square, at most 4^width, fits int16, int32 and
+        # int64 in turn.
         narrow = 0 if width <= 6 else 1 if width <= 14 else 2
         t = f.table.astype((np.int8, np.int16, np.int32)[narrow])
         t *= -2

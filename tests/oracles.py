@@ -5,20 +5,22 @@ loops, direct definitional sums, exhaustive scans.  No fast transforms, no
 packed elimination, no shared code with the package under test.  Frozen
 expected values in the tests were computed with these.
 
-The exceptions are the text readers of table files, the full-spectrum
-sampler and the chained searches at the end.  The readers decode a file
-whole and split it into lines, as the package read files before it cut them
-up as bytes; they share the containers, the width check and the key=value
-parsing.  The sampler draws from the squared coefficients of the package's
-`walsh_spectrum` over the whole support, as the reference that the
-truncated (marginal-law) sampler must equal draw for draw.  The chained
-searches replay the package's own sampler streams through per-component
-`solve` and pairwise `intersect`, as the reference that the per-bit
-eliminator searches must equal field for field.  The whole keyed family G
-of a toy cipher is the package's all-keys matrix as one function, checked
-cell by cell against `reduced_encrypt_direct`; the package itself reads only
-its slice G0.  The full-family toy attacks run the package's searches on G,
-not on G0 with `translated`, and then rank or sieve the keys by plain loops.
+The exceptions are the radix-2 butterfly, the text readers of table files,
+the full-spectrum sampler and the chained searches at the end.  The
+butterfly makes one stage per bit, the reference for the package's radix-4
+passes and for the samplers' masses.  The readers decode a file whole and
+split it into lines, as the package read files before it cut them up as
+bytes; they share the containers, the width check and the key=value parsing.
+The sampler draws from the squared coefficients of the package's
+`walsh_spectrum` over the whole support, as the reference that the truncated
+(marginal-law) sampler must equal draw for draw.  The chained searches
+replay the package's own sampler streams through per-component `solve` and
+pairwise `intersect`, as the reference that the per-bit eliminator searches
+must equal field for field.  The whole keyed family G of a toy cipher is the
+package's all-keys matrix as one function, checked cell by cell against
+`reduced_encrypt_direct`; the package itself reads only its slice G0.  The
+full-family toy attacks run the package's searches on G, not on G0 with
+`translated`, and then rank or sieve the keys by plain loops.
 """
 
 import re
@@ -316,13 +318,18 @@ def certificate_valid_direct(table, n: int, kb: int, j: int, a: int, forbidden: 
                != forbidden for x in range(1 << n) for k in range(1 << kb))
 
 
-def _butterfly_direct(b: np.ndarray) -> np.ndarray:
-    """int64 Walsh butterfly along the rows of b: each stage h turns the rows
-    r and r + h of every 2h-row block into their sum and difference."""
+def wht_radix2(b: np.ndarray) -> np.ndarray:
+    """The integer Walsh butterfly one radix-2 stage per bit, along axis 0 of
+    b, in place (b is returned): each stage h turns the rows r and r + h of
+    every 2h-row block into their sum and difference.  This was the package's
+    butterfly before its radix-4 passes, which must equal it entry for entry."""
     h = 1
     while h < len(b):
-        v = b.reshape(-1, 2, h, b.shape[1])
-        b = np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1).reshape(b.shape)
+        v = b.reshape(-1, 2 * h, *b.shape[1:])
+        x, y = v[:, :h], v[:, h:]
+        left = x.copy()
+        x += y
+        np.subtract(left, y, out=y)
         h *= 2
     return b
 
@@ -332,7 +339,7 @@ def butterfly_sampler_direct(table, n: int, width: int) -> tuple:
     `width` bits, from an int64 Walsh butterfly: the signs +-1 as 2^width
     rows of 2^(n - width) columns; a row's mass is its sum of squares times
     2^(n - width)."""
-    b = _butterfly_direct((1 - 2 * np.asarray(table, dtype=np.int64)).reshape(1 << width, -1))
+    b = wht_radix2((1 - 2 * np.asarray(table, dtype=np.int64)).reshape(1 << width, -1))
     masses = (b * b).sum(axis=1) << (n - width)
     support = np.flatnonzero(masses)
     return support, np.cumsum(masses[support])
@@ -345,7 +352,7 @@ def row_masses_einsum(table, width: int, cols: int = 1 << 12) -> np.ndarray:
     t = np.asarray(table).reshape(1 << width, -1)
     masses = np.zeros(1 << width, dtype=np.int64)
     for start in range(0, t.shape[1], cols):
-        b = _butterfly_direct(1 - 2 * t[:, start:start + cols].astype(np.int64))
+        b = wht_radix2(1 - 2 * t[:, start:start + cols].astype(np.int64))
         masses += np.einsum("ij,ij->i", b, b, dtype=np.int64)
     return masses
 

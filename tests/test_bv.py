@@ -29,6 +29,7 @@ from oracles import (
     row_masses_einsum,
     sample_distribution_direct,
     toy_reduced_family,
+    wht_radix2,
 )
 
 # chi-square seeds are pinned; if an implementation change shifts the stream,
@@ -178,6 +179,41 @@ def test_butterfly_along_rows_is_walsh_per_column(n, cols, key):
     got = _wht(np.stack([1 - 2 * f.table.astype(np.int64) for f in fs], axis=1))
     for c, f in enumerate(fs):
         assert got[:, c].tolist() == walsh_spectrum(f).coeffs.tolist()
+
+
+_WHT_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+@given(st.sampled_from(_WHT_TYPES), st.integers(0, 5), st.data())
+def test_butterfly_matches_the_radix2_reference(dtype, cols, data):
+    # 2^0 to 2^16 rows, both parities of w (an odd w ends on one radix-2
+    # stage), a 1-D array (cols = 0) or 1 to 5 columns; entries up to the
+    # largest magnitude whose 2^w-fold sum the type still holds
+    w = data.draw(st.integers(0, min(16, np.iinfo(dtype).bits - 2)), label="w")
+    top = int(np.iinfo(dtype).max) >> w
+    shape = (1 << w, cols) if cols else (1 << w,)
+    b = seeded_rng(data.draw(st.integers(0, 2**30), label="key"), 37).integers(
+        -top, top, size=shape, endpoint=True).astype(dtype)
+    want = wht_radix2(b.copy())
+    got = _wht(b)
+    assert got is b and got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype,w", [(np.int8, 5), (np.int8, 6), (np.int16, 13), (np.int16, 14)])
+def test_butterfly_reaches_each_narrow_limit(dtype, w):
+    # a constant or affine sign column (-1)^(a . x ^ c) transforms to one
+    # entry (-1)^c 2^w at a, zeros elsewhere: 64 is the widest int8 reach
+    # (w = 6, the sampler's int8 limit), 16384 the widest int16 reach (w = 14)
+    x = np.arange(1 << w)
+    forms = [(0, 0), (0, 1), (1, 0), (1 << (w - 1), 1), ((1 << w) - 1, 0), (0b101101 % (1 << w), 1)]
+    b = np.stack([1 - 2 * ((np.bitwise_count(x & a) & 1) ^ c) for a, c in forms], axis=1)
+    b = b.astype(dtype)
+    want = np.zeros(b.shape, dtype=np.int64)
+    for j, (a, c) in enumerate(forms):
+        want[a, j] = (1 - 2 * c) << w
+    assert np.array_equal(wht_radix2(b.copy()), want)
+    assert np.array_equal(_wht(b), want)
 
 
 def test_truncated_width_validation():
