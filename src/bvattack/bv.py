@@ -36,19 +36,34 @@ columns per column of f carries f's squared row spectrum.  F's row masses are
 2^t times f's and its Parseval shift is n + t - width, so with `translated=t`
 the sampler built on f shifts by n - width + 2t and gives F's cumulative
 masses, uniforms, draws and stream, from a table 2^t times smaller.
+
+The vector searches read every output bit of an m-bit function F, so
+`component_samplers` builds their samplers k bits at a time, k = max(1, 2^16 /
+2^m) from a cell budget: one shift of F's word table gives the block's bits,
+one butterfly transforms their k sign tables along the shared data axis, and
+each bit's masses, support, cumulative masses and stream (seed, j) are then
+made as `BvSampler`, itself a block of one, makes them.  Small butterflies
+cost mostly their numpy calls, so every default-shape search (m <= 12) is one
+block, while 18-bit tables stay one bit per block.  A block is built when its
+first bit is asked for and a bit is charged when drawn, so a search that
+stops early builds and charges what per-bit builds would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import MAX_WIDTH, BooleanFunction, _wht
+from .boolfn import MAX_WIDTH, BooleanFunction, VectorFunction, _wht
 from .rng import seeded_rng
 
-__all__ = ["MAX_DRAWS", "QueryLedger", "BvSampler", "check_draw_budget"]
+__all__ = ["MAX_DRAWS", "QueryLedger", "BvSampler", "check_draw_budget",
+           "component_samplers"]
 
-# Per-call budget on draws and plaintext pairs, 32 MiB per int64 array: twice
-# the largest default shape, T7 at n = 8 with 2^21 draws per output bit.
+# Per-call budget on draws and plaintext pairs: a draw's uniforms and a
+# key-ranking phase's pairs are count-sized int64 arrays, 32 MiB at 2^22.  A
+# sample set holds at most _BLOCK uniforms, so for it the budget guards no
+# array; T7 asks 6^7 = 279,936 draws per bit at its default n = 6, and 9^7 at
+# n = 9 exceeds it.
 MAX_DRAWS = 1 << 22
 
 
@@ -105,6 +120,58 @@ def _set_blocks(count: int, support: int):
         size = min(8 * size, _BLOCK)
 
 
+# A block build transforms the signs of at most this many table cells (or one
+# output bit's, when that is more) in one butterfly.  Best of five in-process
+# runs on a 2-core VM, budget 2^10 / 2^13 / 2^16 / 2^19: T5 (8 bits of 2^8
+# cells) 315 / 273 / 293 / 336 ms, T7 (6 bits of 2^12) 124 / 112 / 110 / 118
+# ms, an 18-bit recover_em_key 127 / 113 / 122 / 181 ms; 2^13 to 2^16 read
+# alike within the VM's noise, and 2^19 puts two 18-bit tables in a block.
+_BLOCK_CELLS = 1 << 16
+
+# Every butterfly entry lies in [-2^width, 2^width]: each starts as a sign +-1,
+# and each of the width stages maps a pair (x, y) to (x + y, x - y), which at
+# most doubles the largest magnitude (a constant column reaches 2^width); the
+# temporaries of _wht's radix-4 passes hold values after one stage, so they
+# keep the same bound.  So int8 holds width <= 6, int16 width <= 14, and int32
+# the rest up to the 24-bit cap.
+def _sign_type(width: int) -> type:
+    """The narrowest type that holds every entry of a width-bit butterfly."""
+    return np.int8 if width <= 6 else np.int16 if width <= 14 else np.int32
+
+
+def _sampler_shape(n: int, width: int | None, translated: int) -> tuple[int, int]:
+    """(width, shift) of a sampler over an n-bit function: width defaults to n
+    and lies in [1, n], and the cumulative masses are shifted left by
+    n - width + 2 * translated."""
+    width = n if width is None else int(width)
+    if not 1 <= width <= n:
+        raise ValueError(f"width must be in [1, {n}], got {width}")
+    translated = int(translated)
+    if not 0 <= translated <= MAX_WIDTH - n:
+        raise ValueError(f"translated must be in [0, {MAX_WIDTH - n}] for a {n}-bit "
+                         f"function under the {MAX_WIDTH}-bit cap, got {translated}")
+    return width, n - width + 2 * translated
+
+
+def _butterfly(words: np.ndarray, shifts: np.ndarray, width: int) -> np.ndarray:
+    """The Walsh butterfly of k boolean tables at once: table b is bit
+    shifts[b, 0] of `words`, a (2^width, 1, c) word table with its data rows
+    on axis 0.  The signs (-1)^bit are written straight into the narrowest
+    type that holds them and transformed along axis 0 in one `_wht`; table b
+    fills columns b * c to (b + 1) * c of the (2^width, k * c) result."""
+    t = np.empty((len(words), len(shifts), words.shape[2]), _sign_type(width))
+    # the cast keeps the low bits of each shifted word, and only bit 0 is kept
+    np.right_shift(words, shifts, out=t, casting="unsafe")
+    t &= 1
+    t *= -2
+    t += 1
+    return _wht(t.reshape(len(t), -1))
+
+
+# the shifts of a block of one boolean table, which holds its bits as they are
+_NO_SHIFT = np.zeros((1, 1), dtype=np.uint8)
+
+
 class BvSampler:
     """Measurement-outcome sampler for one boolean function: one Walsh
     transform (over the leading `width` bits only) when built, then one binary
@@ -112,48 +179,43 @@ class BvSampler:
     each block's outcomes in place; sample_set only marks them, drawing block
     by block until saturated, and then moves the stream past the rest.
     translated = t samples the family that translates f's input by t key
-    bits, whose law is f's (see above)."""
+    bits, whose law is f's (see above).  `component_samplers` builds the
+    samplers of a vector function's output bits, a block per butterfly."""
 
     __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng")
 
     def __init__(self, f: BooleanFunction, seed_key, ledger: QueryLedger | None = None,
                  width: int | None = None, translated: int = 0) -> None:
-        width = f.n if width is None else int(width)
-        if not 1 <= width <= f.n:
-            raise ValueError(f"width must be in [1, {f.n}], got {width}")
-        translated = int(translated)
-        if not 0 <= translated <= MAX_WIDTH - f.n:
-            raise ValueError(f"translated must be in [0, {MAX_WIDTH - f.n}] for a {f.n}-bit "
-                             f"function under the {MAX_WIDTH}-bit cap, got {translated}")
-        # Every butterfly entry lies in [-2^width, 2^width]: each starts as a
-        # sign +-1, and each of the width stages maps a pair (x, y) to
-        # (x + y, x - y), which at most doubles the largest magnitude (a
-        # constant column reaches 2^width); the temporaries of _wht's radix-4
-        # passes hold values after one stage, so they keep the same bound.  So
-        # int8 holds width <= 6, int16 width <= 14, and int32 the rest up to
-        # the 24-bit cap; a square, at most 4^width, fits int16, int32 and
-        # int64 in turn.
-        narrow = 0 if width <= 6 else 1 if width <= 14 else 2
-        t = f.table.astype((np.int8, np.int16, np.int32)[narrow])
-        t *= -2
-        t += 1
-        rows = _wht(t.reshape(1 << width, -1))
+        width, shift = _sampler_shape(f.n, width, translated)
+        rows = _butterfly(f.table.reshape(1 << width, 1, -1), _NO_SHIFT, width)
+        self._fill(rows, f.n, width, shift, seed_key, ledger)
+
+    def _fill(self, rows: np.ndarray, n: int, width: int, shift: int, seed_key,
+              ledger: QueryLedger | None) -> None:
+        """Set the outcomes, cumulative masses, stream and ledger of the sampler
+        whose transformed signs are `rows`, 2^width rows of 2^(n - width)."""
         # A row's sum of squares is at most 2^(n + width), which a constant
         # function reaches, so the einsum sums in int32 when n + width <= 30
         # (2-core VM: 0.12 against 0.22 ms in int64 at n = 18, width 6).  At
         # width == n each row is one entry and its square is its mass, which
         # the einsum took longer to give (the whole build at n = 18: 13.1-13.5
-        # ms with it, 8.0-8.1 ms without).
-        if width == f.n:
-            masses = np.square(rows.ravel(), dtype=(np.int16, np.int32, np.int64)[narrow])
+        # ms with it, 8.0-8.1 ms without); so the support is found on the
+        # narrow entries themselves, and only its entries are squared, in
+        # int64 (2^18 entries: 3.2-3.8 ms against 4.2-6.2 ms for squaring all
+        # and searching the squares).
+        if width == n:
+            col = rows[:, 0]
+            support = col.nonzero()[0]
+            masses = np.square(col[support], dtype=np.int64)
         else:
             masses = np.einsum("ij,ij->i", rows, rows,
-                               dtype=np.int32 if f.n + width <= 30 else np.int64)
-        support = np.flatnonzero(masses)
+                               dtype=np.int32 if n + width <= 30 else np.int64)
+            support = masses.nonzero()[0]
+            masses = masses[support]
         self.n = width
         self.outcomes = support.astype(np.int64, copy=False)
-        self._cum = np.cumsum(masses[support], dtype=np.int64)
-        self._cum <<= f.n - width + 2 * translated
+        self._cum = np.cumsum(masses, dtype=np.int64)
+        self._cum <<= shift
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
 
@@ -235,3 +297,25 @@ class BvSampler:
         it."""
         for ub in blocks:
             yield ub, np.searchsorted(self._cum, ub, side="right")
+
+
+def component_samplers(F: VectorFunction, seed, ledger: QueryLedger | None = None,
+                       width: int | None = None, translated: int = 0):
+    """Yield BvSampler(F.component(j), (seed, j), ledger, width, translated)
+    for j = 1, ..., F.n, equal to it in outcomes, cumulative masses and
+    stream, with no component table made.  The samplers are built in blocks
+    of k output bits, k from the cell budget _BLOCK_CELLS: one shift of the
+    word table gives the block's bits, and one butterfly transforms them.  A
+    block is built when its first sampler is asked for, so a search that
+    stops early builds no later block."""
+    width, shift = _sampler_shape(F.m, width, translated)
+    k = max(1, _BLOCK_CELLS >> F.m)
+    words = F.table.reshape(1 << width, 1, -1)
+    c = words.shape[2]
+    for first in range(1, F.n + 1, k):
+        js = range(first, min(first + k, F.n + 1))
+        rows = _butterfly(words, np.array([[F.n - j] for j in js], words.dtype), width)
+        for b, j in enumerate(js):
+            sampler = BvSampler.__new__(BvSampler)
+            sampler._fill(rows[:, b * c:(b + 1) * c], F.m, width, shift, (seed, j), ledger)
+            yield sampler

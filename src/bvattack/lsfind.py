@@ -15,7 +15,9 @@ eliminator by the row (w0, 0) or (w0, 1), the vector search intersects it
 across output bits.
 
 Sample streams are keyed (seed,) for a single boolean function and (seed, j)
-for output bit j of a vector function, so runs replay exactly.
+for output bit j of a vector function, so runs replay exactly.  The vector
+searches take their per-bit samplers from `bv.component_samplers`, which
+builds a block of output bits per butterfly and no component table.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolfn import BooleanFunction, VectorFunction
-from .bv import BvSampler, QueryLedger
+from .bv import BvSampler, QueryLedger, component_samplers
 from .gf2 import AffineSolutionSet, Eliminator, dot
 
 __all__ = [
@@ -189,8 +191,7 @@ def find_vector_structures(
     width, p = search_shape(F.m, solve_width, p)
     comps: list[ComponentEvidence] = []
     elim = Eliminator(width)
-    for j in range(1, F.n + 1):
-        sampler = BvSampler(F.component(j), (seed, j), ledger, width, translated)
+    for j, sampler in enumerate(component_samplers(F, seed, ledger, width, translated), 1):
         cset, pivot = _constancy(width, sampler.sample_set(p))
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
@@ -225,8 +226,8 @@ def find_common_zero_structure(
     """
     _, p = search_shape(F.m, None, p)
     elim = Eliminator(F.m)
-    for j in range(1, F.n + 1):
-        _absorb_samples(elim, BvSampler(F.component(j), (seed, j), ledger).sample_set(p)[1])
+    for j, sampler in enumerate(component_samplers(F, seed, ledger), 1):
+        _absorb_samples(elim, sampler.sample_set(p)[1])
         if elim.rank == F.m:
             break
 

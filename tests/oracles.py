@@ -16,7 +16,11 @@ The sampler draws from the squared coefficients of the package's
 (marginal-law) sampler must equal draw for draw.  The chained searches
 replay the package's own sampler streams through per-component `solve` and
 pairwise `intersect`, as the reference that the per-bit eliminator searches
-must equal field for field.  The whole keyed family G of a toy cipher is the
+must equal field for field.  The per-bit searches are the vector and
+common-zero searches as they were before their samplers came in blocks: one
+`BvSampler` per output bit, built on `VectorFunction.component`, as the
+reference that the block builds must equal in result and charge, also
+where a search stops early.  The whole keyed family G of a toy cipher is the
 package's all-keys matrix as one function, checked cell by cell against
 `reduced_encrypt_direct`; the package itself reads only its slice G0.  The
 full-family toy attacks run the package's searches on G, not on G0 with
@@ -49,11 +53,15 @@ from bvattack.boolfn import (
 from bvattack.bv import BvSampler, QueryLedger
 from bvattack.ciphers import _KINDS, CipherFile, _parse_kv
 from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
+from bvattack.gf2 import Eliminator, dot
 from bvattack.lsfind import (
     ComponentEvidence,
     VectorStructureResult,
     ZeroStructureResult,
+    _absorb_samples,
+    _constancy,
     find_vector_structures,
+    search_shape,
 )
 from bvattack.rng import seeded_rng
 
@@ -424,6 +432,48 @@ def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
         if inter.is_trivial:
             return ZeroStructureResult(False, None, inter, done, p)
     return ZeroStructureResult(True, inter.smallest_nonzero(), inter, done, p)
+
+
+def per_bit_vector_search(F, p=None, seed=0, ledger=None, solve_width=None,
+                          translated=0) -> VectorStructureResult:
+    """find_vector_structures with one sampler built per output bit, from
+    F.component(j), and the package's running eliminator."""
+    width, p = search_shape(F.m, solve_width, p)
+    comps = []
+    elim = Eliminator(width)
+    for j in range(1, F.n + 1):
+        sampler = BvSampler(F.component(j), (seed, j), ledger, width, translated)
+        cset, pivot = _constancy(width, sampler.sample_set(p))
+        comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
+        if comps[-1].trivial:
+            break
+        for row in cset.rows.values():
+            elim.absorb(*row)
+        if elim.rank == width:
+            break
+    found = not comps[-1].trivial and elim.rank < width
+    inter = elim.solution()
+    a = alpha = None
+    if found:
+        a = inter.smallest_nonzero()
+        alpha = 0
+        for ev in comps:
+            alpha |= dot(a, ev.pivot) << (F.n - ev.j)
+    return VectorStructureResult(found, a, alpha, width, inter, tuple(comps), p)
+
+
+def per_bit_zero_search(F, p=None, seed=0, ledger=None) -> ZeroStructureResult:
+    """find_common_zero_structure with one sampler built per output bit, from
+    F.component(j), and the package's running eliminator."""
+    _, p = search_shape(F.m, None, p)
+    elim = Eliminator(F.m)
+    for j in range(1, F.n + 1):
+        _absorb_samples(elim, BvSampler(F.component(j), (seed, j), ledger).sample_set(p)[1])
+        if elim.rank == F.m:
+            break
+    found = elim.rank < F.m
+    inter = elim.solution()
+    return ZeroStructureResult(found, inter.smallest_nonzero() if found else None, inter, j, p)
 
 
 def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindReport:

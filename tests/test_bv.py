@@ -1,6 +1,7 @@
 """Measurement sampler: exact outcome law, determinism, query accounting."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,16 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from bvattack import bv
 from bvattack.boolfn import (
     MAX_WIDTH,
     BooleanFunction,
+    VectorFunction,
     _wht,
     random_boolean_function,
     walsh_spectrum,
 )
 from bvattack.ciphers import ToyCipher, toy_zero_key_family
 from bvattack.experiments import inner_product_function, planted_boolean
-from bvattack.bv import _BLOCK, MAX_DRAWS, BvSampler, QueryLedger, _set_blocks
+from bvattack.bv import (
+    _BLOCK,
+    MAX_DRAWS,
+    BvSampler,
+    QueryLedger,
+    _set_blocks,
+    component_samplers,
+)
 from bvattack.rng import seeded_rng
 
 from oracles import (
@@ -511,3 +521,82 @@ def test_sample_set_charges_every_draw_and_keeps_the_stream(monkeypatch):
     ref.draw(count)
     ref.draw(5)
     assert s._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+# --- block builds: the samplers of a vector function's output bits -------------------
+
+_KINDS = ("random", "constant", "affine")
+
+
+def _block_function(m: int, kinds, key: int) -> VectorFunction:
+    """An m-bit function with one output bit per entry of `kinds`, bit j
+    random, constant or affine as kinds[j - 1]."""
+    n = len(kinds)
+    words = np.zeros(1 << m, dtype=np.int64)
+    for j, kind in enumerate(kinds, 1):
+        words |= _extreme_or_random(m, kind, key + j).table.astype(np.int64) << (n - j)
+    return VectorFunction(m, n, words)
+
+
+def _assert_blocks_equal_per_bit(F: VectorFunction, width: int, translated: int, key: int,
+                                 count: int) -> None:
+    """Each block-built sampler has the outcomes, cumulative masses, sample
+    set, charge and generator state after it of BvSampler(F.component(j),
+    (key, j), ledger, width, translated)."""
+    led, want_led = QueryLedger(), QueryLedger()
+    built = list(component_samplers(F, key, led, width, translated))
+    assert len(built) == F.n
+    for j, got in enumerate(built, 1):
+        want = BvSampler(F.component(j), (key, j), want_led, width, translated)
+        assert got.n == want.n == width
+        assert got.outcomes.dtype == want.outcomes.dtype == np.int64
+        assert got.outcomes.tolist() == want.outcomes.tolist(), j
+        assert got._cum.tolist() == want._cum.tolist(), j
+        assert got.sample_set(count) == want.sample_set(count), j
+        assert got._rng.bit_generator.state == want._rng.bit_generator.state, j
+        assert led.snapshot() == want_led.snapshot()
+
+
+@given(st.integers(1, 9), st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+       st.integers(0, 2**30), st.data())
+def test_block_built_samplers_equal_per_bit_builds(m, kinds, key, data):
+    """Under cell budgets from one bit per block to all of them, so that the
+    bits split across blocks of every size."""
+    width = data.draw(st.integers(1, m))
+    translated = data.draw(st.integers(0, MAX_WIDTH - m))
+    budget = data.draw(st.integers(m - 1, m + len(kinds)))
+    F = _block_function(m, kinds, key)
+    with mock.patch.object(bv, "_BLOCK_CELLS", 1 << budget):
+        _assert_blocks_equal_per_bit(F, width, translated, key, data.draw(st.integers(1, 600)))
+
+
+@pytest.mark.parametrize("m, width", [
+    (6, 6), (7, 6), (7, 7), (8, 7),  # int8 signs to width 6, int16 from 7
+    (14, 14), (15, 14), (15, 15),  # int16 to width 14, int32 from 15; two blocks at m = 15
+    (16, 14), (16, 15), (17, 13), (17, 14),  # m + width = 30 and 31: int32 and int64 sums
+])
+def test_block_builds_at_the_type_bounds(m, width):
+    """At the default cell budget a constant bit puts 2^(m + width) on row 0
+    and an affine bit puts +-2^width in its butterfly, with a random bit
+    between them, untranslated and translated up to the cap."""
+    F = _block_function(m, ("constant", "random", "affine"), 90)
+    for translated in (0, MAX_WIDTH - m):
+        _assert_blocks_equal_per_bit(F, width, translated, 91, 1 << 10)
+
+
+def test_blocks_are_built_when_their_first_bit_is_asked_for(monkeypatch):
+    """A block of k bits costs one butterfly, built when its first sampler
+    is taken, so a search that stops early builds no later block."""
+    calls = []
+    real = bv._butterfly
+    monkeypatch.setattr(bv, "_butterfly", lambda words, shifts, width:
+                        calls.append(shifts.ravel().tolist()) or real(words, shifts, width))
+    monkeypatch.setattr(bv, "_BLOCK_CELLS", 2 << 6)
+    F = _block_function(6, _KINDS * 2 + ("random",), 92)
+    built = component_samplers(F, 93, width=4)
+    taken = []
+    for _ in range(F.n):
+        taken.append(next(built))
+        assert len(calls) == (len(taken) + 1) // 2
+    assert calls == [[6, 5], [4, 3], [2, 1], [0]]
+    assert next(built, None) is None

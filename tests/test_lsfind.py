@@ -1,5 +1,7 @@
 """Sampled structure searches: planted structures, honest No, accounting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from bvattack.boolfn import (
     random_boolean_function,
     random_vector_function,
 )
+from bvattack import bv
 from bvattack.attacks import find_impossible_differential
 from bvattack.bv import BvSampler, QueryLedger
 from bvattack.ciphers import ToyCipher, random_permutation, toy_zero_key_family
@@ -31,6 +34,8 @@ from oracles import (
     chained_vector_search,
     chained_zero_search,
     constancy_direct,
+    per_bit_vector_search,
+    per_bit_zero_search,
     solve_affine_direct,
     toy_reduced_family,
 )
@@ -256,6 +261,52 @@ def test_searches_equal_chained_reference(m, n, key, data):
     assert got == chained_vector_search(F, p, (key, 45), width)
     got = find_common_zero_structure(F, p=p, seed=(key, 46))
     assert got == chained_zero_search(F, p, (key, 46))
+
+
+def _equal_to_per_bit(F, p, seed, width=None, translated=0):
+    """Both block-built searches of F against their per-bit references:
+    equal results and equal ledgers.  Returns the two results."""
+    out = []
+    for search, ref, kw in ((find_vector_structures, per_bit_vector_search,
+                             {"solve_width": width, "translated": translated}),
+                            (find_common_zero_structure, per_bit_zero_search, {})):
+        led, want_led = QueryLedger(), QueryLedger()
+        got = search(F, p, seed, led, **kw)
+        assert got == ref(F, p, seed, want_led, **kw)
+        assert led.snapshot() == want_led.snapshot()
+        out.append(got)
+    return out
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**30), st.data())
+def test_searches_equal_the_per_bit_reference(m, n, key, data):
+    """Under cell budgets from one bit per block to all of them."""
+    rng = seeded_rng(key, 52)
+    planted = data.draw(st.booleans())
+    F = planted_vector(m, n, rng)[0] if planted else random_vector_function(m, n, rng)
+    p = data.draw(st.integers(1, 4 * m))
+    width = data.draw(st.none() | st.integers(1, m))
+    translated = data.draw(st.integers(0, 3))
+    with mock.patch.object(bv, "_BLOCK_CELLS", 1 << data.draw(st.integers(m - 1, m + n))):
+        _equal_to_per_bit(F, p, (key, 53), width, translated)
+
+
+@pytest.mark.parametrize("cells", [5, 7, 16])  # blocks of 1 and 2 bits of 2^6 cells, and all
+def test_early_halts_equal_the_per_bit_reference(cells):
+    """The common-zero search stops at full rank, and the vector search at a
+    trivial bit (bit 3, bent) or at a full-rank intersection, before the last
+    block: the same result at the same charge as per-bit builds."""
+    x = np.arange(64)
+    bent = ((x >> 5) & (x >> 2) ^ (x >> 4) & (x >> 1) ^ (x >> 3) & x) & 1
+    words = random_vector_function(6, 6, seeded_rng(54)).table.astype(np.int64)
+    words = words & 0b000111 | ((x >> 5) & 1) << 5 | ((x >> 4) & 1) << 4 | bent << 3
+    with mock.patch.object(bv, "_BLOCK_CELLS", 1 << cells):
+        vec, zero = _equal_to_per_bit(VectorFunction(6, 6, words), 24, (55,))
+        assert [ev.trivial for ev in vec.components] == [False, False, True]
+        assert zero.components_done < 6 and not zero.found
+        vec, zero = _equal_to_per_bit(random_vector_function(6, 6, seeded_rng(56)), 6, (57,))
+        assert len(vec.components) < 6 and not vec.components[-1].trivial and not vec.found
+        assert zero.components_done < 6 and not zero.found
 
 
 def test_trivial_component_stays_out_of_the_intersection():

@@ -156,6 +156,19 @@ def test_no_module_calls_draw():
         assert _calls(path.read_text(), {"draw"}) == [], path.name
 
 
+def test_no_search_builds_samplers_from_component_tables():
+    # the vector and common-zero searches take their samplers from
+    # bv.component_samplers, one butterfly per block of output bits; a build
+    # through VectorFunction.component copies a bit table and runs a butterfly
+    # per bit.  BvSampler.__init__ and component stay, as the per-bit entry
+    # and the benchmark's hooks.
+    assert _calls("F.component(1)\nc = F.component\nbv.component_samplers(F, 1)\n",
+                  {"component"}) == [1]
+    lsfind = (ROOT / "src" / "bvattack" / "lsfind.py").read_text()
+    assert _calls(lsfind, {"component"}) == []
+    assert len(_calls(lsfind, {"component_samplers"})) == 2
+
+
 def test_no_module_tabulates_the_whole_keyed_family():
     # every toy path reads the zero-key slice G0, 2^n times smaller than the
     # keyed family G; only tests (oracles.toy_reduced_family) and the benchmark
