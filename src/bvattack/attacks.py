@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import VectorFunction, derivative_table
-from .bv import QueryLedger, check_draw_budget
+from .bv import QueryLedger, check_draw_budget, component_samplers
 from .ciphers import (
     OracleFunction,
     ToyCipherPublic,
@@ -26,7 +26,7 @@ from .ciphers import (
     toy_zero_key_family,
 )
 from .lsfind import (
-    find_boolean_structures,
+    _boolean_sets,
     find_common_zero_structure,
     find_vector_structures,
     search_shape,
@@ -386,16 +386,16 @@ def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
     """Per-bit impossible differential search on the keyed family G(x || k).
 
     Each output bit is a boolean structure search over the leading x_bits
-    input bits.  A direction in its zero set certifies the derivative bit is
-    constant 0, i.e. the value 1 is forbidden; one in its one set certifies
-    0 is forbidden.  The first output bit with a nonzero candidate wins, with
-    its smallest candidate.  translated = t searches the family that
-    translates G's input by t further key bits, as find_vector_structures.
+    input bits, on its sampler from bv.component_samplers.  A direction in its
+    zero set certifies the derivative bit is constant 0, i.e. the value 1 is
+    forbidden; one in its one set certifies 0 is forbidden.  The first output
+    bit with a nonzero candidate wins, with its smallest candidate.
+    translated = t searches the family that translates G's input by t further
+    key bits, as find_vector_structures.
     """
     x_bits, p = search_shape(G.m, x_bits, p)
-    for j in range(1, G.n + 1):
-        res = find_boolean_structures(G.component(j), p, (seed, j), ledger, x_bits, translated)
-        cand = res.smallest_candidate()
+    for j, sampler in enumerate(component_samplers(G, seed, ledger, x_bits, translated), 1):
+        cand = _boolean_sets(sampler, x_bits, p).smallest_candidate()
         if cand is not None:
             a, i = cand
             return ImpossibleFindReport(True, ImpossibleCertificate(j, a, 1 - i), p)

@@ -208,12 +208,39 @@ def _wht(b: np.ndarray) -> np.ndarray:
     return b
 
 
+# Every butterfly entry lies in [-2^width, 2^width]: each starts as a sign +-1,
+# and each of the width stages maps a pair (x, y) to (x + y, x - y), which at
+# most doubles the largest magnitude (a constant column reaches 2^width); the
+# temporaries of _wht's radix-4 passes hold values after one stage, so they
+# keep the same bound.  So int8 holds width <= 6, int16 width <= 14, and int32
+# the rest up to the 24-bit cap.
+def _sign_type(width: int) -> type:
+    """The narrowest type that holds every entry of a width-bit butterfly."""
+    return np.int8 if width <= 6 else np.int16 if width <= 14 else np.int32
+
+
+def _butterfly(words: np.ndarray, shifts: np.ndarray, width: int) -> np.ndarray:
+    """The Walsh butterfly of k boolean tables at once: table b is bit
+    shifts[b, 0] of `words`, a (2^width, 1, c) word table with its data rows
+    on axis 0.  The signs (-1)^bit are written straight into the narrowest
+    type that holds them and transformed along axis 0 in one `_wht`; table b
+    fills columns b * c to (b + 1) * c of the (2^width, k * c) result."""
+    t = np.empty((len(words), len(shifts), words.shape[2]), _sign_type(width))
+    # the cast keeps the low bits of each shifted word, and only bit 0 is kept
+    np.right_shift(words, shifts, out=t, casting="unsafe")
+    t &= 1
+    t *= -2
+    t += 1
+    return _wht(t.reshape(len(t), -1))
+
+
+# the shifts of a block of one boolean table, which holds its bits as they are
+_NO_SHIFT = np.zeros((1, 1), dtype=np.uint8)
+
+
 def walsh_spectrum(f: BooleanFunction) -> WalshSpectrum:
-    """Integer Walsh transform of f."""
-    signs = f.table.astype(np.int64)
-    signs *= -2
-    signs += 1
-    return WalshSpectrum(f.n, _wht(signs))
+    """Integer Walsh transform of f: its narrow sign butterfly, widened to int64."""
+    return WalshSpectrum(f.n, _butterfly(f.table.reshape(-1, 1, 1), _NO_SHIFT, f.n)[:, 0])
 
 
 def autocorrelation(spec: WalshSpectrum) -> np.ndarray:

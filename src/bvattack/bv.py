@@ -37,23 +37,23 @@ columns per column of f carries f's squared row spectrum.  F's row masses are
 the sampler built on f shifts by n - width + 2t and gives F's cumulative
 masses, uniforms, draws and stream, from a table 2^t times smaller.
 
-The vector searches read every output bit of an m-bit function F, so
-`component_samplers` builds their samplers k bits at a time, k = max(1, 2^16 /
-2^m) from a cell budget: one shift of F's word table gives the block's bits,
-one butterfly transforms their k sign tables along the shared data axis, and
-each bit's masses, support, cumulative masses and stream (seed, j) are then
-made as `BvSampler`, itself a block of one, makes them.  Small butterflies
-cost mostly their numpy calls, so every default-shape search (m <= 12) is one
-block, while 18-bit tables stay one bit per block.  A block is built when its
-first bit is asked for and a bit is charged when drawn, so a search that
-stops early builds and charges what per-bit builds would.
+The vector, common-zero and impossible searches read the output bits of an
+m-bit F, so `component_samplers` builds their samplers k bits at a time,
+k = max(1, 2^16 / 2^m) from a cell budget: one shift of F's word table gives
+the block's bits, one butterfly transforms their k sign tables along the
+shared data axis, and each bit's support, cumulative masses and stream
+(seed, j) are made as in `BvSampler`, itself a block of one.  Small
+butterflies cost mostly their numpy calls, so every default-shape search
+(m <= 12) is one block, while 18-bit tables stay one bit per block.  A block
+is built when its first bit is asked for and a bit is charged when drawn, so
+a search that stops early builds and charges what per-bit builds would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import MAX_WIDTH, BooleanFunction, VectorFunction, _wht
+from .boolfn import MAX_WIDTH, BooleanFunction, VectorFunction, _NO_SHIFT, _butterfly
 from .rng import seeded_rng
 
 __all__ = ["MAX_DRAWS", "QueryLedger", "BvSampler", "check_draw_budget",
@@ -128,16 +128,6 @@ def _set_blocks(count: int, support: int):
 # alike within the VM's noise, and 2^19 puts two 18-bit tables in a block.
 _BLOCK_CELLS = 1 << 16
 
-# Every butterfly entry lies in [-2^width, 2^width]: each starts as a sign +-1,
-# and each of the width stages maps a pair (x, y) to (x + y, x - y), which at
-# most doubles the largest magnitude (a constant column reaches 2^width); the
-# temporaries of _wht's radix-4 passes hold values after one stage, so they
-# keep the same bound.  So int8 holds width <= 6, int16 width <= 14, and int32
-# the rest up to the 24-bit cap.
-def _sign_type(width: int) -> type:
-    """The narrowest type that holds every entry of a width-bit butterfly."""
-    return np.int8 if width <= 6 else np.int16 if width <= 14 else np.int32
-
 
 def _sampler_shape(n: int, width: int | None, translated: int) -> tuple[int, int]:
     """(width, shift) of a sampler over an n-bit function: width defaults to n
@@ -151,25 +141,6 @@ def _sampler_shape(n: int, width: int | None, translated: int) -> tuple[int, int
         raise ValueError(f"translated must be in [0, {MAX_WIDTH - n}] for a {n}-bit "
                          f"function under the {MAX_WIDTH}-bit cap, got {translated}")
     return width, n - width + 2 * translated
-
-
-def _butterfly(words: np.ndarray, shifts: np.ndarray, width: int) -> np.ndarray:
-    """The Walsh butterfly of k boolean tables at once: table b is bit
-    shifts[b, 0] of `words`, a (2^width, 1, c) word table with its data rows
-    on axis 0.  The signs (-1)^bit are written straight into the narrowest
-    type that holds them and transformed along axis 0 in one `_wht`; table b
-    fills columns b * c to (b + 1) * c of the (2^width, k * c) result."""
-    t = np.empty((len(words), len(shifts), words.shape[2]), _sign_type(width))
-    # the cast keeps the low bits of each shifted word, and only bit 0 is kept
-    np.right_shift(words, shifts, out=t, casting="unsafe")
-    t &= 1
-    t *= -2
-    t += 1
-    return _wht(t.reshape(len(t), -1))
-
-
-# the shifts of a block of one boolean table, which holds its bits as they are
-_NO_SHIFT = np.zeros((1, 1), dtype=np.uint8)
 
 
 class BvSampler:

@@ -10,14 +10,14 @@ the function's structure-free differential uniformity.
 Every output bit is solved one way: one eliminator over a . (w ^ w0) = 0 for
 the distinct samples w and the first sample w0 holds the directions with
 a . w constant.  The sampler's `sample_set` returns just that pair, so the p
-samples themselves are never written out.  The boolean search splits the
-eliminator by the row (w0, 0) or (w0, 1), the vector search intersects it
-across output bits.
+samples themselves are never written out.  The boolean and impossible
+searches split the eliminator by the row (w0, 0) or (w0, 1) (`_boolean_sets`),
+the vector search intersects it across output bits.
 
 Sample streams are keyed (seed,) for a single boolean function and (seed, j)
 for output bit j of a vector function, so runs replay exactly.  The vector
-searches take their per-bit samplers from `bv.component_samplers`, which
-builds a block of output bits per butterfly and no component table.
+searches and the impossible search (`attacks`) take their per-bit samplers
+from `bv.component_samplers`, a butterfly per block of output bits.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def _solution_with(e: Eliminator, w: int, c: int) -> AffineSolutionSet:
 
 @dataclass(frozen=True)
 class BooleanStructureResult:
-    """Outcome of the single-output search.  The p draws are not kept
-    (BvSampler(f, (seed,), width=width) replays them), so results compare by value."""
+    """Outcome of the single-output search.  The p draws are not kept (their
+    sampler, keyed (seed,) or (seed, j), replays them), so results compare by value."""
 
     found: bool
     zero_set: AffineSolutionSet
@@ -139,30 +139,31 @@ class ZeroStructureResult:
     p: int
 
 
+def _boolean_sets(sampler: BvSampler, width: int, p: int) -> BooleanStructureResult:
+    """The zero and one sets of `sampler`'s p samples over its width bits."""
+    cset, w0 = _constancy(width, sampler.sample_set(p))
+    zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
+    found = not (zero_set.is_trivial and one_set.is_trivial)
+    return BooleanStructureResult(found, zero_set, one_set, p)
+
+
 def find_boolean_structures(
     f: BooleanFunction,
     p: int | None = None,
     seed: int = 0,
     ledger: QueryLedger | None = None,
-    solve_width: int | None = None,
-    translated: int = 0,
 ) -> BooleanStructureResult:
     """Search for linear structures of a single boolean function.
 
-    Takes p measurement samples (default 4 * width) and solves the two
+    Takes p measurement samples (default 4 * n) and solves the two
     candidate systems {a . w = 0} and {a . w = 1} exactly.  found is False
     only when neither system has a nonzero solution; an inconsistent
     one-system just yields the empty set.  A constant f makes every sample 0,
     so the zero system degenerates to the full space; that is a correct
-    answer, not an error.  solve_width < n searches directions of the
-    leading solve_width input bits, and translated = t searches the family
-    that translates f's input by t key bits, as in find_vector_structures.
+    answer, not an error.
     """
-    width, p = search_shape(f.n, solve_width, p)
-    cset, w0 = _constancy(width, BvSampler(f, (seed,), ledger, width, translated).sample_set(p))
-    zero_set, one_set = _solution_with(cset, w0, 0), _solution_with(cset, w0, 1)
-    found = not (zero_set.is_trivial and one_set.is_trivial)
-    return BooleanStructureResult(found, zero_set, one_set, p)
+    width, p = search_shape(f.n, None, p)
+    return _boolean_sets(BvSampler(f, (seed,), ledger), width, p)
 
 
 def find_vector_structures(

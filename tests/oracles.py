@@ -342,6 +342,13 @@ def wht_radix2(b: np.ndarray) -> np.ndarray:
     return b
 
 
+def walsh_spectrum_int64(table) -> np.ndarray:
+    """The integer Walsh spectrum as the package computed it before spectra
+    shared the samplers' narrow butterfly: int64 signs 1 - 2 f(x) through
+    the radix-2 butterfly."""
+    return wht_radix2(1 - 2 * np.asarray(table, dtype=np.int64))
+
+
 def butterfly_sampler_direct(table, n: int, width: int) -> tuple:
     """(outcomes, cumulative masses) of the marginal law of the leading
     `width` bits, from an int64 Walsh butterfly: the signs +-1 as 2^width

@@ -22,6 +22,7 @@ from bvattack.attacks import (
     small_probability_attack,
 )
 from bvattack.boolfn import VectorFunction, derivative_table, random_vector_function
+from bvattack import bv
 from bvattack.bv import QueryLedger
 from bvattack.ciphers import (
     EvenMansour,
@@ -301,6 +302,40 @@ def test_impossible_search_on_toy_families_equals_chained_reference():
         for p in (1, 3, 16):
             got = find_impossible_differential(G, 4, (361, t), p=p)
             assert got == chained_impossible_search(G, 4, p, (361, t))
+
+
+def _impossible_equals_chained(G, x_bits, p, seed, translated=0, family=None):
+    """find_impossible_differential on G reports what the per-bit chained
+    reference reports on `family` (G itself by default), and charges p
+    quantum queries per output bit it searched."""
+    led = QueryLedger()
+    got = find_impossible_differential(G, x_bits, seed, p, led, translated)
+    assert got == chained_impossible_search(G if family is None else family, x_bits, p, seed)
+    searched = got.certificate.j if got.found else G.n
+    assert led.snapshot() == {"quantum": p * searched, "classical": 0}
+    return got
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])  # output bits per block; 6 puts every bit in one
+def test_impossible_search_blocks_equal_the_per_bit_reference(monkeypatch, k):
+    """Built k output bits per butterfly, the search halts where per-bit
+    builds halt, at their charge: at bit 1 of T8's slice G0 (m = 8, four
+    bits), at bit 4 of a 6-bit function (inside the second block of two),
+    or nowhere."""
+    pub = ToyCipher.generate(4, "weak", seed=350).public
+    G0 = toy_zero_key_family(pub)
+    monkeypatch.setattr(bv, "_BLOCK_CELLS", k << G0.m)
+    got = _impossible_equals_chained(G0, 4, 16, 351, 4, toy_reduced_family(pub))
+    assert got.certificate.j == 1
+
+    x = np.arange(64)
+    words = random_vector_function(6, 6, seeded_rng(362)).table.astype(np.int64)
+    words = words & ~0b000100 | (np.bitwise_count(x & 0b101001) & 1) << 2
+    monkeypatch.setattr(bv, "_BLOCK_CELLS", k << 6)
+    got = _impossible_equals_chained(VectorFunction(6, 6, words), 6, 24, 363)
+    assert got.certificate.j == 4
+    got = _impossible_equals_chained(random_vector_function(6, 6, seeded_rng(364)), 6, 24, 365)
+    assert not got.found
 
 
 def test_certificate_validity_against_manual_sweep():

@@ -38,6 +38,7 @@ from oracles import (
     restricted_mass_direct,
     vector_structures_direct,
     walsh_spectrum_direct,
+    walsh_spectrum_int64,
 )
 
 
@@ -82,6 +83,26 @@ def test_spectrum_of_quadratic_example():
 def test_spectrum_matches_direct_sum(n, key):
     f = random_boolean_function(n, seeded_rng(key, 1))
     assert walsh_spectrum(f).coeffs.tolist() == walsh_spectrum_direct(f.table, n)
+
+
+@pytest.mark.parametrize("n", [6, 7, 14, 15])
+def test_spectrum_at_the_type_bounds(n):
+    """At n = 6/7 and 14/15, where the butterfly's int8, int16 and int32
+    signs switch, a constant or affine f(x) = a . x ^ c reaches the bound:
+    one coefficient (-1)^c 2^n, at a, held in a read-only int64 array."""
+    x = np.arange(1 << n)
+    for a, c in ((0, 0), (0, 1), (1, 0), (1 << (n - 1), 1), ((1 << n) - 1, 0)):
+        coeffs = walsh_spectrum(BooleanFunction(n, (np.bitwise_count(x & a) & 1) ^ c)).coeffs
+        assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
+        assert np.flatnonzero(coeffs).tolist() == [a]
+        assert int(coeffs[a]) == (1 - 2 * c) << n
+
+
+def test_spectrum_equals_the_int64_reference_at_15_bits():
+    f = random_boolean_function(15, seeded_rng(3))
+    coeffs = walsh_spectrum(f).coeffs
+    assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
+    assert np.array_equal(coeffs, walsh_spectrum_int64(f.table))
 
 
 @given(st.integers(1, 10), st.integers(0, 2**30))

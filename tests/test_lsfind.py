@@ -19,6 +19,7 @@ from bvattack.bv import BvSampler, QueryLedger
 from bvattack.ciphers import ToyCipher, random_permutation, toy_zero_key_family
 from bvattack.experiments import example_quadratic, inner_product_function, planted_boolean, planted_vector
 from bvattack.lsfind import (
+    _boolean_sets,
     _constancy,
     _solution_with,
     default_sample_count,
@@ -104,12 +105,16 @@ def _reference_function(kind: str, n: int, rng) -> BooleanFunction:
        st.integers(0, 2**30), st.data())
 def test_boolean_sets_equal_reference_solve(kind, n, key, data):
     """zero_set and one_set are the solutions of {a . w = 0} and {a . w = 1}
-    over the samples, as the plain solve of all p rows finds them."""
+    over the samples, as the plain solve of all p rows finds them; a
+    truncated width is solved by the split the impossible search uses."""
     f = _reference_function(kind, n, seeded_rng(key, 48))
     width = data.draw(st.none() | st.integers(1, f.n))
     p = data.draw(st.integers(1, 4 * f.n))
-    res = find_boolean_structures(f, p=p, seed=(key, 49), solve_width=width)
     w = f.n if width is None else width
+    if width is None:
+        res = find_boolean_structures(f, p=p, seed=(key, 49))
+    else:
+        res = _boolean_sets(BvSampler(f, (key, 49), width=w), w, p)
     ws = BvSampler(f, (key, 49), width=w).draw(p).tolist()
     assert len(ws) == p and all(0 <= s < 1 << w for s in ws)
     assert res.zero_set == solve(LinearSystem(w, tuple((s, 0) for s in ws)))
@@ -338,7 +343,7 @@ def test_searches_on_the_zero_key_slice_equal_the_keyed_family(preset, n, rounds
         ledgers = [QueryLedger() for _ in range(3)]
         runs.append((
             find_vector_structures(F, p, (key, 49), ledgers[0], n, translated=t),
-            find_boolean_structures(F.component(j), p, (key, 50), ledgers[1], n, translated=t),
+            _boolean_sets(BvSampler(F.component(j), (key, 50), ledgers[1], n, t), n, p),
             find_impossible_differential(F, n, (key, 51), p, ledgers[2], translated=t),
             [led.snapshot() for led in ledgers],
         ))

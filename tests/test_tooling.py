@@ -157,16 +157,35 @@ def test_no_module_calls_draw():
 
 
 def test_no_search_builds_samplers_from_component_tables():
-    # the vector and common-zero searches take their samplers from
-    # bv.component_samplers, one butterfly per block of output bits; a build
-    # through VectorFunction.component copies a bit table and runs a butterfly
-    # per bit.  BvSampler.__init__ and component stay, as the per-bit entry
-    # and the benchmark's hooks.
+    # the vector, common-zero and impossible searches take their samplers
+    # from bv.component_samplers, one butterfly per block of output bits; a
+    # build through VectorFunction.component copies a bit table and runs a
+    # butterfly per bit.  BvSampler.__init__ and component stay, as the
+    # per-bit entry and the benchmark's hooks.
     assert _calls("F.component(1)\nc = F.component\nbv.component_samplers(F, 1)\n",
                   {"component"}) == [1]
-    lsfind = (ROOT / "src" / "bvattack" / "lsfind.py").read_text()
-    assert _calls(lsfind, {"component"}) == []
-    assert len(_calls(lsfind, {"component_samplers"})) == 2
+    for name, searches in (("lsfind", 2), ("attacks", 1)):
+        source = (ROOT / "src" / "bvattack" / f"{name}.py").read_text()
+        assert _calls(source, {"component"}) == [], name
+        assert len(_calls(source, {"component_samplers"})) == searches, name
+
+
+def _definitions(source: str, names: set[str]) -> list[str]:
+    """The names in `names` that `source` defines as functions, once per def."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def test_one_sign_butterfly():
+    # walsh_spectrum and every sampler write their signs and transform them
+    # through boolfn's one kernel; a second copy would drift from it
+    kernel = {"_butterfly", "_sign_type", "_wht"}
+    assert _definitions("def _wht(b): pass\nclass C:\n    def _butterfly(s): pass\n",
+                        kernel) == ["_wht", "_butterfly"]
+    found = {path.stem: _definitions(path.read_text(), kernel)
+             for path in sorted((ROOT / "src" / "bvattack").glob("*.py"))}
+    assert {stem: sorted(names) for stem, names in found.items() if names} == {
+        "boolfn": ["_butterfly", "_sign_type", "_wht"]}
 
 
 def test_no_module_tabulates_the_whole_keyed_family():
