@@ -67,7 +67,7 @@ class BooleanFunction:
         self.table = _word_table(table, n, 1, "truth table entries must be bits")
 
     def __call__(self, x: int) -> int:
-        return int(self.table[x])
+        return _entry(self.table, x)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BooleanFunction):
@@ -82,6 +82,13 @@ def _word_dtype(bits: int) -> np.dtype:
     """The narrowest unsigned type that holds a `bits`-bit word: uint8 up to
     8 bits, uint16 up to 16, uint32 up to the 24-bit cap."""
     return np.min_scalar_type((1 << bits) - 1)
+
+
+def _entry(table: np.ndarray, x: int) -> int:
+    """table[x], for an input x in [0, len(table)); numpy would wrap a negative x."""
+    if not 0 <= x < len(table):
+        raise ValueError(f"input must be in [0, {len(table)}), got {x}")
+    return int(table[x])
 
 
 def _word_table(table, m: int, n: int, range_error: str) -> np.ndarray:
@@ -123,7 +130,7 @@ class VectorFunction:
         self.table = _word_table(table, m, n, f"table entries must fit in {n} output bits")
 
     def __call__(self, x: int) -> int:
-        return int(self.table[x])
+        return _entry(self.table, x)
 
     def component(self, j: int) -> BooleanFunction:
         """Output bit j as a boolean function; j is 1-based, 1 = most significant."""

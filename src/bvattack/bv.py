@@ -16,11 +16,9 @@ outcomes, so `sample_set` marks hits on the support indices instead of
 writing outcomes back, and draws its uniforms in growing blocks: it stops
 after the first block that leaves every outcome hit, since later draws cannot
 change the set.  The uniforms range over [0, 4^n), a power of two, so numpy's
-bounded draw never rejects: each uniform takes one 64-bit PCG64 output when
-4^n > 2^32, and one 32-bit half of an output (the buffered half first) when
-4^n <= 2^32.  So blocks of any sizes give the values of one call, and the
-stream jumps past the undrawn tail (PCG64's O(log k) `advance`) to exactly
-where `draw(count)` leaves it.  The ledger is charged the whole `count`.
+bounded draw never rejects and blocks of any sizes give the values of one
+call.  The ledger is charged the whole `count`; the stream is left after the
+last block drawn, since each sampler serves one sample set.
 
 With width < n only the leading `width` bits of w are drawn, from their exact
 marginal law: a butterfly along the 2^width data rows of the table, then each
@@ -148,7 +146,7 @@ class BvSampler:
     transform (over the leading `width` bits only) when built, then one binary
     search over the support per draw, applied block by block.  draw writes
     each block's outcomes in place; sample_set only marks them, drawing block
-    by block until saturated, and then moves the stream past the rest.
+    by block until saturated.
     translated = t samples the family that translates f's input by t key
     bits, whose law is f's (see above).  `component_samplers` builds the
     samplers of a vector function's output bits, a block per butterfly."""
@@ -203,11 +201,10 @@ class BvSampler:
 
     def sample_set(self, count: int) -> tuple[int, list[int]]:
         """(first outcome, distinct outcomes ascending) of draw(count), at the
-        same charge of `count` quantum queries and with the stream left where
-        draw(count) leaves it.  The uniforms are drawn in the blocks of
-        `_set_blocks`, and drawing stops after the first block that leaves
-        every support outcome hit, since later blocks cannot change the set;
-        the stream then moves past the undrawn rest."""
+        same charge of `count` quantum queries.  The uniforms are drawn in the
+        blocks of `_set_blocks`, and drawing stops, leaving the stream there,
+        after the first block that leaves every support outcome hit, since
+        later blocks cannot change the set."""
         if count == 0:
             raise ValueError("a sample set needs at least one sample, or its pivot is undefined")
         total = self._charge(count)
@@ -217,15 +214,12 @@ class BvSampler:
         blocks = (self._rng.integers(0, total, size=k, dtype=np.int64)
                   for k in _set_blocks(count, len(hit)))
         first = None
-        drawn = 0
         for ub, i in self._lookup(blocks):
             if first is None:
                 first = int(i[0])
             hit[i] = True
-            drawn += len(ub)
             if saturable and hit.all():
                 break
-        self._skip(count - drawn, total)
         return int(self.outcomes[first]), self.outcomes[hit].tolist()
 
     def _charge(self, count: int) -> int:
@@ -235,32 +229,6 @@ class BvSampler:
         if self.ledger is not None:
             self.ledger.add_quantum(count)
         return int(self._cum[-1])
-
-    def _skip(self, rest: int, total: int) -> None:
-        """Move the stream past `rest` uniforms from [0, total) without drawing
-        them, to where drawing them would leave it: `rest` 64-bit outputs when
-        total > 2^32, else `rest` 32-bit halves, the buffered half first."""
-        if rest == 0:
-            return
-        bits = self._rng.bit_generator
-        if total > 1 << 32:
-            # advance clears the 32-bit buffer, which 64-bit draws leave alone
-            kept = bits.state
-            bits.advance(rest)
-            state = bits.state
-            state.update(has_uint32=kept["has_uint32"], uinteger=kept["uinteger"])
-            bits.state = state
-            return
-        if bits.state["has_uint32"]:
-            self._rng.integers(0, total, size=1, dtype=np.int64)
-            rest -= 1
-        full, odd = divmod(rest, 2)
-        if full > 1:
-            # advance also zeroes the buffer's stale upper half, which the last
-            # whole output, drawn for real below, writes back
-            bits.advance(full - 1)
-            rest = 2 + odd
-        self._rng.integers(0, total, size=rest, dtype=np.int64)
 
     def _lookup(self, blocks):
         """Yield (ub, i) per block ub of uniforms: the block and the support

@@ -76,11 +76,14 @@ class OracleFunction:
         self.ledger = ledger if ledger is not None else QueryLedger()
 
     def classical(self, x: int) -> int:
+        y = self.fn(x)  # refuses x outside [0, 2^m) before the charge
         self.ledger.add_classical(1)
-        return int(self.fn.table[x])
+        return y
 
     def classical_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and not 0 <= xs.min() <= xs.max() < len(self.fn.table):
+            raise ValueError(f"inputs must be in [0, {len(self.fn.table)})")
         self.ledger.add_classical(int(xs.size))
         return self.fn.table[xs]
 

@@ -296,6 +296,16 @@ def test_callables():
     assert [F(x) for x in range(4)] == [5, 1, 7, 0]
 
 
+def test_callables_refuse_inputs_outside_the_domain():
+    # numpy would wrap -1 to the last entry and raise IndexError at 2^m
+    F = VectorFunction(2, 3, np.array([5, 1, 7, 0]))
+    for f in (AND2, F):
+        for x in (-1, -4, 4, 1 << 40, np.int64(-1), np.uint8(4)):
+            with pytest.raises(ValueError, match=r"input must be in \[0, 4\)"):
+                f(x)
+    assert AND2(np.int64(3)) == 1 and F(np.uint8(2)) == 7
+
+
 def test_functions_compare_by_shape_and_table():
     f = BooleanFunction(2, [0, 1, 1, 0])
     assert f == BooleanFunction(2, np.array([0, 1, 1, 0], dtype=np.int64))

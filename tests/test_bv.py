@@ -16,10 +16,19 @@ from bvattack.boolfn import (
     VectorFunction,
     _wht,
     random_boolean_function,
+    random_vector_function,
+    save_function,
     walsh_spectrum,
 )
 from bvattack.ciphers import ToyCipher, toy_zero_key_family
-from bvattack.experiments import inner_product_function, planted_boolean
+from bvattack.cli import main
+from bvattack.experiments import (
+    ALL_EXPERIMENTS,
+    ExperimentConfig,
+    inner_product_function,
+    planted_boolean,
+    run_experiment,
+)
 from bvattack.bv import (
     _BLOCK,
     MAX_DRAWS,
@@ -476,51 +485,45 @@ def test_sample_set_stops_once_saturated(count, monkeypatch):
         assert blocks == [scanned], f.n
 
 
-def _set_and_state(s: BvSampler, key, pre: int, count: int, full: bool):
-    """(pivot, distinct, generator state, next draws) after `pre` 32-bit
-    draws, which may leave a half-word buffered, and then either a sample set
-    of `count` or a full draw of `count` from a fresh stream for `key`."""
+def _set_after(s: BvSampler, key, pre: int, count: int, full: bool):
+    """(pivot, distinct) after `pre` 32-bit draws, which may leave a half-word
+    buffered, and then either a sample set of `count` or a full draw of
+    `count` from a fresh stream for `key`."""
     s._rng = seeded_rng(key)
     s._rng.integers(0, 1 << 32, size=pre, dtype=np.int64)
     if full:
         out = s.draw(count).tolist()
-        got = out[0], sorted(set(out))
-    else:
-        got = s.sample_set(count)
-    return got, s._rng.bit_generator.state, s.draw(3).tolist()
+        return out[0], sorted(set(out))
+    return s.sample_set(count)
 
 
 @given(st.one_of(st.integers(1, 16), st.integers(17, 18)),
        st.sampled_from(("random", "constant", "affine")), st.integers(0, 3),
        st.integers(0, 2**30), st.data())
-def test_sample_set_leaves_the_stream_where_draw_does(n, kind, pre, key, data):
+def test_sample_set_equals_draw_around_block_boundaries(n, kind, pre, key, data):
     """Around each of the first three block boundaries, a sample set gives the
-    pivot, the distinct set, the whole generator state and the next output of
-    a full draw, on the 32-bit stream (4^n <= 2^32) and the 64-bit one, with
-    0 to 3 earlier half-word draws."""
+    pivot and the distinct set of a full draw, on the 32-bit stream
+    (4^n <= 2^32) and the 64-bit one, with 0 to 3 earlier half-word draws."""
     f = _extreme_or_random(n, kind, key)
     s = BvSampler(f, (key, 83), width=data.draw(st.integers(1, n)))
     ends = np.cumsum(list(_set_blocks(MAX_DRAWS, len(s.outcomes))))[:3].tolist()
     for count in sorted({1, 2, 3} | {end + d for end in ends for d in (-1, 0, 1)}):
-        want = _set_and_state(s, (key, 83), pre, count, True)
-        assert _set_and_state(s, (key, 83), pre, count, False) == want, count
+        want = _set_after(s, (key, 83), pre, count, True)
+        assert _set_after(s, (key, 83), pre, count, False) == want, count
 
 
-def test_sample_set_charges_every_draw_and_keeps_the_stream(monkeypatch):
-    """A sample set charges its whole count and moves the stream past all of
-    it, also when it stops after the first block."""
+def test_sample_set_charges_every_draw(monkeypatch):
+    """A sample set charges its whole count, also when it stops after the
+    first block."""
     blocks = _counting_lookups(monkeypatch)
     f = _sample_set_function("affine", 6, 2)
     count = 2 * _BLOCK + 3
     led = QueryLedger()
-    s, ref = BvSampler(f, (82,), led), BvSampler(f, (82,))
+    s = BvSampler(f, (82,), led)
     assert s.sample_set(count)[1] == s.outcomes.tolist()
     assert blocks == [1] and led.quantum == count
     s.sample_set(5)
     assert led.quantum == count + 5
-    ref.draw(count)
-    ref.draw(5)
-    assert s._rng.bit_generator.state == ref._rng.bit_generator.state
 
 
 # --- block builds: the samplers of a vector function's output bits -------------------
@@ -600,3 +603,49 @@ def test_blocks_are_built_when_their_first_bit_is_asked_for(monkeypatch):
         assert len(calls) == (len(taken) + 1) // 2
     assert calls == [[6, 5], [4, 3], [2, 1], [0]]
     assert next(built, None) is None
+
+
+# --- the premise of sample_set: each sampler serves one sample set -----------------
+
+
+def test_every_sampler_serves_one_sample_set(monkeypatch, tmp_path):
+    """In every experiment and every sampling CLI subcommand, each sampler
+    (built by __init__ or a block build) gets exactly one sample_set call and
+    no draw, so no caller reads the stream a sample set leaves behind."""
+    # [sample sets, draws] per sampler built, and by id the one built last at
+    # that id, since a freed sampler's id can be reused
+    built, calls = [], {}
+
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            if name == "_fill":
+                built.append([0, 0])
+                calls[id(self)] = built[-1]
+            else:
+                calls[id(self)][name == "draw"] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in ("sample_set", "draw", "_fill"):
+        monkeypatch.setattr(BvSampler, name, counted(name, getattr(BvSampler, name)))
+
+    def served(what, run) -> None:
+        del built[:]
+        run()
+        assert built and all(c == [1, 0] for c in built), (what, built)
+
+    for which in ALL_EXPERIMENTS:
+        served(which, lambda: run_experiment(ExperimentConfig.with_defaults(which, 7, trials=30)))
+    paths = {name: str(tmp_path / f"{name}.txt") for name in ("bool", "vec", "em", "toy")}
+    save_function(paths["bool"], planted_boolean(6, seeded_rng(94))[0])
+    save_function(paths["vec"], random_vector_function(6, 3, seeded_rng(95)))
+    assert main(["gen-cipher", "--kind", "even-mansour", "--n", "6", "--seed", "96",
+                 "--out", paths["em"]]) == 0
+    assert main(["gen-cipher", "--kind", "toy", "--n", "4", "--seed", "97", "--preset", "weak",
+                 "--out", paths["toy"]]) == 0
+    for argv in (["lsfind", paths["bool"]], ["lsfind", paths["vec"]],
+                 ["distinguish-feistel", "--n", "5", "--target", "feistel", "--trials", "10"],
+                 ["attack-em", paths["em"]], ["attack-diff", paths["toy"], "--q", "4"],
+                 ["attack-smallprob", paths["toy"], "--q", "2", "--l", "2"],
+                 ["attack-impossible", paths["toy"]]):
+        served(argv[0], lambda: main(argv + ["--seed", "98"]))

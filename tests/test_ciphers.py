@@ -50,6 +50,21 @@ def test_oracle_function_accounting():
     assert led.quantum == 0
 
 
+def test_oracle_function_refuses_inputs_outside_the_domain_before_charging():
+    # numpy would wrap -1 to F(2^m - 1), and raise IndexError at 2^m after the charge
+    led = QueryLedger()
+    o = OracleFunction(VectorFunction(2, 2, np.array([2, 0, 3, 1])), led)
+    for x in (-1, 4, 1 << 40):
+        with pytest.raises(ValueError):
+            o.classical(x)
+    for xs in ([-1], [0, 4], np.array([3, -2, 1]), [[0, 1], [4, 2]]):
+        with pytest.raises(ValueError, match=r"inputs must be in \[0, 4\)"):
+            o.classical_batch(xs)
+    assert led.snapshot() == {"quantum": 0, "classical": 0}
+    assert o.classical_batch([]).tolist() == [] and led.classical == 0
+    assert o.classical_batch([[3, 0]]).tolist() == [[1, 2]] and led.classical == 2
+
+
 def test_rotations():
     assert rotl1(0b1001, 4) == 0b0011
     assert rotr1(0b0011, 4) == 0b1001

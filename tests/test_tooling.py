@@ -156,6 +156,24 @@ def test_no_module_calls_draw():
         assert _calls(path.read_text(), {"draw"}) == [], path.name
 
 
+def _stream_layout_uses(source: str) -> list[int]:
+    """The lines of `source` that jump a stream (`advance`) or reach a bit
+    generator or its `state`, numpy's private stream layout."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("advance", "bit_generator", "state")})
+
+
+def test_no_module_reaches_into_the_bit_generator():
+    # a sample set leaves its stream after the last block it drew, and each
+    # sampler serves one; nothing in the package moves or reads a stream's
+    # position, which would tie it to numpy's PCG64 layout
+    assert _stream_layout_uses("g.bit_generator.advance(3)\nx = b.state\nb.state = x\n"
+                               "g.integers(0, 4)\nf(state=1)\n") == [1, 2, 3]
+    for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
+        assert _stream_layout_uses(path.read_text()) == [], path.name
+
+
 def test_no_search_builds_samplers_from_component_tables():
     # the vector, common-zero and impossible searches take their samplers
     # from bv.component_samplers, one butterfly per block of output bits; a
