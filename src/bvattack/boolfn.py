@@ -85,10 +85,11 @@ def _word_dtype(bits: int) -> np.dtype:
 
 
 def _entry(table: np.ndarray, x: int) -> int:
-    """table[x], for an input x in [0, len(table)); numpy would wrap a negative x."""
-    if not 0 <= x < len(table):
-        raise ValueError(f"input must be in [0, {len(table)}), got {x}")
-    return int(table[x])
+    """table[x], for an integer x in [0, len(table)); numpy would wrap a
+    negative x, raise IndexError on a float, whole or not, and read a bool as a mask."""
+    if not isinstance(x, (int, np.integer)) or not 0 <= x < len(table):
+        raise ValueError(f"input must be in [0, {len(table)}) and of an integer type, got {x!r}")
+    return int(table[int(x)])
 
 
 def _word_table(table, m: int, n: int, range_error: str) -> np.ndarray:

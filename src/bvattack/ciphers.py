@@ -81,11 +81,13 @@ class OracleFunction:
         return y
 
     def classical_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = np.asarray(xs)
+        if xs.size and xs.dtype.kind not in "biu":  # no float, whole or not, is truncated
+            raise ValueError(f"inputs must be integers, got {xs.dtype} values")
         if xs.size and not 0 <= xs.min() <= xs.max() < len(self.fn.table):
             raise ValueError(f"inputs must be in [0, {len(self.fn.table)})")
         self.ledger.add_classical(int(xs.size))
-        return self.fn.table[xs]
+        return self.fn.table[xs.astype(np.int64)]  # a bool array reads as indices, not a mask
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,16 +137,6 @@ class Feistel3:
             for i in (1, 2, 3)
         ]
         return cls(n, *rounds)
-
-    def encrypt(self, left: int, right: int) -> tuple[int, int]:
-        for p in (self.p1, self.p2, self.p3):
-            left, right = right ^ int(p[left]), left
-        return left, right
-
-    def decrypt(self, left: int, right: int) -> tuple[int, int]:
-        for p in (self.p3, self.p2, self.p1):
-            left, right = right, left ^ int(p[right])
-        return left, right
 
     def encrypt_table(self) -> VectorFunction:
         """The whole cipher as a 2n -> 2n table, block packed as L || R."""
@@ -395,17 +387,6 @@ class ToyCipher:
             y = round_fn[y ^ k]
         return VectorFunction(self.n, self.n, self.public.last_sbox[y] ^ self.last_key)
 
-    def decrypt(self, c: int) -> int:
-        n = self.n
-        inv_last = self.public.inverse_last()
-        inv_s = np.empty_like(self.public.sbox)
-        inv_s[self.public.sbox] = np.arange(1 << n)
-        y = int(inv_last[c ^ self.last_key])
-        for ki in reversed(_round_keys(self.master_key, n, self.rounds)):
-            y = rotr1(y, n)
-            y = int(inv_s[y]) ^ ki
-        return y
-
 
 # ---------------------------------------------------------------------------
 # cipher files
@@ -506,6 +487,8 @@ def _parse_kv(tokens, what: str, want_ints, required=()) -> dict:
         if "=" not in tok:
             raise ValueError(f"{what}: malformed token {tok!r}")
         k, v = tok.split("=", 1)
+        if k in out:
+            raise ValueError(f"{what}: repeated {k}=")
         if k in want_ints:
             out[k] = int(v, 0)
         else:
@@ -525,7 +508,8 @@ def load_cipher(path) -> CipherFile:
     """Read a cipher file written by save_cipher.  A `table` line owns the
     lines after it, up to the next `keys` or `table` line, as its word block,
     and each table must be one its kind names, at the shape that the header's
-    n gives it in `_TABLE_WIDTHS`, which is checked before the block is read."""
+    n gives it in `_TABLE_WIDTHS`, which is checked before the block is read.
+    A repeated table, `keys` line or key is an error, not a second value."""
     sections = _read_sections(path, ("keys ", "table "))
     if not sections or not sections[0][0].rstrip().startswith("cipher "):
         raise ValueError(f"{path}: expected a 'cipher ...' header line")
@@ -534,12 +518,14 @@ def load_cipher(path) -> CipherFile:
         raise ValueError(f"{path}: unknown cipher kind {kind!r}")
     params = _parse_kv(head, f"{path} header", {"n", "r", "seed"}, ("n",))
 
-    keys: dict = {}
+    keys: dict | None = None
     tables: dict = {}
     for line, block in sections:
         word, *toks = line.split()
         if word == "table":
             what = f"{path} table {toks[0]}"
+            if toks[0] in tables:
+                raise ValueError(f"{what}: the file repeats this table")
             shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
             m, n = shape["m"], shape["n"]
             # the widths, then the table's name and shape, before its block
@@ -555,7 +541,9 @@ def load_cipher(path) -> CipherFile:
         elif (extra := _first_line(block)) is not None:  # the header and keys own no lines
             raise ValueError(f"{path}: unexpected line {extra!r}")
         elif word == "keys":
+            if keys is not None:
+                raise ValueError(f"{path}: the file repeats its keys line")
             keys = _parse_kv(toks, f"{path} keys", {"k1", "k2", "k", "s"})
     if "etable" not in tables:
         raise ValueError(f"{path}: cipher file must carry the encryption table")
-    return CipherFile(kind, params, keys, tables)
+    return CipherFile(kind, params, keys or {}, tables)

@@ -117,14 +117,6 @@ class AffineSolutionSet:
     def empty(cls, width: int) -> "AffineSolutionSet":
         return cls(width, True, 0, ())
 
-    @classmethod
-    def full(cls, width: int) -> "AffineSolutionSet":
-        return cls(width, False, 0, tuple(1 << i for i in reversed(range(width))))
-
-    @classmethod
-    def point(cls, width: int, v: int) -> "AffineSolutionSet":
-        return cls(width, False, v, ())
-
     @property
     def size(self) -> int:
         """Number of members; 0 for the empty set."""

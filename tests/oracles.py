@@ -52,8 +52,7 @@ from bvattack.boolfn import (
 )
 from bvattack.bv import BvSampler, QueryLedger
 from bvattack.ciphers import _KINDS, CipherFile, _parse_kv
-from bvattack.gf2 import AffineSolutionSet, LinearSystem, constancy_set, intersect, solve
-from bvattack.gf2 import Eliminator, dot
+from bvattack.gf2 import Eliminator, LinearSystem, constancy_set, dot, intersect, solve
 from bvattack.lsfind import (
     ComponentEvidence,
     VectorStructureResult,
@@ -264,12 +263,14 @@ def load_cipher_direct(path) -> CipherFile:
     if kind not in _KINDS:
         raise ValueError(f"{path}: unknown cipher kind {kind!r}")
     params = _parse_kv(head, f"{path} header", {"n", "r", "seed"}, ("n",))
-    keys, tables = {}, {}
+    keys, tables = None, {}
     marks = [i for i, ln in enumerate(lines) if ln.startswith(("keys ", "table "))]
     for i, end in zip([0, *marks], [*marks, len(lines)]):
         word, *toks = lines[i].split()
         if word == "table":
             what = f"{path} table {toks[0]}"
+            if toks[0] in tables:
+                raise ValueError(f"{what}: the file repeats this table")
             shape = _parse_kv(toks[1:], what, {"m", "n"}, ("m", "n"))
             m, n = shape["m"], shape["n"]
             _check_width(m, f"{what}: input width")
@@ -287,10 +288,12 @@ def load_cipher_direct(path) -> CipherFile:
         elif end > i + 1:
             raise ValueError(f"{path}: unexpected line {lines[i + 1]!r}")
         elif word == "keys":
+            if keys is not None:
+                raise ValueError(f"{path}: the file repeats its keys line")
             keys = _parse_kv(toks, f"{path} keys", {"k1", "k2", "k", "s"})
     if "etable" not in tables:
         raise ValueError(f"{path}: cipher file must carry the encryption table")
-    return CipherFile(kind, params, keys, tables)
+    return CipherFile(kind, params, keys or {}, tables)
 
 
 def reduced_encrypt_direct(n: int, rounds: int, sbox, master: int, x: int) -> int:
@@ -405,7 +408,7 @@ def chained_vector_search(F, p: int, seed, solve_width=None) -> VectorStructureR
     component enters the intersection."""
     width = F.m if solve_width is None else solve_width
     comps = []
-    inter = AffineSolutionSet.full(width)
+    inter = Eliminator(width).solution()
     found = True
     for j in range(1, F.n + 1):
         ws = BvSampler(F.component(j), (seed, j)).draw(p) >> (F.m - width)
@@ -430,7 +433,7 @@ def chained_vector_search(F, p: int, seed, solve_width=None) -> VectorStructureR
 def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
     """find_common_zero_structure as a chain of per-bit solves and pairwise
     intersects, stopping once only 0 survives."""
-    inter = AffineSolutionSet.full(F.m)
+    inter = Eliminator(F.m).solution()
     done = 0
     for j in range(1, F.n + 1):
         ws = BvSampler(F.component(j), (seed, j)).draw(p)

@@ -306,6 +306,16 @@ def test_callables_refuse_inputs_outside_the_domain():
     assert AND2(np.int64(3)) == 1 and F(np.uint8(2)) == 7
 
 
+def test_callables_refuse_non_integer_inputs():
+    # numpy raised IndexError on a float index, whole or not
+    F = VectorFunction(2, 3, np.array([5, 1, 7, 0]))
+    for f in (AND2, F):
+        for x in (1.5, 2.0, np.float64(1.0), "1"):
+            with pytest.raises(ValueError, match="of an integer type"):
+                f(x)
+    assert AND2(True) == 0 and F(True) == 1
+
+
 def test_functions_compare_by_shape_and_table():
     f = BooleanFunction(2, [0, 1, 1, 0])
     assert f == BooleanFunction(2, np.array([0, 1, 1, 0], dtype=np.int64))

@@ -256,6 +256,19 @@ def test_malformed_cipher_files_exit_two(capsys, tmp_path, monkeypatch):
     assert err.count("error:") == 3 and "n * rounds" in err
 
 
+def test_repeated_cipher_file_sections_exit_two(capsys, tmp_path, toy_file):
+    # the last of two tables or keys lines must not win silently
+    text = Path(toy_file).read_text()
+    etable = text[text.index("table etable"):]
+    for name, edit in (("table", text + etable), ("keys", text + "keys k=0x1\n"),
+                       ("key", text.replace(" n=", " n=4 n=", 1))):
+        bad = tmp_path / f"repeated_{name}.txt"
+        bad.write_text(edit)
+        assert main(["attack-diff", str(bad), "--seed", "1", "--q", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "repeat" in err, name
+
+
 def test_attack_em_reads_the_file_as_an_even_mansour_cipher(capsys, tmp_path):
     """An even-mansour file whose perm is no bijection, or whose header n is
     not its tables' width, exits 2 with no report."""

@@ -214,9 +214,9 @@ def test_constancy_membership(width, data):
 
 
 def test_point_and_full_constructors():
-    p = AffineSolutionSet.point(4, 0b1010)
+    p = AffineSolutionSet(4, False, 0b1010, ())
     assert p.members() == [0b1010]
-    f = AffineSolutionSet.full(2)
+    f = Eliminator(2).solution()
     assert f.members() == [0, 1, 2, 3]
     e = AffineSolutionSet.empty(5)
     assert e.is_trivial and e.is_empty

@@ -105,12 +105,34 @@ def test_no_unused_imports():
         assert _unused_imports(path.read_text()) == [], path.name
 
 
-def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names (a leading underscore, not a dunder) that no
-    module of `sources` references, by name, attribute or import."""
-    defined, used = [], set()
-    for module, source in sources.items():
+def _unreferenced_names(sources: dict[str, str], outside: dict[str, str]) -> list[str]:
+    """Module-level names of `sources` that nothing uses.  A private name (a
+    leading underscore, not a dunder) is used where any module of `sources`
+    references it by name, attribute or import.  A public function or class
+    is used where a module of `sources` other than `__init__` references it
+    by name or attribute, or an `outside` file (a script or the benchmark,
+    which names what it patches in strings) by name, attribute or string; a
+    re-export in `__init__` or an `__all__` string is no use."""
+    defined, used, used_public = [], set(), set()
+    for module, source in {**sources, **outside}.items():
         tree = ast.parse(source)
+        refs = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and module in sources:
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and module in outside):
+                refs.add(node.value)
+        if module in outside:
+            used_public |= refs
+            continue
+        used |= refs
+        if module != "__init__":
+            used_public |= refs
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -119,26 +141,37 @@ def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-    return [f"{module}.{name}" for module, name in defined if name not in used]
+            public = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            defined += [(module, name) for name in names if not name.startswith("__")
+                        and (name.startswith("_") or public)]
+    return [f"{module}.{name}" for module, name in defined
+            if name not in (used if name.startswith("_") else used_public)]
+
+
+# Public functions and classes that only tests call, each with why it stays.
+_TESTS_ONLY_PUBLIC = {
+    "boolfn.restricted_spectral_mass": "the sampler-law acceptance criterion the acceptance "
+                                       "suite states its check in",
+    "boolfn.random_vector_function": "the generator of the tests' random vector-function corpus",
+}
 
 
 def test_no_dead_private_helpers():
-    assert _unreferenced_private_names({
-        "a": "def _used(): pass\ndef _dead(): pass\n_X = 1\n_Y: int = 2\n__v__ = 3\n",
-        "b": "from a import _used\nprint(_X)\n",
-    }) == ["a._dead", "a._Y"]
+    # nor public ones: a function or class that only tests call lives in
+    # tests/oracles.py or is named above
+    assert _unreferenced_names({
+        "a": "def _used(): pass\ndef _dead(): pass\n_X = 1\n_Y: int = 2\n__v__ = 3\n"
+             "def pub(): pass\nclass Pub: pass\ndef lone(): pass\ndef named(): pass\n"
+             "def inner(): pass\nP = 1\n__all__ = ['lone']\n",
+        "b": "from a import _used, named\nprint(_X, pub())\n",
+        "__init__": "from a import lone, inner\ninner()\n",
+    }, {"run.py": "import a\nx = a.Pub\ngetattr(a, 'named')\n"}) == [
+        "a._dead", "a._Y", "a.lone", "a.inner"]
     src = ROOT / "src" / "bvattack"
     sources = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
-    assert _unreferenced_private_names(sources) == []
+    outside = {str(p.relative_to(ROOT)): p.read_text()
+               for p in sorted([*(ROOT / "scripts").glob("*.py"), *PERFBENCH.glob("*.py")])}
+    assert sorted(_unreferenced_names(sources, outside)) == sorted(_TESTS_ONLY_PUBLIC)
 
 
 def _calls(source: str, names: set[str]) -> list[int]:
