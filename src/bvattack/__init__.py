@@ -6,7 +6,6 @@ from .attacks import (
     DifferentialAttackReport,
     EmKeyRecoveryReport,
     FeistelDistinguishReport,
-    ImpossibleCertificate,
     ImpossibleSieveReport,
     InsufficientDataError,
     SmallProbabilityReport,
@@ -30,6 +29,7 @@ from .ciphers import EvenMansour, Feistel3, ToyCipher, load_cipher, save_cipher
 from .experiments import ExperimentConfig, run_experiment
 from .gf2 import AffineSolutionSet, EnumerationCapError
 from .lsfind import (
+    ImpossibleCertificate,
     find_boolean_structures,
     find_common_zero_structure,
     find_vector_structures,

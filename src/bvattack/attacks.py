@@ -11,13 +11,14 @@ feeds the measurement sampler of output bit j, so streams never collide.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import VectorFunction, derivative_table
-from .bv import QueryLedger, check_draw_budget, component_samplers
+from .boolfn import VectorFunction, _entry, derivative_table
+from .bv import QueryLedger, check_draw_budget
 from .ciphers import (
     OracleFunction,
     ToyCipherPublic,
@@ -26,8 +27,9 @@ from .ciphers import (
     toy_zero_key_family,
 )
 from .lsfind import (
-    _boolean_sets,
+    ImpossibleCertificate,
     find_common_zero_structure,
+    find_impossible_differential,
     find_vector_structures,
     search_shape,
 )
@@ -47,9 +49,6 @@ __all__ = [
     "key_fraction_meeting",
     "SmallProbabilityReport",
     "small_probability_attack",
-    "ImpossibleCertificate",
-    "ImpossibleFindReport",
-    "find_impossible_differential",
     "impossible_certificate_valid",
     "ImpossibleSieveReport",
     "impossible_attack",
@@ -87,7 +86,7 @@ def distinguish_feistel(encrypt: VectorFunction, seed, p: int | None = None) -> 
     if encrypt.m != encrypt.n or encrypt.n % 2:
         raise ValueError("expected a cipher table on 2n-bit blocks")
     n = encrypt.n // 2
-    p = n + 1 if p is None else int(p)
+    p = n + 1 if p is None else operator.index(p)
 
     rng = seeded_rng(seed, 0)
     s0 = int(rng.integers(0, 1 << n))
@@ -130,7 +129,7 @@ def recover_em_key(perm: VectorFunction, etable: VectorFunction, seed,
     """
     F = em_difference_oracle(etable, perm)
     n = F.n
-    p = n if p is None else int(p)
+    p = n if p is None else operator.index(p)
     ledger = QueryLedger()
     res = find_common_zero_structure(F, p=p, seed=seed, ledger=ledger)
     k1 = res.a if res.found else None
@@ -150,7 +149,7 @@ class KeyCounterTable:
     checks_per_pair: int
 
     def rate(self, s: int) -> Fraction:
-        return Fraction(self.counts[s], self.pairs * self.checks_per_pair)
+        return Fraction(_entry(self.counts, s), self.pairs * self.checks_per_pair)
 
     def argmax(self) -> int:
         """Key with the most matches; ties go to the smallest key."""
@@ -175,20 +174,22 @@ def _pair_plaintexts(n: int, a: int, pairs: int, rng: np.random.Generator) -> np
     return rng.integers(0, 1 << n, size=pairs, dtype=np.int64)
 
 
-def _toy_family(public: ToyCipherPublic, etable: VectorFunction, p: int | None,
-                pairs: int) -> tuple[int, VectorFunction]:
-    """The front half of a toy attack: p resolved for a search over the n data
+def _toy_search(public: ToyCipherPublic, etable: VectorFunction, seed, p: int | None,
+                pairs: int, search) -> tuple[int, VectorFunction, QueryLedger, object]:
+    """The search phase of a toy attack: p resolved for a search over the n data
     bits, p and the pair count checked against the per-call budget, the
     encryption table checked to map n-bit blocks, and only then the slice G0
-    of the keyed family G(x || k) at first round key 0, which the search
-    reads with translated = n to sample G itself."""
+    of the keyed family G(x || k) at first round key 0, which `search` reads
+    with translated = n to sample G itself.  Returns (p, G0, ledger, result)."""
     n = public.n
     _, p = search_shape(n, n, p)
     check_draw_budget(p)
     check_draw_budget(pairs, "pair count")
     if (etable.m, etable.n) != (n, n):
         raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {n} to {n}")
-    return p, toy_zero_key_family(public)
+    G0 = toy_zero_key_family(public)
+    ledger = QueryLedger()
+    return p, G0, ledger, search(G0, p, seed, ledger, solve_width=n, translated=n)
 
 
 # Cells per block of the key-guess matrix, unless one guess alone has more
@@ -265,14 +266,13 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     count.  q is the key-coverage target 1 - 1/q; it is recorded for
     verification and does not change the defaults.
     """
+    q = operator.index(q)
     if q < 1:
         raise ValueError(f"coverage parameter q must be positive, got {q}")
     n = public.n
-    pairs = 8 * n if pairs is None else int(pairs)
+    pairs = 8 * n if pairs is None else operator.index(pairs)
     _check_pairs(pairs)  # before the search, whatever it answers
-    p, G0 = _toy_family(public, etable, p, pairs)
-    ledger = QueryLedger()
-    res = find_vector_structures(G0, p=p, seed=seed, ledger=ledger, solve_width=n, translated=n)
+    p, _, ledger, res = _toy_search(public, etable, seed, p, pairs, find_vector_structures)
     if not res.found:
         return DifferentialAttackReport(False, None, None, None, None, p, pairs, q,
                                         ledger.snapshot())
@@ -335,16 +335,15 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
     while wrong keys sit near 1/2, so keys are ranked by ascending rate
     lambda_s = C_s / (n l^2) over l^2 pairs.
     """
+    q, l = operator.index(q), operator.index(l)
     if l < 2:
         raise ValueError(f"l must be at least 2 for any rate contrast, got {l}")
     if q < 1:
         raise ValueError(f"coverage parameter q must be positive, got {q}")
     n = public.n
-    p = (n ** 3) * (l ** 2) * (q ** 2) if p is None else int(p)
+    p = (n ** 3) * (l ** 2) * (q ** 2) if p is None else p
     pairs = l * l
-    p, G0 = _toy_family(public, etable, p, pairs)
-    ledger = QueryLedger()
-    res = find_vector_structures(G0, p=p, seed=seed, ledger=ledger, solve_width=n, translated=n)
+    p, _, ledger, res = _toy_search(public, etable, seed, p, pairs, find_vector_structures)
     if not res.found:
         return SmallProbabilityReport(False, None, None, None, None, p, l, q, pairs,
                                       ledger.snapshot())
@@ -361,45 +360,6 @@ def small_probability_attack(public: ToyCipherPublic, etable: VectorFunction, se
 
 # ---------------------------------------------------------------------------
 # impossible differential
-
-
-@dataclass(frozen=True)
-class ImpossibleCertificate:
-    """Claim: output bit j of the keyed rounds never changes by `forbidden`
-    along input difference a, for any key."""
-
-    j: int
-    a: int
-    forbidden: int
-
-
-@dataclass(frozen=True)
-class ImpossibleFindReport:
-    found: bool
-    certificate: ImpossibleCertificate | None
-    p: int
-
-
-def find_impossible_differential(G: VectorFunction, x_bits: int, seed,
-                                 p: int | None = None, ledger: QueryLedger | None = None,
-                                 translated: int = 0) -> ImpossibleFindReport:
-    """Per-bit impossible differential search on the keyed family G(x || k).
-
-    Each output bit is a boolean structure search over the leading x_bits
-    input bits, on its sampler from bv.component_samplers.  A direction in its
-    zero set certifies the derivative bit is constant 0, i.e. the value 1 is
-    forbidden; one in its one set certifies 0 is forbidden.  The first output
-    bit with a nonzero candidate wins, with its smallest candidate.
-    translated = t searches the family that translates G's input by t further
-    key bits, as find_vector_structures.
-    """
-    x_bits, p = search_shape(G.m, x_bits, p)
-    for j, sampler in enumerate(component_samplers(G, seed, ledger, x_bits, translated), 1):
-        cand = _boolean_sets(sampler, x_bits, p).smallest_candidate()
-        if cand is not None:
-            a, i = cand
-            return ImpossibleFindReport(True, ImpossibleCertificate(j, a, 1 - i), p)
-    return ImpossibleFindReport(False, None, p)
 
 
 def impossible_certificate_valid(G: VectorFunction, cert: ImpossibleCertificate) -> bool:
@@ -438,25 +398,21 @@ def impossible_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
     eliminated.  pairs=0 skips sieving and leaves every key alive.
     """
     n = public.n
-    pairs = 4 * n if pairs is None else int(pairs)
+    pairs = 4 * n if pairs is None else operator.index(pairs)
     if pairs < 0:
         raise ValueError(f"pairs cannot be negative, got {pairs}")
-    p, G0 = _toy_family(public, etable, p, pairs)
-    ledger = QueryLedger()
-    res = find_impossible_differential(G0, n, seed, p=p, ledger=ledger, translated=n)
+    p, G0, ledger, cert = _toy_search(public, etable, seed, p, pairs,
+                                      find_impossible_differential)
     all_keys = tuple(range(1 << n))
-    if not res.found:
-        return ImpossibleSieveReport(False, None, None, all_keys, pairs, res.p,
-                                     ledger.snapshot())
+    if cert is None:
+        return ImpossibleSieveReport(False, None, None, all_keys, pairs, p, ledger.snapshot())
 
-    cert = res.certificate
     valid = impossible_certificate_valid(G0, cert)
     if not valid or pairs == 0:
-        return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, res.p,
-                                     ledger.snapshot())
+        return ImpossibleSieveReport(True, cert, valid, all_keys, pairs, p, ledger.snapshot())
 
     shows = _guess_differences(OracleFunction(etable, ledger), public.inverse_last(), cert.a,
                                pairs, seeded_rng(seed, 0),
                                lambda d: (((d >> (n - cert.j)) & 1) == cert.forbidden).any(axis=1))
     alive = tuple(np.flatnonzero(~shows).tolist())
-    return ImpossibleSieveReport(True, cert, True, alive, pairs, res.p, ledger.snapshot())
+    return ImpossibleSieveReport(True, cert, True, alive, pairs, p, ledger.snapshot())

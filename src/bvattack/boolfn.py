@@ -170,7 +170,7 @@ class WalshSpectrum:
 
     def value(self, w: int) -> Fraction:
         """The normalized coefficient S_f(w) as an exact rational."""
-        return Fraction(int(self.coeffs[w]), 1 << self.n)
+        return Fraction(_entry(self.coeffs, w), 1 << self.n)
 
     def support(self) -> np.ndarray:
         """All w with nonzero coefficient (the possible sampler outcomes)."""
@@ -267,9 +267,13 @@ def derivative_table(f: BooleanFunction | VectorFunction, a: int,
     """x -> f(x ^ a) ^ f(x) for a direction a of the leading `width` input bits
     (all of them by default), words for a vector f and bits for a boolean f, as
     2^width rows: D[x, k] for a keyed family G(x || k) at width G.n."""
-    rows = len(f.table) if width is None else 1 << width
+    bits = len(f.table).bit_length() - 1
+    width = bits if width is None else width
+    if not 1 <= width <= bits:
+        raise ValueError(f"width must be in [1, {bits}], got {width}")
+    rows = 1 << width
     if not 0 <= a < rows:
-        raise ValueError(f"direction {a:#x} does not fit in {rows.bit_length() - 1} bits")
+        raise ValueError(f"direction {a:#x} does not fit in {width} bits")
     t = f.table.reshape(rows, -1)
     d = np.take(t, np.arange(rows) ^ a, axis=0)
     d ^= t

@@ -49,6 +49,8 @@ a search that stops early builds and charges what per-bit builds would.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .boolfn import MAX_WIDTH, BooleanFunction, VectorFunction, _NO_SHIFT, _butterfly
@@ -66,8 +68,9 @@ MAX_DRAWS = 1 << 22
 
 
 def check_draw_budget(count: int, what: str = "draw count") -> None:
-    """Reject a count outside [0, MAX_DRAWS] before anything of that size exists."""
-    if not 0 <= count <= MAX_DRAWS:
+    """Reject a count outside [0, MAX_DRAWS], or not an integer, before
+    anything of that size exists or any query is charged."""
+    if not 0 <= operator.index(count) <= MAX_DRAWS:
         raise ValueError(f"{what} {count} is outside the per-call budget [0, {MAX_DRAWS}]")
 
 
@@ -81,12 +84,12 @@ class QueryLedger:
         self.classical = 0
 
     def add_quantum(self, count: int = 1) -> None:
-        if count < 0:
+        if operator.index(count) < 0:
             raise ValueError("query count cannot be negative")
         self.quantum += count
 
     def add_classical(self, count: int = 1) -> None:
-        if count < 0:
+        if operator.index(count) < 0:
             raise ValueError("query count cannot be negative")
         self.classical += count
 
@@ -130,11 +133,12 @@ _BLOCK_CELLS = 1 << 16
 def _sampler_shape(n: int, width: int | None, translated: int) -> tuple[int, int]:
     """(width, shift) of a sampler over an n-bit function: width defaults to n
     and lies in [1, n], and the cumulative masses are shifted left by
-    n - width + 2 * translated."""
-    width = n if width is None else int(width)
+    n - width + 2 * translated; a width or translated that is not an integer
+    is refused, not truncated."""
+    width = n if width is None else operator.index(width)
     if not 1 <= width <= n:
         raise ValueError(f"width must be in [1, {n}], got {width}")
-    translated = int(translated)
+    translated = operator.index(translated)
     if not 0 <= translated <= MAX_WIDTH - n:
         raise ValueError(f"translated must be in [0, {MAX_WIDTH - n}] for a {n}-bit "
                          f"function under the {MAX_WIDTH}-bit cap, got {translated}")

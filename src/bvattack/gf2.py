@@ -181,7 +181,11 @@ class Eliminator:
         return len(self.rows)
 
     def absorb(self, w: int, c: int = 0) -> None:
-        """Add the constraint x . w = c."""
+        """Add the constraint x . w = c, for a w of `width` bits and a bit c;
+        anything else is refused before a row is stored (a wider w would
+        count towards rank == width without cutting the solution set)."""
+        if w >> self.width or c not in (0, 1):
+            raise ValueError(f"constraint ({w}, {c}) needs a {self.width}-bit vector and a bit")
         rows = self.rows
         while w:
             p = (w & -w).bit_length() - 1

@@ -15,13 +15,16 @@ searches split the eliminator by the row (w0, 0) or (w0, 1) (`_boolean_sets`),
 the vector search intersects it across output bits.
 
 Sample streams are keyed (seed,) for a single boolean function and (seed, j)
-for output bit j of a vector function, so runs replay exactly.  The vector
-searches and the impossible search (`attacks`) take their per-bit samplers
-from `bv.component_samplers`, a butterfly per block of output bits.
+for output bit j of a vector function, so runs replay exactly.  The vector,
+common-zero and impossible searches take their per-bit samplers from
+`bv.component_samplers`, a butterfly per block of output bits.  Every search
+takes (F, p, seed, ledger); the vector and impossible searches then take
+solve_width and translated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .boolfn import BooleanFunction, VectorFunction
@@ -35,9 +38,11 @@ __all__ = [
     "ComponentEvidence",
     "VectorStructureResult",
     "ZeroStructureResult",
+    "ImpossibleCertificate",
     "find_boolean_structures",
     "find_vector_structures",
     "find_common_zero_structure",
+    "find_impossible_differential",
 ]
 
 
@@ -52,11 +57,12 @@ def default_sample_count(width: int) -> int:
 
 def search_shape(m: int, width: int | None, p: int | None) -> tuple[int, int]:
     """(width, p) of a search over an m-bit input: width defaults to m and
-    must lie in [1, m], p defaults to 4 * width and must be positive."""
-    w = m if width is None else int(width)
+    must lie in [1, m], p defaults to 4 * width and must be positive; both
+    must be integers, so a float is refused, not truncated."""
+    w = m if width is None else operator.index(width)
     if not 1 <= w <= m:
         raise ValueError(f"solve_width must be in [1, {m}], got {width}")
-    p = default_sample_count(w) if p is None else int(p)
+    p = default_sample_count(w) if p is None else operator.index(p)
     if p < 1:
         raise ValueError(f"sample count must be positive, got {p}")
     return w, p
@@ -236,3 +242,39 @@ def find_common_zero_structure(
     inter = elim.solution()
     a = inter.smallest_nonzero() if found else None
     return ZeroStructureResult(found, a, inter, j, p)
+
+
+@dataclass(frozen=True)
+class ImpossibleCertificate:
+    """Claim: output bit j of a keyed family never changes by `forbidden`
+    along input difference a, for any key."""
+
+    j: int
+    a: int
+    forbidden: int
+
+
+def find_impossible_differential(
+    F: VectorFunction,
+    p: int | None = None,
+    seed: int = 0,
+    ledger: QueryLedger | None = None,
+    solve_width: int | None = None,
+    translated: int = 0,
+) -> ImpossibleCertificate | None:
+    """Per-bit impossible differential search on a keyed family F(x || k).
+
+    Each output bit is a boolean structure search over the leading
+    solve_width input bits.  A direction in its zero set certifies the
+    derivative bit is constant 0, i.e. the value 1 is forbidden; one in its
+    one set certifies 0 is forbidden.  The first output bit with a nonzero
+    candidate wins, with its smallest candidate; None when no bit has one.
+    solve_width and translated are as in find_vector_structures.
+    """
+    width, p = search_shape(F.m, solve_width, p)
+    for j, sampler in enumerate(component_samplers(F, seed, ledger, width, translated), 1):
+        cand = _boolean_sets(sampler, width, p).smallest_candidate()
+        if cand is not None:
+            a, i = cand
+            return ImpossibleCertificate(j, a, 1 - i)
+    return None

@@ -7,19 +7,22 @@ cipher pieces, per-component samplers) get independent, reproducible streams.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["seeded_rng", "flat_key"]
 
 
 def flat_key(*parts) -> tuple[int, ...]:
-    """Flatten ints and nested int tuples, at any depth, into one rng key tuple."""
+    """Flatten ints and nested int tuples, at any depth, into one rng key tuple;
+    a part that is not an integer (a float, whole or not) is refused."""
     out: list[int] = []
     for p in parts:
         if isinstance(p, (tuple, list)):
             out.extend(flat_key(*p))
         else:
-            out.append(int(p))
+            out.append(operator.index(p))
     return tuple(out)
 
 

@@ -36,12 +36,9 @@ import numpy as np
 
 from bvattack.attacks import (
     DifferentialAttackReport,
-    ImpossibleCertificate,
-    ImpossibleFindReport,
     ImpossibleSieveReport,
     KeyCounterTable,
     SmallProbabilityReport,
-    find_impossible_differential,
 )
 from bvattack.boolfn import (
     MAX_WIDTH,
@@ -55,10 +52,12 @@ from bvattack.ciphers import _KINDS, CipherFile, _parse_kv
 from bvattack.gf2 import Eliminator, LinearSystem, constancy_set, dot, intersect, solve
 from bvattack.lsfind import (
     ComponentEvidence,
+    ImpossibleCertificate,
     VectorStructureResult,
     ZeroStructureResult,
     _absorb_samples,
     _constancy,
+    find_impossible_differential,
     find_vector_structures,
     search_shape,
 )
@@ -486,10 +485,11 @@ def per_bit_zero_search(F, p=None, seed=0, ledger=None) -> ZeroStructureResult:
     return ZeroStructureResult(found, inter.smallest_nonzero() if found else None, inter, j, p)
 
 
-def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindReport:
+def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleCertificate | None:
     """find_impossible_differential as per-bit draws and two solves per bit:
     a nonzero solution of {a . w = 0} forbids the derivative value 1, one of
-    {a . w = 1} forbids 0; the first bit with either gives the smallest."""
+    {a . w = 1} forbids 0; the first bit with either gives the smallest, and
+    None when no bit has one."""
     for j in range(1, G.n + 1):
         ws = BvSampler(G.component(j), (seed, j), width=x_bits).draw(p).tolist()
         cands = []
@@ -498,8 +498,8 @@ def chained_impossible_search(G, x_bits: int, p: int, seed) -> ImpossibleFindRep
             if a is not None:
                 cands.append((a, 1 - c))
         if cands:
-            return ImpossibleFindReport(True, ImpossibleCertificate(j, *min(cands)), p)
-    return ImpossibleFindReport(False, None, p)
+            return ImpossibleCertificate(j, *min(cands))
+    return None
 
 
 # Every toy cipher shape of n <= 7 and rounds <= 4 within the table cap
@@ -566,19 +566,18 @@ def impossible_attack_full_family(public, etable, seed, pairs=None, p=None):
     """impossible_attack with its search on the whole keyed family G, the
     certificate checked by certificate_valid_direct."""
     n = public.n
-    pairs = 4 * n if pairs is None else pairs
+    p, pairs = (4 * n if p is None else p), (4 * n if pairs is None else pairs)
     G = toy_reduced_family(public)
     ledger = QueryLedger()
-    res = find_impossible_differential(G, n, seed, p=p, ledger=ledger)
+    cert = find_impossible_differential(G, p, seed, ledger, solve_width=n)
     every = tuple(range(1 << n))
-    if not res.found:
-        return ImpossibleSieveReport(False, None, None, every, pairs, res.p, ledger.snapshot())
-    cert = res.certificate
+    if cert is None:
+        return ImpossibleSieveReport(False, None, None, every, pairs, p, ledger.snapshot())
     valid = certificate_valid_direct(G.table, n, public.key_bits, cert.j, cert.a, cert.forbidden)
     if not valid or pairs == 0:
-        return ImpossibleSieveReport(True, cert, valid, every, pairs, res.p, ledger.snapshot())
+        return ImpossibleSieveReport(True, cert, valid, every, pairs, p, ledger.snapshot())
     diffs = _pair_differences_direct(public, etable, cert.a, pairs, seed)
     ledger.add_classical(2 * pairs)
     alive = tuple(s for s in every
                   if all((d >> (n - cert.j)) & 1 != cert.forbidden for d in diffs[s]))
-    return ImpossibleSieveReport(True, cert, True, alive, pairs, res.p, ledger.snapshot())
+    return ImpossibleSieveReport(True, cert, True, alive, pairs, p, ledger.snapshot())

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from bvattack.attacks import (
     InsufficientDataError,
+    KeyCounterTable,
     differential_attack,
     differential_match_counts,
     distinguish_feistel,
-    find_impossible_differential,
     impossible_attack,
     impossible_certificate_valid,
     key_fraction_meeting,
@@ -33,6 +33,7 @@ from bvattack.ciphers import (
     toy_zero_key_family,
 )
 from bvattack.experiments import planted_vector
+from bvattack.lsfind import ImpossibleCertificate, default_sample_count, find_impossible_differential
 from bvattack.rng import seeded_rng
 
 from oracles import (
@@ -276,12 +277,11 @@ def test_impossible_search_finds_planted_certificate():
     tc = ToyCipher.generate(4, "weak", seed=350)
     G = toy_reduced_family(tc.public)
     led = QueryLedger()
-    rep = find_impossible_differential(G, 4, seed=351, ledger=led)
-    assert rep.found
-    cert = rep.certificate
+    cert = find_impossible_differential(G, seed=351, ledger=led, solve_width=4)
+    assert cert is not None
     assert cert.j == 1  # first component already carries the planted relation
     assert cert.a == 3
-    assert led.quantum == rep.p  # stopped after one component
+    assert led.quantum == default_sample_count(4)  # stopped after one component
     assert impossible_certificate_valid(G, cert)
 
 
@@ -292,7 +292,7 @@ def test_impossible_search_equals_chained_reference(m, n, key, data):
     G = planted_vector(m, n, rng)[0] if planted else random_vector_function(m, n, rng)
     x_bits = data.draw(st.integers(1, m))
     p = data.draw(st.integers(1, 4 * x_bits))
-    got = find_impossible_differential(G, x_bits, (key, 359), p=p)
+    got = find_impossible_differential(G, p, (key, 359), solve_width=x_bits)
     assert got == chained_impossible_search(G, x_bits, p, (key, 359))
 
 
@@ -300,7 +300,7 @@ def test_impossible_search_on_toy_families_equals_chained_reference():
     for t, kind in enumerate(("weak", "strong", "weak", "strong")):
         G = toy_reduced_family(ToyCipher.generate(4, kind, seed=(360, t)).public)
         for p in (1, 3, 16):
-            got = find_impossible_differential(G, 4, (361, t), p=p)
+            got = find_impossible_differential(G, p, (361, t), solve_width=4)
             assert got == chained_impossible_search(G, 4, p, (361, t))
 
 
@@ -309,9 +309,9 @@ def _impossible_equals_chained(G, x_bits, p, seed, translated=0, family=None):
     reference reports on `family` (G itself by default), and charges p
     quantum queries per output bit it searched."""
     led = QueryLedger()
-    got = find_impossible_differential(G, x_bits, seed, p, led, translated)
+    got = find_impossible_differential(G, p, seed, led, solve_width=x_bits, translated=translated)
     assert got == chained_impossible_search(G if family is None else family, x_bits, p, seed)
-    searched = got.certificate.j if got.found else G.n
+    searched = G.n if got is None else got.j
     assert led.snapshot() == {"quantum": p * searched, "classical": 0}
     return got
 
@@ -326,16 +326,16 @@ def test_impossible_search_blocks_equal_the_per_bit_reference(monkeypatch, k):
     G0 = toy_zero_key_family(pub)
     monkeypatch.setattr(bv, "_BLOCK_CELLS", k << G0.m)
     got = _impossible_equals_chained(G0, 4, 16, 351, 4, toy_reduced_family(pub))
-    assert got.certificate.j == 1
+    assert got.j == 1
 
     x = np.arange(64)
     words = random_vector_function(6, 6, seeded_rng(362)).table.astype(np.int64)
     words = words & ~0b000100 | (np.bitwise_count(x & 0b101001) & 1) << 2
     monkeypatch.setattr(bv, "_BLOCK_CELLS", k << 6)
     got = _impossible_equals_chained(VectorFunction(6, 6, words), 6, 24, 363)
-    assert got.certificate.j == 4
+    assert got.j == 4
     got = _impossible_equals_chained(random_vector_function(6, 6, seeded_rng(364)), 6, 24, 365)
-    assert not got.found
+    assert got is None
 
 
 def test_certificate_validity_against_manual_sweep():
@@ -351,7 +351,6 @@ def test_certificate_validity_against_manual_sweep():
                     return False
         return True
 
-    from bvattack.attacks import ImpossibleCertificate
     for j, a, i in ((1, 3, 1), (1, 3, 0), (2, 3, 1), (1, 1, 0), (3, 5, 1)):
         cert = ImpossibleCertificate(j, a, i)
         assert impossible_certificate_valid(toy_reduced_family(pub), cert) == manual(j, a, i)
@@ -418,8 +417,6 @@ def _traced_peak(fn, *args) -> int:
 def test_keyed_family_sweeps_stay_within_two_tables():
     """The all-keys sweeps read G as its 2^n x 2^kb matrix of rows, so one
     gathered copy of G is the only table-sized array they build."""
-    from bvattack.attacks import ImpossibleCertificate
-
     G = toy_reduced_family(ToyCipher.generate(6, "weak", seed=370).public)
     bound = 2 * G.table.nbytes
     assert _traced_peak(impossible_certificate_valid, G, ImpossibleCertificate(1, 3, 1)) <= bound
@@ -445,7 +442,6 @@ def test_keyed_family_sweeps_match_oracles(n, rounds, key, data):
     alpha = data.draw(st.integers(0, (1 << n) - 1))
     assert differential_match_counts(G, a, alpha).tolist() == keyed_match_counts_direct(
         G.table, n, kb, a, alpha)
-    from bvattack.attacks import ImpossibleCertificate
     for j in range(1, n + 1):
         for forbidden in (0, 1):
             assert impossible_certificate_valid(G, ImpossibleCertificate(j, a, forbidden)) == \
@@ -471,8 +467,6 @@ def test_key_guess_blocks_leave_the_reports_unchanged(monkeypatch):
 
 
 def test_keyed_family_sweeps_reject_directions_outside_the_data_half():
-    from bvattack.attacks import ImpossibleCertificate
-
     G = toy_reduced_family(ToyCipher.generate(4, "weak", seed=371).public)
     for a in (1 << 4, -1):
         with pytest.raises(ValueError, match="direction"):
@@ -520,7 +514,6 @@ def test_certificate_check_rejects_bits_it_cannot_certify(monkeypatch):
     """A certificate whose j is not an output bit of G, or whose forbidden
     value is not a bit, is refused before the sweep reads G."""
     import bvattack.attacks as attacks
-    from bvattack.attacks import ImpossibleCertificate
 
     G = toy_reduced_family(ToyCipher.generate(4, "weak", seed=358).public)
 
@@ -538,8 +531,6 @@ def test_all_keys_checks_on_the_zero_key_slice_equal_the_keyed_family(preset, n,
     """Along a data difference, D_a G(x || k1 || k') = D_a G0(x ^ k1 || k'):
     G's per-key match counts are G0's repeated for every k1, so key fractions
     and certificate sweeps answer the same on G0 as on the whole family G."""
-    from bvattack.attacks import ImpossibleCertificate
-
     pub = ToyCipher.generate(n, preset, seed=(390, n, rounds), rounds=rounds).public
     G, G0 = toy_reduced_family(pub), toy_zero_key_family(pub)
     fractions = set()
@@ -601,12 +592,51 @@ def test_small_probability_no_report_charges_only_the_search():
     assert rep.queries["classical"] == 0
 
 
+def test_attacks_refuse_non_integer_counts_before_any_query(monkeypatch):
+    """recover_em_key(..., p=6.9) used to report p = 6, and a float q or l set
+    small_probability_attack's default p, which was then truncated.  Each
+    attack refuses a float p, pair count, q or l before the ledger moves."""
+    charged = []
+    for kind in ("quantum", "classical"):
+        monkeypatch.setattr(QueryLedger, f"add_{kind}",
+                            lambda self, count=1, kind=kind: charged.append((kind, count)))
+    em = EvenMansour.random(5, seed=312)
+    fe = Feistel3.random(3, seed=313)
+    tc = ToyCipher.generate(4, "weak", seed=314)
+    toy = (tc.public, tc.encrypt_table())
+    for attack, args, kw in (
+            (recover_em_key, (em.perm_table(), em.encrypt_table()), {"p": 6.9}),
+            (distinguish_feistel, (fe.encrypt_table(),), {"p": 4.0}),
+            (differential_attack, toy, {"q": 2, "p": 2.7}),
+            (differential_attack, toy, {"q": 2, "pairs": 8.5}),
+            (differential_attack, toy, {"q": 2.5}),
+            (small_probability_attack, toy, {"q": 1.5, "l": 2}),
+            (small_probability_attack, toy, {"q": 1, "l": 2.0}),
+            (small_probability_attack, toy, {"q": 1, "l": 2, "p": 9.5}),
+            (impossible_attack, toy, {"pairs": 1.5}),
+            (impossible_attack, toy, {"p": 16.0})):
+        with pytest.raises(TypeError):
+            attack(*args, seed=315, **kw)
+    assert charged == []
+    assert recover_em_key(em.perm_table(), em.encrypt_table(), seed=315, p=np.int64(3)) == \
+        recover_em_key(em.perm_table(), em.encrypt_table(), seed=315, p=3)
+
+
+def test_key_counter_rate_refuses_keys_outside_the_table():
+    # rate(-1) used to read the last key's count
+    table = KeyCounterTable((1, 2, 3, 4), 2, 3)
+    assert [table.rate(s) for s in range(4)] == [Fraction(s + 1, 6) for s in range(4)]
+    for s in (-1, 4, -5):
+        with pytest.raises(ValueError, match=f"got {s}"):
+            table.rate(s)
+
+
 def test_impossible_attack_validation():
     tc = ToyCipher.generate(4, "weak", seed=357)
     with pytest.raises(ValueError):
         impossible_attack(tc.public, tc.encrypt_table(), seed=1, pairs=-1)
     G = toy_reduced_family(tc.public)
     with pytest.raises(ValueError):
-        find_impossible_differential(G, 0, seed=1)
+        find_impossible_differential(G, seed=1, solve_width=0)
     with pytest.raises(ValueError):
-        find_impossible_differential(G, 4, seed=1, p=0)
+        find_impossible_differential(G, p=0, seed=1, solve_width=4)

@@ -1,5 +1,6 @@
 """Spectral and structure primitives against definitional oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,32 @@ def test_vector_derivative_table_matches_loop(m, n, key, data):
 
 
 # --- containers and validation -----------------------------------------------
+
+
+def test_spectrum_value_refuses_outcomes_outside_the_spectrum():
+    # value(-1) used to wrap to the coefficient of the all-ones w
+    spec = walsh_spectrum(AND2)
+    assert [spec.value(w) for w in range(4)] == [Fraction(1, 2)] * 3 + [Fraction(-1, 2)]
+    for w in (-1, 4, -4):
+        with pytest.raises(ValueError, match=f"got {w}"):
+            spec.value(w)
+
+
+def test_derivative_table_refuses_widths_outside_the_input():
+    """A width above F's input bits used to fail in numpy's reshape, and a
+    negative one with "negative shift count"; both are refused by name
+    before any table-sized array is made."""
+    F = random_vector_function(20, 4, seeded_rng(12))
+    for width in (21, 64, 0, -1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"width must be in \\[1, 20\\], got {width}"):
+                derivative_table(F, 0, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < F.table.nbytes // 16, width
+    assert derivative_table(F.component(1), 1, 1).shape == (2, 1 << 19)
 
 
 def test_width_guard():

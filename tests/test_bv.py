@@ -242,6 +242,33 @@ def test_truncated_width_validation():
             BvSampler(f, (35,), width=width)
 
 
+def test_non_integer_widths_and_seed_keys_are_refused():
+    """A float width, translated or key part used to be truncated: width=1.5
+    built a 1-bit sampler, translated=1.5 acted as 1 and seeded_rng(1.5) gave
+    the stream of key (1,).  Each is refused before a draw is charged;
+    numpy integers and bools stay integers, with the streams of their values."""
+    f = random_boolean_function(4, seeded_rng(34))
+    F = random_vector_function(4, 3, seeded_rng(39))
+    led = QueryLedger()
+    for kw in ({"width": 1.5}, {"width": 2.0}, {"translated": 1.5}, {"translated": 1.0}):
+        with pytest.raises(TypeError):
+            BvSampler(f, (35,), led, **kw)
+        with pytest.raises(TypeError):
+            next(component_samplers(F, 35, led, **kw))
+    for key in ((1.5,), (2.0,), ((3, 0.5), 1), (np.float64(4),)):
+        with pytest.raises(TypeError):
+            seeded_rng(*key)
+    # a float count used to charge the ledger 2.5 queries before numpy refused it
+    s = BvSampler(f, (35,), led)
+    for call in (s.draw, s.sample_set, led.add_quantum, led.add_classical):
+        with pytest.raises(TypeError):
+            call(2.5)
+    assert led.snapshot() == {"quantum": 0, "classical": 0}
+    want = BvSampler(f, (35, 1), width=2, translated=1).sample_set(9)
+    assert BvSampler(f, (np.int64(35), True), width=np.uint8(2),
+                     translated=np.int32(1)).sample_set(9) == want
+
+
 # --- translated sampler: the keyed family from its zero-key slice ------------
 
 

@@ -101,6 +101,21 @@ def test_width_bounds():
         LinearSystem(2, ((4, 0),))  # vector outside width
 
 
+def test_absorb_refuses_rows_outside_the_width_and_non_bit_constants():
+    """On width 3, absorbing 8, 16 and 32 used to reach rank == width while
+    solution() stayed the whole space, and absorb(1, 2) failed only later,
+    in solution(); both are refused before a row is stored."""
+    e = Eliminator(3)
+    for w, c in ((8, 0), (16, 0), (32, 1), (-1, 0), (1, 2), (1, -1), (0, 3)):
+        with pytest.raises(ValueError, match=f"\\({w}, {c}\\) needs a 3-bit vector and a bit"):
+            e.absorb(w, c)
+    assert (e.rank, e.consistent) == (0, True)
+    assert e.solution().size == 8
+    e.absorb(7, 1)
+    e.absorb(0, 0)
+    assert e.solution() == solve(LinearSystem(3, ((7, 1),)))
+
+
 # --- randomized agreement with the brute-force oracle -----------------------
 
 systems = st.integers(min_value=1, max_value=8).flatmap(

@@ -14,7 +14,6 @@ from bvattack.boolfn import (
     random_vector_function,
 )
 from bvattack import bv
-from bvattack.attacks import find_impossible_differential
 from bvattack.bv import BvSampler, QueryLedger
 from bvattack.ciphers import ToyCipher, random_permutation, toy_zero_key_family
 from bvattack.experiments import example_quadratic, inner_product_function, planted_boolean, planted_vector
@@ -25,6 +24,7 @@ from bvattack.lsfind import (
     default_sample_count,
     find_boolean_structures,
     find_common_zero_structure,
+    find_impossible_differential,
     find_vector_structures,
 )
 from bvattack.gf2 import AffineSolutionSet, Eliminator, LinearSystem, solve
@@ -168,6 +168,26 @@ def test_sample_count_validation():
         find_boolean_structures(f, p=0, seed=1)
     with pytest.raises(ValueError):
         find_vector_structures(VectorFunction(2, 2, np.arange(4)), p=-3, seed=1)
+
+
+def test_non_integer_sample_counts_and_widths_are_refused():
+    """find_vector_structures(F, p=2.7) used to search, charge and report
+    p = 2.  Every search refuses a float p, solve_width or translated before
+    the ledger moves, and reads a numpy integer as its value."""
+    f, F = example_quadratic(), random_vector_function(4, 3, seeded_rng(51))
+    led = QueryLedger()
+    bad = [(find_boolean_structures, f, {"p": 2.7}), (find_boolean_structures, f, {"p": 3.0})]
+    for search in (find_vector_structures, find_common_zero_structure,
+                   find_impossible_differential):
+        bad.append((search, F, {"p": 2.7}))
+    for search in (find_vector_structures, find_impossible_differential):
+        bad += [(search, F, {"solve_width": 2.5}), (search, F, {"translated": 1.5})]
+    for search, fn, kw in bad:
+        with pytest.raises(TypeError):
+            search(fn, seed=52, ledger=led, **kw)
+    assert led.snapshot() == {"quantum": 0, "classical": 0}
+    assert find_vector_structures(F, p=np.int64(3), seed=52, solve_width=np.uint8(2)) == \
+        find_vector_structures(F, p=3, seed=52, solve_width=2)
 
 
 def test_boolean_search_query_accounting():
@@ -344,7 +364,8 @@ def test_searches_on_the_zero_key_slice_equal_the_keyed_family(preset, n, rounds
         runs.append((
             find_vector_structures(F, p, (key, 49), ledgers[0], n, translated=t),
             _boolean_sets(BvSampler(F.component(j), (key, 50), ledgers[1], n, t), n, p),
-            find_impossible_differential(F, n, (key, 51), p, ledgers[2], translated=t),
+            find_impossible_differential(F, p, (key, 51), ledgers[2], solve_width=n,
+                                         translated=t),
             [led.snapshot() for led in ledgers],
         ))
     assert runs[1] == runs[0]

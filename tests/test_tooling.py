@@ -212,13 +212,37 @@ def test_no_search_builds_samplers_from_component_tables():
     # from bv.component_samplers, one butterfly per block of output bits; a
     # build through VectorFunction.component copies a bit table and runs a
     # butterfly per bit.  BvSampler.__init__ and component stay, as the
-    # per-bit entry and the benchmark's hooks.
+    # per-bit entry and the benchmark's hooks.  bv builds samplers, lsfind
+    # alone reads them (the boolean search builds its one sampler itself),
+    # and no other module, attacks included, builds one.
     assert _calls("F.component(1)\nc = F.component\nbv.component_samplers(F, 1)\n",
                   {"component"}) == [1]
-    for name, searches in (("lsfind", 2), ("attacks", 1)):
-        source = (ROOT / "src" / "bvattack" / f"{name}.py").read_text()
-        assert _calls(source, {"component"}) == [], name
-        assert len(_calls(source, {"component_samplers"})) == searches, name
+    assert _calls("BvSampler(f, 1)\nBvSampler.__new__(BvSampler)\nbv.BvSampler(f, 2)\n",
+                  {"BvSampler"}) == [1, 3]
+    for path in sorted((ROOT / "src" / "bvattack").glob("*.py")):
+        source = path.read_text()
+        per_bit, blocked = (1, 3) if path.stem == "lsfind" else (0, 0)
+        if path.stem in ("lsfind", "attacks"):
+            assert _calls(source, {"component"}) == [], path.name
+        assert len(_calls(source, {"BvSampler"})) == per_bit, path.name
+        assert len(_calls(source, {"component_samplers"})) == blocked, path.name
+
+
+def test_searches_share_one_signature():
+    # every structure search takes (F, p, seed, ledger) first, and the two
+    # that search a truncated or translated input end with the same two
+    # keywords, so one call shape drives any of them (the toy attacks pass
+    # their search to one search phase)
+    from bvattack import lsfind
+
+    searches = sorted(name for name in lsfind.__all__ if name.startswith("find_"))
+    assert searches == ["find_boolean_structures", "find_common_zero_structure",
+                        "find_impossible_differential", "find_vector_structures"]
+    for name in searches:
+        params = list(inspect.signature(getattr(lsfind, name)).parameters)
+        assert params[1:4] == ["p", "seed", "ledger"], name
+        if name in ("find_impossible_differential", "find_vector_structures"):
+            assert params[4:] == ["solve_width", "translated"], name
 
 
 def _definitions(source: str, names: set[str]) -> list[str]:
