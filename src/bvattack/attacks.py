@@ -287,7 +287,10 @@ def differential_attack(public: ToyCipherPublic, etable: VectorFunction, seed,
 def differential_match_counts(G: VectorFunction, a: int, alpha: int) -> np.ndarray:
     """Exhaustive per-key counts of x with F_k(x ^ a) = F_k(x) ^ alpha, over
     a keyed family G(x || k) with G.n data bits (on a toy slice G0, those of
-    the keys 0 || k', which every first round key k1 repeats)."""
+    the keys 0 || k', which every first round key k1 repeats), once alpha is
+    checked to be an n-bit word (before any table is made)."""
+    if not 0 <= alpha < 1 << G.n:
+        raise ValueError(f"differential counts need an {G.n}-bit alpha, got {alpha}")
     d = derivative_table(G, a, G.n)
     counts = np.zeros(d.shape[1], dtype=np.int64)
     for row in d:  # one row at a time, so no table-sized comparison exists

@@ -125,8 +125,9 @@ def _set_blocks(count: int, support: int):
 # output bit's, when that is more) in one butterfly.  Best of five in-process
 # runs on a 2-core VM, budget 2^10 / 2^13 / 2^16 / 2^19: T5 (8 bits of 2^8
 # cells) 315 / 273 / 293 / 336 ms, T7 (6 bits of 2^12) 124 / 112 / 110 / 118
-# ms, an 18-bit recover_em_key 127 / 113 / 122 / 181 ms; 2^13 to 2^16 read
-# alike within the VM's noise, and 2^19 puts two 18-bit tables in a block.
+# ms (both timed before _wht ran its short strides on a transposed copy), an
+# 18-bit recover_em_key 64 / 66 / 64 / 121 ms; 2^13 to 2^16 read alike within
+# the VM's noise, and 2^19 puts two 18-bit tables in a block.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -178,7 +179,7 @@ class BvSampler:
         # and searching the squares).
         if width == n:
             col = rows[:, 0]
-            support = col.nonzero()[0]
+            support = (col != 0).nonzero()[0]
             masses = np.square(col[support], dtype=np.int64)
         else:
             masses = np.einsum("ij,ij->i", rows, rows,

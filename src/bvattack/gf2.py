@@ -12,6 +12,7 @@ representations, and the offset of a non-empty set is its smallest member.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -170,6 +171,8 @@ class Eliminator:
     __slots__ = ("width", "rows", "consistent")
 
     def __init__(self, width: int) -> None:
+        # a width that is not an integer is refused here, not inside absorb
+        width = operator.index(width)
         if not 1 <= width <= MAX_SYSTEM_WIDTH:
             raise ValueError(f"width must be in [1, {MAX_SYSTEM_WIDTH}], got {width}")
         self.width = width

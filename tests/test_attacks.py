@@ -477,6 +477,28 @@ def test_keyed_family_sweeps_reject_directions_outside_the_data_half():
             impossible_certificate_valid(G, ImpossibleCertificate(1, a, 1))
 
 
+def test_keyed_family_sweeps_reject_alphas_outside_the_output(monkeypatch):
+    """An alpha outside [0, 2^n) used to give all-zero counts (16 and -13)
+    and a fraction of 1 (99 at threshold 0); it is refused, as key ranking
+    refuses it, before any derivative table is made."""
+    import bvattack.attacks
+
+    G0 = toy_zero_key_family(ToyCipher.generate(4, "weak", seed=378).public)
+    good = differential_match_counts(G0, 3, 15)
+
+    def unreachable(*args):
+        raise AssertionError("a derivative table was made")
+
+    monkeypatch.setattr(bvattack.attacks, "derivative_table", unreachable)
+    for alpha in (16, -13, 99, -1):
+        with pytest.raises(ValueError, match=f"4-bit alpha, got {alpha}"):
+            differential_match_counts(G0, 3, alpha)
+        with pytest.raises(ValueError, match=f"4-bit alpha, got {alpha}"):
+            key_fraction_meeting(G0, 3, alpha, Fraction(0))
+    monkeypatch.undo()
+    assert differential_match_counts(G0, 3, 15).tolist() == good.tolist()
+
+
 def test_over_budget_arguments_fail_before_the_family_is_tabulated(monkeypatch):
     import bvattack.attacks
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from bvattack import bv
+from bvattack import boolfn, bv
 from bvattack.boolfn import (
     MAX_WIDTH,
     BooleanFunction,
@@ -233,6 +233,56 @@ def test_butterfly_reaches_each_narrow_limit(dtype, w):
         want[a, j] = (1 - 2 * c) << w
     assert np.array_equal(wht_radix2(b.copy()), want)
     assert np.array_equal(_wht(b), want)
+
+
+# Column counts on both sides of the run constant: with boolfn._RUN = 64 the
+# low stages of 1, 3, 12 and 63 columns cover lo = 6, 5, 3 and 1 row bits on
+# the transposed copy, and 64 or 65 columns run in place (lo = 0); rows from
+# 2^1 to 2^18 give both parities of hi, and lo >= w below 2^lo rows.  At most
+# 2^22 cells are made, so 63 to 65 columns stop at 2^15 or 2^16 rows.
+_WHT_COLUMNS = (1, 3, 12, boolfn._RUN - 1, boolfn._RUN, boolfn._RUN + 1)
+
+
+@pytest.mark.parametrize("cols", _WHT_COLUMNS)
+def test_butterfly_matches_the_radix2_reference_on_both_layouts(cols):
+    for w in range(1, 19):
+        if cols << w > 1 << 22:
+            break
+        b = (1 - 2 * seeded_rng(38, w, cols).integers(0, 2, size=(1 << w, cols))).astype(
+            np.int16 if w <= 14 else np.int32)
+        want = wht_radix2(b.copy())
+        assert _wht(b) is b
+        assert np.array_equal(b, want), w
+
+
+@pytest.mark.parametrize("dtype", _WHT_TYPES)
+def test_butterfly_keeps_each_type_on_the_transposed_copy(dtype):
+    # 3 columns (lo = 5) and 1-D arrays, up to the widest w whose 2^w-fold sum
+    # of the largest entries the type still holds
+    for w in range(1, min(18, np.iinfo(dtype).bits - 2) + 1):
+        top = int(np.iinfo(dtype).max) >> w
+        for shape in ((1 << w, 3), (1 << w,)):
+            b = seeded_rng(39, w, len(shape)).integers(
+                -top, top, size=shape, endpoint=True).astype(dtype)
+            want = wht_radix2(b.copy())
+            got = _wht(b)
+            assert got is b and got.dtype == dtype
+            assert np.array_equal(got, want), (w, shape)
+
+
+def test_butterfly_reaches_the_int32_limit_of_an_18_bit_column():
+    # the shape of attack-em's samplers: one 2^18-row int32 sign column, here
+    # affine forms (-1)^(a . x ^ c), whose transforms are one entry +-2^18
+    w = 18
+    x = np.arange(1 << w)
+    forms = [(0, 0), (0, 1), (1, 0), (1 << (w - 1), 1), ((1 << w) - 1, 0), (0x2d2d5, 1)]
+    for a, c in forms:
+        b = 1 - 2 * ((np.bitwise_count(x & a) & 1) ^ c).astype(np.int32).reshape(-1, 1)
+        want = np.zeros(b.shape, dtype=np.int64)
+        want[a, 0] = (1 - 2 * c) << w
+        assert np.array_equal(wht_radix2(b.copy()), want)
+        assert _wht(b) is b
+        assert np.array_equal(b, want), (a, c)
 
 
 def test_truncated_width_validation():

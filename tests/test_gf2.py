@@ -1,5 +1,6 @@
 """Exact GF(2) solver tests against a try-every-point oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -114,6 +115,19 @@ def test_absorb_refuses_rows_outside_the_width_and_non_bit_constants():
     e.absorb(7, 1)
     e.absorb(0, 0)
     assert e.solution() == solve(LinearSystem(3, ((7, 1),)))
+
+
+def test_eliminator_refuses_a_width_that_is_not_an_integer():
+    """Eliminator(3.0) used to be built and fail only in absorb, on a float
+    shift; a float width is refused at construction, and an integer width of
+    any integer type is read as a Python int."""
+    for width in (3.0, 2.5, "3"):
+        with pytest.raises(TypeError):
+            Eliminator(width)
+    e = Eliminator(np.int64(3))
+    assert type(e.width) is int and e.width == 3
+    e.absorb(5, 1)
+    assert e.solution() == solve(LinearSystem(3, ((5, 1),)))
 
 
 # --- randomized agreement with the brute-force oracle -----------------------
