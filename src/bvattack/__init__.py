@@ -19,7 +19,6 @@ from .boolfn import (
     MAX_WIDTH,
     BooleanFunction,
     VectorFunction,
-    WalshSpectrum,
     load_function,
     save_function,
     walsh_spectrum,
@@ -27,7 +26,7 @@ from .boolfn import (
 from .bv import BvSampler, QueryLedger
 from .ciphers import EvenMansour, Feistel3, ToyCipher, load_cipher, save_cipher
 from .experiments import ExperimentConfig, run_experiment
-from .gf2 import AffineSolutionSet, EnumerationCapError
+from .gf2 import AffineSolutionSet
 from .lsfind import (
     ImpossibleCertificate,
     find_boolean_structures,
@@ -44,7 +43,6 @@ __all__ = [
     "BvSampler",
     "DifferentialAttackReport",
     "EmKeyRecoveryReport",
-    "EnumerationCapError",
     "EvenMansour",
     "ExperimentConfig",
     "Feistel3",
@@ -57,7 +55,6 @@ __all__ = [
     "SmallProbabilityReport",
     "ToyCipher",
     "VectorFunction",
-    "WalshSpectrum",
     "differential_attack",
     "distinguish_feistel",
     "find_boolean_structures",

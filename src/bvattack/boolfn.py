@@ -30,7 +30,6 @@ __all__ = [
     "MAX_WIDTH",
     "BooleanFunction",
     "VectorFunction",
-    "WalshSpectrum",
     "walsh_spectrum",
     "autocorrelation",
     "derivative_table",
@@ -154,32 +153,6 @@ class VectorFunction:
         return f"VectorFunction(m={self.m}, n={self.n})"
 
 
-class WalshSpectrum:
-    """Exact integer Walsh coefficients of a boolean function."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs) -> None:
-        _check_width(n, "n")
-        c = np.ascontiguousarray(coeffs, dtype=np.int64)
-        if c.shape != (1 << n,):
-            raise ValueError(f"spectrum must have 2^{n} entries, got shape {c.shape}")
-        c.setflags(write=False)
-        self.n = n
-        self.coeffs = c
-
-    def value(self, w: int) -> Fraction:
-        """The normalized coefficient S_f(w) as an exact rational."""
-        return Fraction(_entry(self.coeffs, w), 1 << self.n)
-
-    def support(self) -> np.ndarray:
-        """All w with nonzero coefficient (the possible sampler outcomes)."""
-        return np.flatnonzero(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"WalshSpectrum(n={self.n})"
-
-
 # A pass whose stride is under this many entries runs on the transposed copy
 # of _wht, where numpy iterates it in long runs.  On a 2-core Xeon VM (2 MiB
 # L2 per core), a (2^18, 1) int32 butterfly took 3.6 ms flat, its passes at
@@ -274,19 +247,37 @@ def _butterfly(words: np.ndarray, shifts: np.ndarray, width: int) -> np.ndarray:
 _NO_SHIFT = np.zeros((1, 1), dtype=np.uint8)
 
 
-def walsh_spectrum(f: BooleanFunction) -> WalshSpectrum:
-    """Integer Walsh transform of f: its narrow sign butterfly, widened to int64."""
-    return WalshSpectrum(f.n, _butterfly(f.table.reshape(-1, 1, 1), _NO_SHIFT, f.n)[:, 0])
+def walsh_spectrum(f: BooleanFunction) -> np.ndarray:
+    """Integer Walsh transform of f: the read-only int64 array of the 2^n
+    coefficients W[w], its narrow sign butterfly widened once."""
+    w = _butterfly(f.table.reshape(-1, 1, 1), _NO_SHIFT, f.n)[:, 0]
+    w = np.ascontiguousarray(w, dtype=np.int64)
+    w.setflags(write=False)
+    return w
 
 
-def autocorrelation(spec: WalshSpectrum) -> np.ndarray:
-    """C(a) = sum_x (-1)^(f(x) + f(x ^ a)) for every direction a, exact.
+def _spectrum_width(W) -> int:
+    """n of a spectrum W: a 1-D array of an integer type with 2^n entries,
+    1 <= n <= MAX_WIDTH.  Anything else is refused before an array is made."""
+    if not isinstance(W, np.ndarray) or W.ndim != 1 or W.dtype.kind not in "iu":
+        raise ValueError(f"spectrum must be a 1-D integer array, got {type(W).__name__} "
+                         f"of shape {getattr(W, 'shape', None)}, type {getattr(W, 'dtype', None)}")
+    size = len(W)
+    if not 2 <= size <= 1 << MAX_WIDTH or size & (size - 1):
+        raise ValueError(f"spectrum must have 2^n entries, 1 <= n <= {MAX_WIDTH}, got {size}")
+    return size.bit_length() - 1
+
+
+def autocorrelation(W: np.ndarray) -> np.ndarray:
+    """C(a) = sum_x (-1)^(f(x) + f(x ^ a)) for every direction a, exact,
+    from f's spectrum W; the squares are taken in int64, whatever W's type.
 
     C = WHT(W^2) / 2^n (Wiener-Khinchin), so one more butterfly yields every
     derivative count: f(x ^ a) ^ f(x) is 1 on (2^n - C(a)) / 2 inputs.
     """
-    c = _wht(spec.coeffs * spec.coeffs)
-    c >>= spec.n
+    n = _spectrum_width(W)
+    c = _wht(np.multiply(W, W, dtype=np.int64))
+    c >>= n
     return c
 
 
@@ -361,14 +352,17 @@ def vector_structures_exhaustive(F: VectorFunction) -> list[tuple[int, int]]:
     return [(a, int(alpha[a])) for a in np.flatnonzero(joint).tolist()]
 
 
-def restricted_spectral_mass(spec: WalshSpectrum, a: int, i: int) -> int:
-    """Sum of squared integer coefficients over {w : w . a = i}, exact."""
+def restricted_spectral_mass(W: np.ndarray, a: int, i: int) -> int:
+    """Sum of the squared coefficients of the spectrum W over {w : w . a = i},
+    exact, for a direction a of W's n bits."""
+    n = _spectrum_width(W)
     if i not in (0, 1):
         raise ValueError(f"mask value must be a bit, got {i}")
-    ws = np.arange(1 << spec.n)
-    sel = (np.bitwise_count(ws & a) & 1) == i
-    c = spec.coeffs[sel]
-    return int(np.sum(c * c))
+    if not 0 <= a < 1 << n:
+        raise ValueError(f"direction {a:#x} does not fit in {n} bits")
+    sel = (np.bitwise_count(np.arange(1 << n) & a) & 1) == i
+    c = W[sel]
+    return int(np.sum(np.multiply(c, c, dtype=np.int64)))
 
 
 def random_boolean_function(n: int, rng: np.random.Generator) -> BooleanFunction:

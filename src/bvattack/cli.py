@@ -91,8 +91,7 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
     fn = load_function(args.fn)
     if not isinstance(fn, BooleanFunction):
         raise ValueError("spectrum expects a single-output function file")
-    spec = walsh_spectrum(fn)
-    coeffs = spec.coeffs
+    coeffs = walsh_spectrum(fn)
     max_abs = max(int(coeffs.max()), -int(coeffs.min()))
     result = {
         "n": fn.n,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -40,7 +41,6 @@ from .boolfn import (
     MAX_WIDTH,
     BooleanFunction,
     VectorFunction,
-    WalshSpectrum,
     autocorrelation,
     derivative_count,
     derivative_table,
@@ -144,6 +144,9 @@ class ExperimentConfig:
     variant: str = "default"
 
     def __post_init__(self) -> None:
+        # a float n, trials or seed would fail mid-run; numpy ints and bools become ints
+        for name in ("n", "trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.which not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.which!r}")
         if self.variant not in _VARIANTS:
@@ -262,7 +265,7 @@ def _joint_defect(F: VectorFunction, a: int, alpha: int) -> float:
     return 1.0 - match / (1 << F.m)
 
 
-def _survival_union(spectra: list[WalshSpectrum], width: int, p: int) -> float:
+def _survival_union(spectra: list[np.ndarray], width: int, p: int) -> float:
     """Sum over nonzero directions a of the leading `width` input bits of
     the exact chance that a survives p samples of every component, the
     product of q0^p + q1^p.  q1(a) is the squared mass on {w : w . a = 1},
@@ -270,11 +273,11 @@ def _survival_union(spectra: list[WalshSpectrum], width: int, p: int) -> float:
     sum is the expected number of nonzero candidates (|U^0| + |U^1| - 1 for
     one boolean f).  Python's float power keeps T2's bound bytes; numpy's
     q ** p can differ in the last bit."""
-    m = spectra[0].n
+    autos = [autocorrelation(spec) for spec in spectra]
+    m = len(autos[0]).bit_length() - 1
     shift = m - width
     mass = 1 << (2 * m)
     total = float(mass)
-    autos = [autocorrelation(spec) for spec in spectra]
     union = 0.0
     for a in range(1, 1 << width):
         prod = 1.0

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "MAX_SYSTEM_WIDTH",
-    "EnumerationCapError",
     "dot",
     "LinearSystem",
     "AffineSolutionSet",
@@ -30,10 +29,6 @@ __all__ = [
 ]
 
 MAX_SYSTEM_WIDTH = 64
-
-
-class EnumerationCapError(Exception):
-    """Raised when a full enumeration would exceed the caller's cap."""
 
 
 def dot(u: int, v: int) -> int:
@@ -66,14 +61,6 @@ class LinearSystem:
             if c not in (0, 1):
                 raise ValueError(f"constraint value must be a bit, got {c}")
         object.__setattr__(self, "constraints", rows)
-
-
-def _reduce(v: int, basis: Sequence[int]) -> int:
-    """Reduce v against an RREF basis, clearing every pivot bit it can."""
-    for b in basis:
-        if (v >> (b.bit_length() - 1)) & 1:
-            v ^= b
-    return v
 
 
 @dataclass(frozen=True)
@@ -128,12 +115,6 @@ class AffineSolutionSet:
         """True when the set contains no nonzero vector."""
         return self.is_empty or (self.offset == 0 and not self.basis)
 
-    def contains(self, v: int) -> bool:
-        if self.is_empty:
-            return False
-        _check_vector(v, self.width)
-        return _reduce(v ^ self.offset, self.basis) == 0
-
     def smallest_nonzero(self) -> int | None:
         """Smallest nonzero member in lexicographic (= numeric) order."""
         if self.is_empty:
@@ -143,20 +124,6 @@ class AffineSolutionSet:
         if self.basis:
             return min(self.basis)
         return None
-
-    def members(self, cap: int = 4096) -> list[int]:
-        """All members in ascending order; refuses when size exceeds cap."""
-        if self.is_empty:
-            return []
-        if self.size > cap:
-            raise EnumerationCapError(
-                f"solution set has {self.size} members, enumeration capped at {cap}"
-            )
-        out = [self.offset]
-        for b in self.basis:
-            out.extend(v ^ b for v in list(out))
-        out.sort()
-        return out
 
 
 class Eliminator:

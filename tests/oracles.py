@@ -140,6 +140,26 @@ def solve_affine_direct(width: int, constraints) -> list:
     return out
 
 
+def members(s) -> list:
+    """Every member of the AffineSolutionSet s in ascending order: offset ^
+    the XOR of each of the 2^k subsets of its k basis vectors; [] if empty."""
+    if s.is_empty:
+        return []
+    out = []
+    for pick in range(1 << len(s.basis)):
+        v = s.offset
+        for i, b in enumerate(s.basis):
+            if (pick >> i) & 1:
+                v ^= b
+        out.append(v)
+    return sorted(out)
+
+
+def contains(s, v: int) -> bool:
+    """Whether v is a member of the AffineSolutionSet s, by enumeration."""
+    return v in members(s)
+
+
 def constancy_direct(width: int, ws) -> tuple[int, int, list]:
     """(rank, w0, rows) of the rows w ^ w0 over every sample w in draw order,
     w0 the first sample: plain elimination on each row's highest set bit,
@@ -394,7 +414,7 @@ def chi_square_statistic(observed, expected) -> float:
 def full_spectrum_draws(f, seed_key: tuple, count: int) -> np.ndarray:
     """`count` outcomes of the full n-bit measurement: uniform integers from
     the sampler's seeded stream, searched against the cumulative W[w]^2."""
-    coeffs = walsh_spectrum(f).coeffs
+    coeffs = walsh_spectrum(f)
     support = np.flatnonzero(coeffs)
     cum = np.cumsum(coeffs[support] ** 2)
     u = seeded_rng(seed_key).integers(0, 4 ** f.n, size=count, dtype=np.int64)

@@ -58,32 +58,32 @@ ZERO3 = fn(3, [0] * 8)
 
 def test_spectrum_of_linear_function():
     # f(x)=x1 at n=2: all mass on w=10
-    assert walsh_spectrum(LINEAR_X1).coeffs.tolist() == [0, 0, 4, 0]
+    assert walsh_spectrum(LINEAR_X1).tolist() == [0, 0, 4, 0]
 
 
 def test_spectrum_of_constant_zero():
     # constant 0 puts all mass on w=0
-    assert walsh_spectrum(ZERO3).coeffs.tolist() == [8, 0, 0, 0, 0, 0, 0, 0]
+    assert walsh_spectrum(ZERO3).tolist() == [8, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_spectrum_of_and():
     # x1 x2: normalized values (1/2, 1/2, 1/2, -1/2)
-    spec = walsh_spectrum(AND2)
-    assert spec.coeffs.tolist() == [2, 2, 2, -2]
-    assert spec.value(3) == Fraction(-1, 2)
+    W = walsh_spectrum(AND2)
+    assert W.tolist() == [2, 2, 2, -2]
+    assert Fraction(int(W[3]), 4) == Fraction(-1, 2)
 
 
 def test_spectrum_of_quadratic_example():
     # x1 x2 + x3: support exactly on odd w (w3 = 1)
-    spec = walsh_spectrum(QUAD3)
-    assert spec.coeffs.tolist() == [0, 4, 0, 4, 0, 4, 0, -4]
-    assert sorted(spec.support().tolist()) == [1, 3, 5, 7]
+    W = walsh_spectrum(QUAD3)
+    assert W.tolist() == [0, 4, 0, 4, 0, 4, 0, -4]
+    assert np.flatnonzero(W).tolist() == [1, 3, 5, 7]
 
 
 @given(st.integers(1, 8), st.integers(0, 2**30))
 def test_spectrum_matches_direct_sum(n, key):
     f = random_boolean_function(n, seeded_rng(key, 1))
-    assert walsh_spectrum(f).coeffs.tolist() == walsh_spectrum_direct(f.table, n)
+    assert walsh_spectrum(f).tolist() == walsh_spectrum_direct(f.table, n)
 
 
 @pytest.mark.parametrize("n", [6, 7, 14, 15])
@@ -93,7 +93,7 @@ def test_spectrum_at_the_type_bounds(n):
     one coefficient (-1)^c 2^n, at a, held in a read-only int64 array."""
     x = np.arange(1 << n)
     for a, c in ((0, 0), (0, 1), (1, 0), (1 << (n - 1), 1), ((1 << n) - 1, 0)):
-        coeffs = walsh_spectrum(BooleanFunction(n, (np.bitwise_count(x & a) & 1) ^ c)).coeffs
+        coeffs = walsh_spectrum(BooleanFunction(n, (np.bitwise_count(x & a) & 1) ^ c))
         assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
         assert np.flatnonzero(coeffs).tolist() == [a]
         assert int(coeffs[a]) == (1 - 2 * c) << n
@@ -101,7 +101,7 @@ def test_spectrum_at_the_type_bounds(n):
 
 def test_spectrum_equals_the_int64_reference_at_15_bits():
     f = random_boolean_function(15, seeded_rng(3))
-    coeffs = walsh_spectrum(f).coeffs
+    coeffs = walsh_spectrum(f)
     assert coeffs.dtype == np.int64 and not coeffs.flags.writeable
     assert np.array_equal(coeffs, walsh_spectrum_int64(f.table))
 
@@ -109,7 +109,7 @@ def test_spectrum_equals_the_int64_reference_at_15_bits():
 @given(st.integers(1, 10), st.integers(0, 2**30))
 def test_parseval_exact(n, key):
     f = random_boolean_function(n, seeded_rng(key, 2))
-    coeffs = walsh_spectrum(f).coeffs.astype(object)
+    coeffs = walsh_spectrum(f).astype(object)
     assert int((coeffs ** 2).sum()) == 4 ** n
 
 
@@ -170,8 +170,7 @@ def test_restricted_mass_identity(n, key, data):
     f = random_boolean_function(n, seeded_rng(key, 5))
     a = data.draw(st.integers(1, (1 << n) - 1))
     i = data.draw(st.integers(0, 1))
-    spec = walsh_spectrum(f)
-    mass = restricted_spectral_mass(spec, a, i)
+    mass = restricted_spectral_mass(walsh_spectrum(f), a, i)
     assert mass == restricted_mass_direct(f.table, n, a, i)
     assert mass == (1 << n) * derivative_count(f, a, i)
 
@@ -204,15 +203,6 @@ def test_vector_derivative_table_matches_loop(m, n, key, data):
 # --- containers and validation -----------------------------------------------
 
 
-def test_spectrum_value_refuses_outcomes_outside_the_spectrum():
-    # value(-1) used to wrap to the coefficient of the all-ones w
-    spec = walsh_spectrum(AND2)
-    assert [spec.value(w) for w in range(4)] == [Fraction(1, 2)] * 3 + [Fraction(-1, 2)]
-    for w in (-1, 4, -4):
-        with pytest.raises(ValueError, match=f"got {w}"):
-            spec.value(w)
-
-
 def test_derivative_table_refuses_widths_outside_the_input():
     """A width above F's input bits used to fail in numpy's reshape, and a
     negative one with "negative shift count"; both are refused by name
@@ -228,6 +218,46 @@ def test_derivative_table_refuses_widths_outside_the_input():
             tracemalloc.stop()
         assert peak < F.table.nbytes // 16, width
     assert derivative_table(F.component(1), 1, 1).shape == (2, 1 << 19)
+
+
+def _peak_of_refusal(read, spec, match: str) -> int:
+    """The peak traced bytes of `read(spec)`, which must raise ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            read(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_readers_refuse_what_is_not_a_spectrum():
+    """autocorrelation and restricted_spectral_mass read n from the length of
+    a spectrum W; a W that is not a 1-D array of an integer type with 2^n
+    entries, 1 <= n <= MAX_WIDTH, is refused before any array is made."""
+    W = walsh_spectrum(random_boolean_function(14, seeded_rng(13)))
+    too_long = np.broadcast_to(np.int64(0), (2 << MAX_WIDTH,))  # no memory behind it
+    bad = [W.reshape(2, -1), W.astype(np.float64), W > 0, W.tolist(), W[:-1], W[:3], W[:1],
+           W[:0], too_long]
+    for read in (autocorrelation, lambda spec: restricted_spectral_mass(spec, 1, 0)):
+        for spec in bad:
+            assert _peak_of_refusal(read, spec, "spectrum must") < W.nbytes // 16
+    # the squares are taken in int64: a narrow copy of W reads as W does
+    narrow = W.astype(np.int16)
+    assert np.array_equal(autocorrelation(narrow), autocorrelation(W))
+    assert restricted_spectral_mass(narrow, 5, 1) == restricted_spectral_mass(W, 5, 1)
+
+
+def test_restricted_mass_refuses_directions_outside_the_spectrum():
+    # on a 3-bit spectrum, a = 8 with i = 0 used to return the whole mass 64,
+    # and a = -1 with i = 1 the mass on odd-weight w, as if a were all ones
+    W = walsh_spectrum(QUAD3)
+    assert restricted_spectral_mass(W, 7, 0) + restricted_spectral_mass(W, 7, 1) == 64
+    big = walsh_spectrum(random_boolean_function(16, seeded_rng(14)))
+    for spec, a, i in ((W, 8, 0), (W, -1, 1), (W, 1 << 40, 0), (big, 1 << 16, 1)):
+        n = len(spec).bit_length() - 1
+        assert _peak_of_refusal(lambda s: restricted_spectral_mass(s, a, i), spec,
+                                f"direction {a:#x} does not fit in {n} bits") < 1 << 12
 
 
 def test_width_guard():

@@ -77,7 +77,7 @@ def test_linear_function_recovers_its_vector():
 @given(st.integers(1, 8), st.integers(0, 2**30))
 def test_outcomes_stay_on_spectrum_support(n, key):
     f = random_boolean_function(n, seeded_rng(key, 10))
-    support = set(walsh_spectrum(f).support().tolist())
+    support = set(np.flatnonzero(walsh_spectrum(f)).tolist())
     out = BvSampler(f, (key, 11)).draw(64)
     assert set(out.tolist()) <= support
 
@@ -197,7 +197,7 @@ def test_butterfly_along_rows_is_walsh_per_column(n, cols, key):
     fs = [random_boolean_function(n, seeded_rng(key, 33, c)) for c in range(cols)]
     got = _wht(np.stack([1 - 2 * f.table.astype(np.int64) for f in fs], axis=1))
     for c, f in enumerate(fs):
-        assert got[:, c].tolist() == walsh_spectrum(f).coeffs.tolist()
+        assert got[:, c].tolist() == walsh_spectrum(f).tolist()
 
 
 _WHT_TYPES = (np.int8, np.int16, np.int32, np.int64)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bvattack.boolfn import linear_structures_exhaustive, vector_structures_exhaustive
@@ -73,6 +74,18 @@ def test_config_validation():
             ExperimentConfig(which=which, n=4, trials=100, seed=1, variant="bogus")
         for variant in ("default", "random", "bent"):
             ExperimentConfig(which=which, n=4, trials=100, seed=1, variant=variant)
+
+
+def test_config_refuses_non_integer_shapes_and_seeds():
+    # a float n used to build and then fail in run_experiment with "unsupported
+    # operand type(s) for <<", and a float trials with "'float' object cannot be
+    # interpreted as an integer"
+    for bad in ({"n": 8.0}, {"trials": 30.0}, {"seed": 1.0}, {"n": 8.5}, {"seed": "1"}):
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{"which": "T5", "n": 8, "trials": 30, "seed": 1, **bad})
+    # numpy integers and bools are integers, held as ints so the report is JSON
+    cfg = ExperimentConfig("T5", n=np.int64(8), trials=np.uint16(30), seed=True)
+    assert [(v, type(v)) for v in (cfg.n, cfg.trials, cfg.seed)] == [(8, int), (30, int), (1, int)]
 
 
 def test_strong_toy_rejects_widths_without_a_strong_sbox(monkeypatch):

@@ -105,15 +105,20 @@ def test_no_unused_imports():
         assert _unused_imports(path.read_text()) == [], path.name
 
 
-def _unreferenced_names(sources: dict[str, str], outside: dict[str, str]) -> list[str]:
-    """Module-level names of `sources` that nothing uses.  A private name (a
-    leading underscore, not a dunder) is used where any module of `sources`
-    references it by name, attribute or import.  A public function or class
-    is used where a module of `sources` other than `__init__` references it
-    by name or attribute, or an `outside` file (a script or the benchmark,
-    which names what it patches in strings) by name, attribute or string; a
-    re-export in `__init__` or an `__all__` string is no use."""
-    defined, used, used_public = [], set(), set()
+def _unreferenced_names(sources: dict[str, str], outside: dict[str, str],
+                        traced: frozenset = frozenset()) -> list[str]:
+    """Module-level names of `sources` that nothing uses, then the public
+    methods and properties of their public classes that nothing uses.  A
+    private name (a leading underscore, not a dunder) is used where any
+    module of `sources` references it by name, attribute or import.  A public
+    function or class is used where a module of `sources` other than
+    `__init__` references it by name or attribute, or an `outside` file (a
+    script or the benchmark, which names what it patches in strings) by name,
+    attribute or string; a re-export in `__init__` or an `__all__` string is
+    no use.  A method is used where a module of `sources` or an `outside` file
+    reads it as an attribute, or where its (class, method) pair is in
+    `traced`, the methods the benchmark patches; a string is no use."""
+    defined, methods, used, used_public, attrs = [], [], set(), set(), set()
     for module, source in {**sources, **outside}.items():
         tree = ast.parse(source)
         refs = set()
@@ -122,6 +127,7 @@ def _unreferenced_names(sources: dict[str, str], outside: dict[str, str]) -> lis
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and module in sources:
                 used.update(alias.name for alias in node.names)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -144,11 +150,17 @@ def _unreferenced_names(sources: dict[str, str], outside: dict[str, str]) -> lis
             public = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             defined += [(module, name) for name in names if not name.startswith("__")
                         and (name.startswith("_") or public)]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods += [(module, node.name, m.name) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not m.name.startswith("_")]
     return [f"{module}.{name}" for module, name in defined
-            if name not in (used if name.startswith("_") else used_public)]
+            if name not in (used if name.startswith("_") else used_public)] + [
+        f"{module}.{cls}.{name}" for module, cls, name in methods
+        if name not in attrs and (cls, name) not in traced]
 
 
-# Public functions and classes that only tests call, each with why it stays.
+# Public functions, classes and methods that only tests call, each with why it stays.
 _TESTS_ONLY_PUBLIC = {
     "boolfn.restricted_spectral_mass": "the sampler-law acceptance criterion the acceptance "
                                        "suite states its check in",
@@ -157,21 +169,26 @@ _TESTS_ONLY_PUBLIC = {
 
 
 def test_no_dead_private_helpers():
-    # nor public ones: a function or class that only tests call lives in
-    # tests/oracles.py or is named above
+    # nor public ones: a function, class or method that only tests call lives
+    # in tests/oracles.py or is named above
     assert _unreferenced_names({
         "a": "def _used(): pass\ndef _dead(): pass\n_X = 1\n_Y: int = 2\n__v__ = 3\n"
              "def pub(): pass\nclass Pub: pass\ndef lone(): pass\ndef named(): pass\n"
-             "def inner(): pass\nP = 1\n__all__ = ['lone']\n",
-        "b": "from a import _used, named\nprint(_X, pub())\n",
+             "def inner(): pass\nP = 1\n__all__ = ['lone']\n"
+             "class C:\n    def read(self): pass\n    def value(self): pass\n"
+             "    def patched(self): pass\n    @property\n    def size(self): pass\n"
+             "    def _own(self): pass\nclass _D:\n    def dead(self): pass\n",
+        "b": "from a import _used, named, C, _D\nprint(_X, pub(), C().size)\n",
         "__init__": "from a import lone, inner\ninner()\n",
-    }, {"run.py": "import a\nx = a.Pub\ngetattr(a, 'named')\n"}) == [
-        "a._dead", "a._Y", "a.lone", "a.inner"]
+    }, {"run.py": "import a\nx = a.Pub\ngetattr(a, 'named')\ny = a.C.read\nz = {'value': 1}\n"},
+        frozenset({("C", "patched")})) == ["a._dead", "a._Y", "a.lone", "a.inner", "a.C.value"]
     src = ROOT / "src" / "bvattack"
     sources = {p.stem: p.read_text() for p in sorted(src.glob("*.py"))}
     outside = {str(p.relative_to(ROOT)): p.read_text()
                for p in sorted([*(ROOT / "scripts").glob("*.py"), *PERFBENCH.glob("*.py")])}
-    assert sorted(_unreferenced_names(sources, outside)) == sorted(_TESTS_ONLY_PUBLIC)
+    # read the way test_traced_names_resolve reads it
+    traced = frozenset((cls_name, attr) for _, cls_name, attr, *_ in _tracing_module().METHODS)
+    assert sorted(_unreferenced_names(sources, outside, traced)) == sorted(_TESTS_ONLY_PUBLIC)
 
 
 def _calls(source: str, names: set[str]) -> list[int]:
