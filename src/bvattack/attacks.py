@@ -180,7 +180,7 @@ def _toy_search(public: ToyCipherPublic, etable: VectorFunction, seed, p: int | 
     bits, p and the pair count checked against the per-call budget, the
     encryption table checked to map n-bit blocks, and only then the slice G0
     of the keyed family G(x || k) at first round key 0, which `search` reads
-    with translated = n to sample G itself.  Returns (p, G0, ledger, result)."""
+    for G's marginal law.  Returns (p, G0, ledger, result)."""
     n = public.n
     _, p = search_shape(n, n, p)
     check_draw_budget(p)
@@ -189,7 +189,7 @@ def _toy_search(public: ToyCipherPublic, etable: VectorFunction, seed, p: int | 
         raise ValueError(f"etable maps {etable.m} to {etable.n} bits, not {n} to {n}")
     G0 = toy_zero_key_family(public)
     ledger = QueryLedger()
-    return p, G0, ledger, search(G0, p, seed, ledger, solve_width=n, translated=n)
+    return p, G0, ledger, search(G0, p, seed, ledger, solve_width=n)
 
 
 # Cells per block of the key-guess matrix, unless one guess alone has more

@@ -18,6 +18,7 @@ Widths are capped at 24 bits; every table here is dense.
 from __future__ import annotations
 
 import io
+import operator
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -287,10 +288,11 @@ def derivative_table(f: BooleanFunction | VectorFunction, a: int,
     (all of them by default), words for a vector f and bits for a boolean f, as
     2^width rows: D[x, k] for a keyed family G(x || k) at width G.n."""
     bits = len(f.table).bit_length() - 1
-    width = bits if width is None else width
+    width = bits if width is None else operator.index(width)
     if not 1 <= width <= bits:
         raise ValueError(f"width must be in [1, {bits}], got {width}")
     rows = 1 << width
+    a = operator.index(a)
     if not 0 <= a < rows:
         raise ValueError(f"direction {a:#x} does not fit in {width} bits")
     t = f.table.reshape(rows, -1)

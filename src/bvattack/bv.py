@@ -26,14 +26,9 @@ row's sum of squares shifted left by n - width (Parseval on the key axis).
 These masses still sum to 4^n and truncation keeps the support's order, so the
 same uniform draws yield exactly the full draws shifted right by n - width.
 
-A family F(z || k) = f(z ^ c(k)) on n + t bits, whose t key bits k only
-translate f's input (c is any map to n-bit words, such as the toy cipher's
-first round key: G(x || k1 || k') = G0(x ^ k1 || k')), has f's marginal law:
-a translation multiplies each Walsh coefficient by a sign, so each of F's 2^t
-columns per column of f carries f's squared row spectrum.  F's row masses are
-2^t times f's and its Parseval shift is n + t - width, so with `translated=t`
-the sampler built on f shifts by n - width + 2t and gives F's cumulative
-masses, uniforms, draws and stream, from a table 2^t times smaller.
+A family F(z || k) = f(z ^ c(k)) whose key bits only translate f's input, as
+G(x || k1 || k') = G0(x ^ k1 || k'), has f's marginal law (a translation only
+signs Walsh coefficients), so the toy searches sample G0 as any other table.
 
 The vector, common-zero and impossible searches read the output bits of an
 m-bit F, so `component_samplers` builds their samplers k bits at a time,
@@ -53,7 +48,7 @@ import operator
 
 import numpy as np
 
-from .boolfn import MAX_WIDTH, BooleanFunction, VectorFunction, _NO_SHIFT, _butterfly
+from .boolfn import BooleanFunction, VectorFunction, _NO_SHIFT, _butterfly
 from .rng import seeded_rng
 
 __all__ = ["MAX_DRAWS", "QueryLedger", "BvSampler", "check_draw_budget",
@@ -131,19 +126,13 @@ def _set_blocks(count: int, support: int):
 _BLOCK_CELLS = 1 << 16
 
 
-def _sampler_shape(n: int, width: int | None, translated: int) -> tuple[int, int]:
-    """(width, shift) of a sampler over an n-bit function: width defaults to n
-    and lies in [1, n], and the cumulative masses are shifted left by
-    n - width + 2 * translated; a width or translated that is not an integer
-    is refused, not truncated."""
+def _sampler_width(n: int, width: int | None) -> int:
+    """The width of a sampler over an n-bit function: n by default, else in
+    [1, n]; a width that is not an integer is refused, not truncated."""
     width = n if width is None else operator.index(width)
     if not 1 <= width <= n:
         raise ValueError(f"width must be in [1, {n}], got {width}")
-    translated = operator.index(translated)
-    if not 0 <= translated <= MAX_WIDTH - n:
-        raise ValueError(f"translated must be in [0, {MAX_WIDTH - n}] for a {n}-bit "
-                         f"function under the {MAX_WIDTH}-bit cap, got {translated}")
-    return width, n - width + 2 * translated
+    return width
 
 
 class BvSampler:
@@ -151,20 +140,18 @@ class BvSampler:
     transform (over the leading `width` bits only) when built, then one binary
     search over the support per draw, applied block by block.  draw writes
     each block's outcomes in place; sample_set only marks them, drawing block
-    by block until saturated.
-    translated = t samples the family that translates f's input by t key
-    bits, whose law is f's (see above).  `component_samplers` builds the
-    samplers of a vector function's output bits, a block per butterfly."""
+    by block until saturated.  `component_samplers` builds the samplers of a
+    vector function's output bits, a block per butterfly."""
 
     __slots__ = ("n", "outcomes", "ledger", "_cum", "_rng")
 
     def __init__(self, f: BooleanFunction, seed_key, ledger: QueryLedger | None = None,
-                 width: int | None = None, translated: int = 0) -> None:
-        width, shift = _sampler_shape(f.n, width, translated)
+                 width: int | None = None) -> None:
+        width = _sampler_width(f.n, width)
         rows = _butterfly(f.table.reshape(1 << width, 1, -1), _NO_SHIFT, width)
-        self._fill(rows, f.n, width, shift, seed_key, ledger)
+        self._fill(rows, f.n, width, seed_key, ledger)
 
-    def _fill(self, rows: np.ndarray, n: int, width: int, shift: int, seed_key,
+    def _fill(self, rows: np.ndarray, n: int, width: int, seed_key,
               ledger: QueryLedger | None) -> None:
         """Set the outcomes, cumulative masses, stream and ledger of the sampler
         whose transformed signs are `rows`, 2^width rows of 2^(n - width)."""
@@ -189,7 +176,7 @@ class BvSampler:
         self.n = width
         self.outcomes = support.astype(np.int64, copy=False)
         self._cum = np.cumsum(masses, dtype=np.int64)
-        self._cum <<= shift
+        self._cum <<= n - width
         self._rng = seeded_rng(seed_key)
         self.ledger = ledger
 
@@ -244,15 +231,15 @@ class BvSampler:
 
 
 def component_samplers(F: VectorFunction, seed, ledger: QueryLedger | None = None,
-                       width: int | None = None, translated: int = 0):
-    """Yield BvSampler(F.component(j), (seed, j), ledger, width, translated)
+                       width: int | None = None):
+    """Yield BvSampler(F.component(j), (seed, j), ledger, width)
     for j = 1, ..., F.n, equal to it in outcomes, cumulative masses and
     stream, with no component table made.  The samplers are built in blocks
     of k output bits, k from the cell budget _BLOCK_CELLS: one shift of the
     word table gives the block's bits, and one butterfly transforms them.  A
     block is built when its first sampler is asked for, so a search that
     stops early builds no later block."""
-    width, shift = _sampler_shape(F.m, width, translated)
+    width = _sampler_width(F.m, width)
     k = max(1, _BLOCK_CELLS >> F.m)
     words = F.table.reshape(1 << width, 1, -1)
     c = words.shape[2]
@@ -261,5 +248,5 @@ def component_samplers(F: VectorFunction, seed, ledger: QueryLedger | None = Non
         rows = _butterfly(words, np.array([[F.n - j] for j in js], words.dtype), width)
         for b, j in enumerate(js):
             sampler = BvSampler.__new__(BvSampler)
-            sampler._fill(rows[:, b * c:(b + 1) * c], F.m, width, shift, (seed, j), ledger)
+            sampler._fill(rows[:, b * c:(b + 1) * c], F.m, width, (seed, j), ledger)
             yield sampler

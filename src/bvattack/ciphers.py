@@ -27,6 +27,7 @@ boolfn word block.  They round-trip bit-exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -185,6 +186,7 @@ class EvenMansour:
     def __init__(self, n: int, perm, k1: int, k2: int) -> None:
         _check_width(n, "n")
         arr = _bijection(perm, n, "perm")
+        k1, k2 = operator.index(k1), operator.index(k2)
         if not (0 <= k1 < (1 << n) and 0 <= k2 < (1 << n)):
             raise ValueError("keys must be n-bit words")
         self.n = n
@@ -326,7 +328,7 @@ def toy_zero_key_family(public: ToyCipherPublic) -> VectorFunction:
     differential searches target; it is the attacker's own model of the
     cipher, so building it costs no oracle queries.  The first keyed round
     XORs k1 into the data, so G(x || k1 || k') = G0(x ^ k1 || k'): the searches
-    sample G from G0 with translated = n, and the all-keys checks read G0, as
+    sample G0, whose marginal law is G's, and the all-keys checks read G0, as
     D_a G takes G0's derivative values under every k1.  Built once per public
     algorithm, so T6's key-coverage check reads the table its attack built."""
     return public._zero_key_family
@@ -346,6 +348,7 @@ class ToyCipher:
 
     def __init__(self, public: ToyCipherPublic, preset: str, seed: int,
                  master_key: int, last_key: int) -> None:
+        master_key, last_key = operator.index(master_key), operator.index(last_key)
         if not 0 <= master_key < (1 << public.key_bits):
             raise ValueError("master key out of range")
         if not 0 <= last_key < (1 << public.n):

@@ -394,13 +394,13 @@ def _strong_toy_family(n: int, seed: int, ci: int) -> tuple[VectorFunction, int]
 def _run_t2_strong_toy(cfg: ExperimentConfig) -> ExperimentResult:
     """Strong-preset cipher variant: the joint search over data and key bits
     should answer No, at a rate matching the exact spectral survival odds.
-    Each family is read through its slice G0 (translated = n, as in the
-    attacks); C_G(a << 2n) = 2^n C_G0(a << n) keeps every survival odd."""
+    Each family is read through its slice G0, as in the attacks;
+    C_G(a << 2n) = 2^n C_G0(a << n) keeps every survival odd."""
     n = cfg.n
     p = 4 * n
     G0s, bumps = zip(*(_strong_toy_family(n, cfg.seed, ci) for ci in range(min(cfg.trials, 20))))
     check = _no_rate(cfg, G0s, lambda G0: [walsh_spectrum(G0.component(j)) for j in range(1, n + 1)],
-                     p, partial(find_vector_structures, solve_width=n, translated=n), 131)
+                     p, partial(find_vector_structures, solve_width=n), 131)
     details = {"variant": "strong-toy", "p": p, "exact_union_bound": check.bound,
                "rejected_sboxes": sum(bumps)}
     return ExperimentResult(cfg, (check,), details)

@@ -18,8 +18,7 @@ Sample streams are keyed (seed,) for a single boolean function and (seed, j)
 for output bit j of a vector function, so runs replay exactly.  The vector,
 common-zero and impossible searches take their per-bit samplers from
 `bv.component_samplers`, a butterfly per block of output bits.  Every search
-takes (F, p, seed, ledger); the vector and impossible searches then take
-solve_width and translated.
+takes (F, p, seed, ledger); the vector and impossible ones add solve_width.
 """
 
 from __future__ import annotations
@@ -178,7 +177,6 @@ def find_vector_structures(
     seed: int = 0,
     ledger: QueryLedger | None = None,
     solve_width: int | None = None,
-    translated: int = 0,
 ) -> VectorStructureResult:
     """Search for a joint structure (a, alpha) of a vector function.
 
@@ -190,15 +188,13 @@ def find_vector_structures(
     solve_width < m samples the leading solve_width bits of each outcome
     from their exact marginal law and searches directions of that width
     only: how an attack targets the data half of a (data || key) input.
-    p defaults to 4 * effective width.  translated = t searches the family
-    F'(z || k) = F(z ^ c(k)) on t further key bits, drawing exactly what a
-    search of F' draws (see bvattack.bv): how the toy attacks search G
-    through its slice G0.
+    p defaults to 4 * effective width.  The toy attacks search their keyed
+    family G through its slice G0, whose marginal law is G's (see bvattack.bv).
     """
     width, p = search_shape(F.m, solve_width, p)
     comps: list[ComponentEvidence] = []
     elim = Eliminator(width)
-    for j, sampler in enumerate(component_samplers(F, seed, ledger, width, translated), 1):
+    for j, sampler in enumerate(component_samplers(F, seed, ledger, width), 1):
         cset, pivot = _constancy(width, sampler.sample_set(p))
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
@@ -260,7 +256,6 @@ def find_impossible_differential(
     seed: int = 0,
     ledger: QueryLedger | None = None,
     solve_width: int | None = None,
-    translated: int = 0,
 ) -> ImpossibleCertificate | None:
     """Per-bit impossible differential search on a keyed family F(x || k).
 
@@ -269,10 +264,10 @@ def find_impossible_differential(
     derivative bit is constant 0, i.e. the value 1 is forbidden; one in its
     one set certifies 0 is forbidden.  The first output bit with a nonzero
     candidate wins, with its smallest candidate; None when no bit has one.
-    solve_width and translated are as in find_vector_structures.
+    solve_width is as in find_vector_structures.
     """
     width, p = search_shape(F.m, solve_width, p)
-    for j, sampler in enumerate(component_samplers(F, seed, ledger, width, translated), 1):
+    for j, sampler in enumerate(component_samplers(F, seed, ledger, width), 1):
         cand = _boolean_sets(sampler, width, p).smallest_candidate()
         if cand is not None:
             a, i = cand

@@ -23,14 +23,17 @@ reference that the block builds must equal in result and charge, also
 where a search stops early.  The whole keyed family G of a toy cipher is the
 package's all-keys matrix as one function, checked cell by cell against
 `reduced_encrypt_direct`; the package itself reads only its slice G0.  The
-full-family toy attacks run the package's searches on G, not on G0 with
-`translated`, and then rank or sieve the keys by plain loops.
+full-family toy attacks run the package's searches on G, not on G0, with
+G's samplers drawing over G0's range (`slice_range`), and then rank or sieve
+the keys by plain loops.
 """
 
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -333,6 +336,25 @@ def toy_reduced_family(public) -> VectorFunction:
                           public.reduced_encrypt_all_keys().reshape(-1))
 
 
+@contextmanager
+def slice_range(key_bits: int):
+    """Every sampler built in the block draws over a range 4^key_bits times
+    narrower: its cumulative masses are shifted right by 2 * key_bits, once
+    the dropped bits are checked to be zero.  G's masses are 4^n times G0's
+    (G's marginal law is G0's), so at key_bits = n a sampler on a component
+    of G has the cumulative masses, draws and stream of the sampler on the
+    same component of G0."""
+    fill = BvSampler._fill
+
+    def narrowed(self, *args):
+        fill(self, *args)
+        assert not (self._cum & ((1 << 2 * key_bits) - 1)).any()
+        self._cum >>= 2 * key_bits
+
+    with mock.patch.object(BvSampler, "_fill", narrowed):
+        yield
+
+
 def keyed_match_counts_direct(table, n: int, kb: int, a: int, alpha: int) -> list:
     """Per key k of a keyed family G(x || k), the number of data words x
     with G(x ^ a || k) ^ G(x || k) = alpha."""
@@ -463,15 +485,15 @@ def chained_zero_search(F, p: int, seed) -> ZeroStructureResult:
     return ZeroStructureResult(True, inter.smallest_nonzero(), inter, done, p)
 
 
-def per_bit_vector_search(F, p=None, seed=0, ledger=None, solve_width=None,
-                          translated=0) -> VectorStructureResult:
+def per_bit_vector_search(F, p=None, seed=0, ledger=None,
+                          solve_width=None) -> VectorStructureResult:
     """find_vector_structures with one sampler built per output bit, from
     F.component(j), and the package's running eliminator."""
     width, p = search_shape(F.m, solve_width, p)
     comps = []
     elim = Eliminator(width)
     for j in range(1, F.n + 1):
-        sampler = BvSampler(F.component(j), (seed, j), ledger, width, translated)
+        sampler = BvSampler(F.component(j), (seed, j), ledger, width)
         cset, pivot = _constancy(width, sampler.sample_set(p))
         comps.append(ComponentEvidence(j, pivot, 1 << (width - cset.rank), cset.rank == width))
         if comps[-1].trivial:
@@ -551,7 +573,8 @@ def differential_attack_full_family(public, etable, seed, q: int, p=None, pairs=
     n = public.n
     p, pairs = (4 * n if p is None else p), (8 * n if pairs is None else pairs)
     ledger = QueryLedger()
-    res = find_vector_structures(toy_reduced_family(public), p, seed, ledger, n)
+    with slice_range(n):
+        res = find_vector_structures(toy_reduced_family(public), p, seed, ledger, n)
     if not res.found:
         return DifferentialAttackReport(False, None, None, None, None, p, pairs, q,
                                         ledger.snapshot())
@@ -569,7 +592,8 @@ def small_probability_attack_full_family(public, etable, seed, q: int, l: int, p
     n = public.n
     p, pairs = (n ** 3 * l ** 2 * q ** 2 if p is None else p), l * l
     ledger = QueryLedger()
-    res = find_vector_structures(toy_reduced_family(public), p, seed, ledger, n)
+    with slice_range(n):
+        res = find_vector_structures(toy_reduced_family(public), p, seed, ledger, n)
     if not res.found:
         return SmallProbabilityReport(False, None, None, None, None, p, l, q, pairs,
                                       ledger.snapshot())
@@ -589,7 +613,8 @@ def impossible_attack_full_family(public, etable, seed, pairs=None, p=None):
     p, pairs = (4 * n if p is None else p), (4 * n if pairs is None else pairs)
     G = toy_reduced_family(public)
     ledger = QueryLedger()
-    cert = find_impossible_differential(G, p, seed, ledger, solve_width=n)
+    with slice_range(n):
+        cert = find_impossible_differential(G, p, seed, ledger, solve_width=n)
     every = tuple(range(1 << n))
     if cert is None:
         return ImpossibleSieveReport(False, None, None, every, pairs, p, ledger.snapshot())

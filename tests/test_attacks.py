@@ -44,6 +44,7 @@ from oracles import (
     impossible_attack_full_family,
     key_match_counts_direct,
     keyed_match_counts_direct,
+    slice_range,
     small_probability_attack_full_family,
     toy_reduced_family,
 )
@@ -304,13 +305,16 @@ def test_impossible_search_on_toy_families_equals_chained_reference():
             assert got == chained_impossible_search(G, 4, p, (361, t))
 
 
-def _impossible_equals_chained(G, x_bits, p, seed, translated=0, family=None):
+def _impossible_equals_chained(G, x_bits, p, seed, family=None):
     """find_impossible_differential on G reports what the per-bit chained
-    reference reports on `family` (G itself by default), and charges p
-    quantum queries per output bit it searched."""
+    reference reports on `family` (G itself by default, else a family on
+    more key bits drawing over G's range), and charges p quantum queries per
+    output bit it searched."""
     led = QueryLedger()
-    got = find_impossible_differential(G, p, seed, led, solve_width=x_bits, translated=translated)
-    assert got == chained_impossible_search(G if family is None else family, x_bits, p, seed)
+    got = find_impossible_differential(G, p, seed, led, solve_width=x_bits)
+    family = G if family is None else family
+    with slice_range(family.m - G.m):
+        assert got == chained_impossible_search(family, x_bits, p, seed)
     searched = G.n if got is None else got.j
     assert led.snapshot() == {"quantum": p * searched, "classical": 0}
     return got
@@ -325,7 +329,7 @@ def test_impossible_search_blocks_equal_the_per_bit_reference(monkeypatch, k):
     pub = ToyCipher.generate(4, "weak", seed=350).public
     G0 = toy_zero_key_family(pub)
     monkeypatch.setattr(bv, "_BLOCK_CELLS", k << G0.m)
-    got = _impossible_equals_chained(G0, 4, 16, 351, 4, toy_reduced_family(pub))
+    got = _impossible_equals_chained(G0, 4, 16, 351, toy_reduced_family(pub))
     assert got.j == 1
 
     x = np.arange(64)
@@ -578,8 +582,8 @@ def test_all_keys_checks_on_the_zero_key_slice_equal_the_keyed_family(preset, n,
 
 @pytest.mark.parametrize("which", ["T6", "T7", "T8"])
 def test_toy_attacks_equal_their_full_family_references(which):
-    """At the T6-T8 shapes, the attacks, which search the slice G0 with
-    translated = n, report what searching the whole keyed family G reports:
+    """At the T6-T8 shapes, the attacks, which search the slice G0, report
+    what searching the whole keyed family G over G0's range reports:
     the same draws, ledgers, counters and sieves, on Yes and No answers."""
     n, attack, reference, kws = {
         "T6": (4, differential_attack, differential_attack_full_family,

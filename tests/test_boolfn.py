@@ -1,5 +1,6 @@
 """Spectral and structure primitives against definitional oracles."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -209,26 +210,41 @@ def test_derivative_table_refuses_widths_outside_the_input():
     before any table-sized array is made."""
     F = random_vector_function(20, 4, seeded_rng(12))
     for width in (21, 64, 0, -1):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"width must be in \\[1, 20\\], got {width}"):
-                derivative_table(F, 0, width)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak_of_refusal(lambda w: derivative_table(F, 0, w), width,
+                                f"width must be in \\[1, 20\\], got {width}")
         assert peak < F.table.nbytes // 16, width
     assert derivative_table(F.component(1), 1, 1).shape == (2, 1 << 19)
 
 
-def _peak_of_refusal(read, spec, match: str) -> int:
-    """The peak traced bytes of `read(spec)`, which must raise ValueError."""
+def test_derivative_table_refuses_non_integer_directions():
+    """derivative_table(F, 1.5) used to make its 2^20-entry index array and
+    then fail in numpy with an unnamed TypeError; a float direction or width,
+    whole or not, is refused before any array is made, and numpy integers
+    read as their values."""
+    F = random_vector_function(20, 4, seeded_rng(12))
+    for a, width in ((1.5, None), (2.0, None), (np.float64(3), None), (0, 20.0)):
+        assert _peak_of_refusal(lambda x: derivative_table(F, x, width), a,
+                                "cannot be interpreted as an integer", TypeError) < 1 << 12
+    want = derivative_table(F, 5, 18)
+    assert np.array_equal(derivative_table(F, np.uint64(5), np.int8(18)), want)
+
+
+def _peak_of_refusal(read, spec, match: str, error=ValueError) -> int:
+    """The peak traced bytes of `read(spec)`, which must raise `error` with a
+    message matching `match`.  Only the call is traced: the message is matched
+    after tracing stops, since compiling its pattern allocates too."""
+    refusal = None
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=match):
-            read(spec)
-        return tracemalloc.get_traced_memory()[1]
+        read(spec)
+    except error as e:
+        refusal = e
     finally:
+        peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+    assert refusal is not None, f"{spec!r} was not refused"
+    assert re.search(match, str(refusal)), str(refusal)
+    return peak
 
 
 def test_spectrum_readers_refuse_what_is_not_a_spectrum():

@@ -11,7 +11,6 @@ from scipy import stats
 
 from bvattack import boolfn, bv
 from bvattack.boolfn import (
-    MAX_WIDTH,
     BooleanFunction,
     VectorFunction,
     _wht,
@@ -47,6 +46,7 @@ from oracles import (
     marginal_masses_direct,
     row_masses_einsum,
     sample_distribution_direct,
+    slice_range,
     toy_reduced_family,
     wht_radix2,
 )
@@ -293,18 +293,18 @@ def test_truncated_width_validation():
 
 
 def test_non_integer_widths_and_seed_keys_are_refused():
-    """A float width, translated or key part used to be truncated: width=1.5
-    built a 1-bit sampler, translated=1.5 acted as 1 and seeded_rng(1.5) gave
-    the stream of key (1,).  Each is refused before a draw is charged;
-    numpy integers and bools stay integers, with the streams of their values."""
+    """A float width or key part used to be truncated: width=1.5 built a
+    1-bit sampler and seeded_rng(1.5) gave the stream of key (1,).  Each is
+    refused before a draw is charged; numpy integers and bools stay integers,
+    with the streams of their values."""
     f = random_boolean_function(4, seeded_rng(34))
     F = random_vector_function(4, 3, seeded_rng(39))
     led = QueryLedger()
-    for kw in ({"width": 1.5}, {"width": 2.0}, {"translated": 1.5}, {"translated": 1.0}):
+    for width in (1.5, 2.0):
         with pytest.raises(TypeError):
-            BvSampler(f, (35,), led, **kw)
+            BvSampler(f, (35,), led, width)
         with pytest.raises(TypeError):
-            next(component_samplers(F, 35, led, **kw))
+            next(component_samplers(F, 35, led, width))
     for key in ((1.5,), (2.0,), ((3, 0.5), 1), (np.float64(4),)):
         with pytest.raises(TypeError):
             seeded_rng(*key)
@@ -314,12 +314,11 @@ def test_non_integer_widths_and_seed_keys_are_refused():
         with pytest.raises(TypeError):
             call(2.5)
     assert led.snapshot() == {"quantum": 0, "classical": 0}
-    want = BvSampler(f, (35, 1), width=2, translated=1).sample_set(9)
-    assert BvSampler(f, (np.int64(35), True), width=np.uint8(2),
-                     translated=np.int32(1)).sample_set(9) == want
+    want = BvSampler(f, (35, 1), width=2).sample_set(9)
+    assert BvSampler(f, (np.int64(35), True), width=np.uint8(2)).sample_set(9) == want
 
 
-# --- translated sampler: the keyed family from its zero-key slice ------------
+# --- the keyed family's marginal law from its zero-key slice ----------------
 
 
 @pytest.mark.parametrize("preset,n,rounds", TOY_SHAPES)
@@ -327,33 +326,21 @@ def test_non_integer_widths_and_seed_keys_are_refused():
 @given(st.integers(0, 2**30), st.data())
 def test_zero_key_slice_samples_the_keyed_family(preset, n, rounds, key, data):
     """G(x || k1 || k') = G0(x ^ k1 || k'), so a sampler on a component of G0
-    with translated = n has the outcomes, cumulative masses, draws, sample
-    sets and stream of the sampler on the same component of G."""
+    has the outcomes, draws, sample sets and stream of the sampler on the same
+    component of G, and its cumulative masses are G's shifted right by 2n,
+    which drops only zero bits (slice_range): G0 draws G's law over its own
+    range."""
     pub = ToyCipher.generate(n, preset, seed=(key, 36), rounds=rounds).public
     j = data.draw(st.integers(1, n))
     count = data.draw(st.integers(1, 3 * _BLOCK))
-    full = BvSampler(toy_reduced_family(pub).component(j), (key, j), width=n)
-    part = BvSampler(toy_zero_key_family(pub).component(j), (key, j), width=n, translated=n)
+    with slice_range(n):
+        full = BvSampler(toy_reduced_family(pub).component(j), (key, j), width=n)
+    part = BvSampler(toy_zero_key_family(pub).component(j), (key, j), width=n)
     for got, want in ((part.outcomes, full.outcomes), (part._cum, full._cum),
                       (part.draw(count), full.draw(count))):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert part.sample_set(count) == full.sample_set(count)
     assert part._rng.bit_generator.state == full._rng.bit_generator.state
-
-
-def test_translated_is_checked_before_anything_is_allocated():
-    f = random_boolean_function(20, seeded_rng(37))
-    for t in (-1, MAX_WIDTH - 20 + 1):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="translated must be in \\[0, 4\\]"):
-                BvSampler(f, (38,), width=8, translated=t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < f.table.nbytes // 16, t  # the signs' copy alone is the whole table
-    # the widest accepted family: uniforms from [0, 4^24)
-    assert int(BvSampler(f, (38,), width=8, translated=MAX_WIDTH - 20)._cum[-1]) == 4 ** MAX_WIDTH
 
 
 def _top_bent(n: int) -> BooleanFunction:
@@ -618,16 +605,15 @@ def _block_function(m: int, kinds, key: int) -> VectorFunction:
     return VectorFunction(m, n, words)
 
 
-def _assert_blocks_equal_per_bit(F: VectorFunction, width: int, translated: int, key: int,
-                                 count: int) -> None:
+def _assert_blocks_equal_per_bit(F: VectorFunction, width: int, key: int, count: int) -> None:
     """Each block-built sampler has the outcomes, cumulative masses, sample
     set, charge and generator state after it of BvSampler(F.component(j),
-    (key, j), ledger, width, translated)."""
+    (key, j), ledger, width)."""
     led, want_led = QueryLedger(), QueryLedger()
-    built = list(component_samplers(F, key, led, width, translated))
+    built = list(component_samplers(F, key, led, width))
     assert len(built) == F.n
     for j, got in enumerate(built, 1):
-        want = BvSampler(F.component(j), (key, j), want_led, width, translated)
+        want = BvSampler(F.component(j), (key, j), want_led, width)
         assert got.n == want.n == width
         assert got.outcomes.dtype == want.outcomes.dtype == np.int64
         assert got.outcomes.tolist() == want.outcomes.tolist(), j
@@ -643,11 +629,10 @@ def test_block_built_samplers_equal_per_bit_builds(m, kinds, key, data):
     """Under cell budgets from one bit per block to all of them, so that the
     bits split across blocks of every size."""
     width = data.draw(st.integers(1, m))
-    translated = data.draw(st.integers(0, MAX_WIDTH - m))
     budget = data.draw(st.integers(m - 1, m + len(kinds)))
     F = _block_function(m, kinds, key)
     with mock.patch.object(bv, "_BLOCK_CELLS", 1 << budget):
-        _assert_blocks_equal_per_bit(F, width, translated, key, data.draw(st.integers(1, 600)))
+        _assert_blocks_equal_per_bit(F, width, key, data.draw(st.integers(1, 600)))
 
 
 @pytest.mark.parametrize("m, width", [
@@ -658,10 +643,9 @@ def test_block_built_samplers_equal_per_bit_builds(m, kinds, key, data):
 def test_block_builds_at_the_type_bounds(m, width):
     """At the default cell budget a constant bit puts 2^(m + width) on row 0
     and an affine bit puts +-2^width in its butterfly, with a random bit
-    between them, untranslated and translated up to the cap."""
+    between them."""
     F = _block_function(m, ("constant", "random", "affine"), 90)
-    for translated in (0, MAX_WIDTH - m):
-        _assert_blocks_equal_per_bit(F, width, translated, 91, 1 << 10)
+    _assert_blocks_equal_per_bit(F, width, 91, 1 << 10)
 
 
 def test_blocks_are_built_when_their_first_bit_is_asked_for(monkeypatch):

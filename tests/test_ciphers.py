@@ -233,6 +233,26 @@ def test_em_validation():
         EvenMansour(2, np.array([0, 1, 2, 4]), 1, 0)  # distinct but not 2-bit words
 
 
+def test_cipher_keys_must_be_integers():
+    """EvenMansour(n, perm, 1.5, 0) and ToyCipher(..., 3.0, s) used to build
+    and then fail inside encrypt_table; a key that is not an integer is
+    refused at construction, and a numpy integer key reads as its value."""
+    perm = np.array([2, 0, 3, 1])
+    for k1, k2 in ((1.5, 0), (1, 2.0), (np.float64(1), 0)):
+        with pytest.raises(TypeError):
+            EvenMansour(2, perm, k1, k2)
+    em = EvenMansour(2, perm, np.int64(1), np.uint8(3))
+    assert (type(em.k1), type(em.k2)) == (int, int)
+    assert em.encrypt_table().table.tolist() == [3, 1, 2, 0]  # E(x) = P(x ^ 1) ^ 3
+    tc = ToyCipher.generate(4, seed=64)
+    for master, last in ((3.0, tc.last_key), (tc.master_key, 1.5), (np.float64(2), 0)):
+        with pytest.raises(TypeError):
+            ToyCipher(tc.public, "weak", 64, master, last)
+    same = ToyCipher(tc.public, "weak", 64, np.int64(tc.master_key), np.uint8(tc.last_key))
+    assert (type(same.master_key), type(same.last_key)) == (int, int)
+    assert same.encrypt_table().table.tolist() == tc.encrypt_table().table.tolist()
+
+
 def test_feistel_and_em_widths_checked_before_any_table(monkeypatch):
     from bvattack import ciphers
 

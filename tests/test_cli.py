@@ -311,9 +311,9 @@ def test_toy_attacks_reject_mismatched_etable(capsys, tmp_path, monkeypatch, toy
 def test_toy_attack_outputs_equal_full_family_runs(capsys, tmp_path, monkeypatch):
     """attack-diff, attack-smallprob and attack-impossible print the same
     bytes and exit codes as when their searches read the whole keyed family G
-    instead of its slice G0 with translated = n."""
+    instead of its slice G0, with G's samplers drawing over G0's range."""
     import bvattack.attacks as attacks
-    from oracles import toy_reduced_family
+    from oracles import slice_range, toy_reduced_family
 
     files = []
     for preset, n, rounds in (("weak", 4, 3), ("strong", 4, 3), ("weak", 3, 2), ("weak", 5, 4)):
@@ -332,12 +332,15 @@ def test_toy_attack_outputs_equal_full_family_runs(capsys, tmp_path, monkeypatch
 
     sliced = outputs()
 
-    def untranslated(search):
-        return lambda *args, translated, **kw: search(*args, **kw)
+    def over_the_slice_range(search):
+        def run(*args, solve_width, **kw):
+            with slice_range(solve_width):
+                return search(*args, solve_width=solve_width, **kw)
+        return run
 
     monkeypatch.setattr(attacks, "toy_zero_key_family", toy_reduced_family)
     for name in ("find_vector_structures", "find_impossible_differential"):
-        monkeypatch.setattr(attacks, name, untranslated(getattr(attacks, name)))
+        monkeypatch.setattr(attacks, name, over_the_slice_range(getattr(attacks, name)))
     assert outputs() == sliced
     assert {code for code, _ in sliced} == {0, 1}
 

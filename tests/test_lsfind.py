@@ -39,6 +39,7 @@ from oracles import (
     members,
     per_bit_vector_search,
     per_bit_zero_search,
+    slice_range,
     solve_affine_direct,
     toy_reduced_family,
 )
@@ -174,8 +175,8 @@ def test_sample_count_validation():
 
 def test_non_integer_sample_counts_and_widths_are_refused():
     """find_vector_structures(F, p=2.7) used to search, charge and report
-    p = 2.  Every search refuses a float p, solve_width or translated before
-    the ledger moves, and reads a numpy integer as its value."""
+    p = 2.  Every search refuses a float p or solve_width before the ledger
+    moves, and reads a numpy integer as its value."""
     f, F = example_quadratic(), random_vector_function(4, 3, seeded_rng(51))
     led = QueryLedger()
     bad = [(find_boolean_structures, f, {"p": 2.7}), (find_boolean_structures, f, {"p": 3.0})]
@@ -183,7 +184,7 @@ def test_non_integer_sample_counts_and_widths_are_refused():
                    find_impossible_differential):
         bad.append((search, F, {"p": 2.7}))
     for search in (find_vector_structures, find_impossible_differential):
-        bad += [(search, F, {"solve_width": 2.5}), (search, F, {"translated": 1.5})]
+        bad.append((search, F, {"solve_width": 2.5}))
     for search, fn, kw in bad:
         with pytest.raises(TypeError):
             search(fn, seed=52, ledger=led, **kw)
@@ -290,12 +291,12 @@ def test_searches_equal_chained_reference(m, n, key, data):
     assert got == chained_zero_search(F, p, (key, 46))
 
 
-def _equal_to_per_bit(F, p, seed, width=None, translated=0):
+def _equal_to_per_bit(F, p, seed, width=None):
     """Both block-built searches of F against their per-bit references:
     equal results and equal ledgers.  Returns the two results."""
     out = []
     for search, ref, kw in ((find_vector_structures, per_bit_vector_search,
-                             {"solve_width": width, "translated": translated}),
+                             {"solve_width": width}),
                             (find_common_zero_structure, per_bit_zero_search, {})):
         led, want_led = QueryLedger(), QueryLedger()
         got = search(F, p, seed, led, **kw)
@@ -313,9 +314,8 @@ def test_searches_equal_the_per_bit_reference(m, n, key, data):
     F = planted_vector(m, n, rng)[0] if planted else random_vector_function(m, n, rng)
     p = data.draw(st.integers(1, 4 * m))
     width = data.draw(st.none() | st.integers(1, m))
-    translated = data.draw(st.integers(0, 3))
     with mock.patch.object(bv, "_BLOCK_CELLS", 1 << data.draw(st.integers(m - 1, m + n))):
-        _equal_to_per_bit(F, p, (key, 53), width, translated)
+        _equal_to_per_bit(F, p, (key, 53), width)
 
 
 @pytest.mark.parametrize("cells", [5, 7, 16])  # blocks of 1 and 2 bits of 2^6 cells, and all
@@ -355,19 +355,20 @@ def test_trivial_component_stays_out_of_the_intersection():
 @settings(max_examples=3)
 @given(st.integers(0, 2**30), st.data())
 def test_searches_on_the_zero_key_slice_equal_the_keyed_family(preset, n, rounds, key, data):
-    """With translated = n the searches read G0 = G(x || 0 || k') and answer,
-    field for field and at the same charge, what they answer on G."""
+    """The searches read G0 = G(x || 0 || k') and answer, field for field and
+    at the same charge, what they answer on G when G's samplers draw over
+    G0's range (slice_range)."""
     pub = ToyCipher.generate(n, preset, seed=(key, 48), rounds=rounds).public
     p = data.draw(st.integers(1, 8 * n))
     j = data.draw(st.integers(1, n))
     runs = []
-    for F, t in ((toy_reduced_family(pub), 0), (toy_zero_key_family(pub), n)):
+    for F, key_bits in ((toy_reduced_family(pub), n), (toy_zero_key_family(pub), 0)):
         ledgers = [QueryLedger() for _ in range(3)]
-        runs.append((
-            find_vector_structures(F, p, (key, 49), ledgers[0], n, translated=t),
-            _boolean_sets(BvSampler(F.component(j), (key, 50), ledgers[1], n, t), n, p),
-            find_impossible_differential(F, p, (key, 51), ledgers[2], solve_width=n,
-                                         translated=t),
-            [led.snapshot() for led in ledgers],
-        ))
+        with slice_range(key_bits):
+            runs.append((
+                find_vector_structures(F, p, (key, 49), ledgers[0], n),
+                _boolean_sets(BvSampler(F.component(j), (key, 50), ledgers[1], n), n, p),
+                find_impossible_differential(F, p, (key, 51), ledgers[2], solve_width=n),
+                [led.snapshot() for led in ledgers],
+            ))
     assert runs[1] == runs[0]

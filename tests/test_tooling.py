@@ -247,9 +247,9 @@ def test_no_search_builds_samplers_from_component_tables():
 
 def test_searches_share_one_signature():
     # every structure search takes (F, p, seed, ledger) first, and the two
-    # that search a truncated or translated input end with the same two
-    # keywords, so one call shape drives any of them (the toy attacks pass
-    # their search to one search phase)
+    # that search a truncated input end with the same keyword, so one call
+    # shape drives any of them (the toy attacks pass their search to one
+    # search phase)
     from bvattack import lsfind
 
     searches = sorted(name for name in lsfind.__all__ if name.startswith("find_"))
@@ -259,7 +259,7 @@ def test_searches_share_one_signature():
         params = list(inspect.signature(getattr(lsfind, name)).parameters)
         assert params[1:4] == ["p", "seed", "ledger"], name
         if name in ("find_impossible_differential", "find_vector_structures"):
-            assert params[4:] == ["solve_width", "translated"], name
+            assert params[4:] == ["solve_width"], name
 
 
 def _definitions(source: str, names: set[str]) -> list[str]:
@@ -330,7 +330,7 @@ def test_draw_and_butterfly_return_what_the_hooks_read():
     b = np.ones((16, 3), dtype=np.int32)
     assert _wht(b) is b and b[0].tolist() == [16] * 3
     # the build hook counts len(outcomes): the toy attacks build on the slice
-    # G0 with translated = n, and count the support of the keyed family G
+    # G0, and count the support of the keyed family G
     from bvattack.ciphers import ToyCipher, toy_zero_key_family
     from oracles import toy_reduced_family
 
@@ -338,7 +338,7 @@ def test_draw_and_butterfly_return_what_the_hooks_read():
     G, G0 = toy_reduced_family(pub), toy_zero_key_family(pub)
     for j in range(1, 5):
         support = len(BvSampler(G.component(j), (63,), width=4).outcomes)
-        assert len(BvSampler(G0.component(j), (63,), width=4, translated=4).outcomes) == support
+        assert len(BvSampler(G0.component(j), (63,), width=4).outcomes) == support
 
 
 def test_benchmark_driver_names_resolve():
